@@ -58,6 +58,21 @@ def _vector_json(vec):
     return [format_rat(x) for x in vec]
 
 
+def _kernel_witness(matrix: RatMatrix) -> list:
+    """First kernel basis vector of ``matrix``, verified nonzero and in the kernel.
+
+    A vector that fails is a fault of this package, not of the input, so it
+    raises ``RuntimeError`` (not an ``SsweightError``); the check is explicit
+    so that it also runs under ``python -O``.
+    """
+    v = matrix.kernel_basis().col(0)
+    if not any(v) or any(matrix.apply(v)):
+        raise RuntimeError(
+            f"kernel witness of a {matrix.rows}x{matrix.cols} matrix failed verification"
+        )
+    return v
+
+
 def bijectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResult:
     """Pass iff the matrix is square of full rank; witnesses verified."""
     src, dst = matrix.cols, matrix.rows
@@ -74,9 +89,7 @@ def bijectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResu
     r = matrix.rank()
     if r == src:
         return CheckResult(name, location, "pass", witness={"dim": src, "rank": r})
-    ker = matrix.kernel_basis()
-    v = ker.col(0)
-    assert any(x != 0 for x in v) and all(x == 0 for x in matrix.apply(v))
+    v = _kernel_witness(matrix)
     return CheckResult(
         name,
         location,
@@ -97,8 +110,7 @@ def injectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResu
     r = matrix.rank()
     if r == matrix.cols:
         return CheckResult(name, location, "pass", witness={"rank": r})
-    v = matrix.kernel_basis().col(0)
-    assert all(x == 0 for x in matrix.apply(v))
+    v = _kernel_witness(matrix)
     return CheckResult(
         name,
         location,
@@ -123,8 +135,7 @@ def nondegeneracy_check(name: str, location: dict, gram: RatMatrix) -> CheckResu
     r = gram.rank()
     if r == gram.rows:
         return CheckResult(name, location, "pass", witness={"dim": gram.rows})
-    v = gram.kernel_basis().col(0)
-    assert all(x == 0 for x in gram.apply(v))
+    v = _kernel_witness(gram)
     return CheckResult(
         name,
         location,

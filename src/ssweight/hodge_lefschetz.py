@@ -342,7 +342,6 @@ def hl_from_strata(sc: StrataComplex) -> HodgeLefschetzModule:
     for (a, b) in e1.support():
         i, j = a, a + b - n
         dims[(i, j)] = e1.dim(a, b)
-        assert dims[(i, j)] == e1.dim(i, n - i + j)
         n_ops[(i, j)] = e1.nmap(a, b)
         l_ops[(i, j)] = e1.lmap(a, b)
         d_ops[(i, j)] = e1.d1(a, b)

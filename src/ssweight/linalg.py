@@ -1,10 +1,14 @@
 """Exact linear algebra over Q.
 
 Dense matrices of ``fractions.Fraction`` entries; every operation is exact,
-deterministic and pure.  Ranks go through fraction-free (Bareiss) elimination
-on denominator-cleared integer rows to keep intermediate entries small;
-kernels, solves and quotient constructions use exact Gauss-Jordan on
-fractions.  No floating point anywhere.
+deterministic and pure.  Products skip zero entries.  Ranks, reduced row
+echelon forms, and through them kernels, column spaces, solves, inverses and
+quotient constructions all run one fraction-free elimination on
+denominator-cleared integer rows: each row operation is an integer
+combination of two rows followed by division by the row's content gcd, so
+entries stay small, and zero entries are never touched.  Fractions appear
+again only when a finished pivot row is divided by its pivot.  No floating
+point anywhere.
 
 Conventions: a linear map V -> W is a matrix with ``rows = dim W`` and
 ``cols = dim V`` acting on column vectors; a subspace is stored as a matrix
@@ -15,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotSymmetric, NotWellDefined
 
 Rat = Fraction
+_ZERO = Fraction(0)
 
 
 def rat(x) -> Fraction:
@@ -145,15 +150,17 @@ class RatMatrix:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        ot = other.transpose().entries
-        return RatMatrix(
-            self.rows,
-            other.cols,
-            [
-                [sum(a * b for a, b in zip(row, colv)) for colv in ot]
-                for row in self.entries
-            ],
-        )
+        # the nonzero (column, entry) pairs of each row of ``other``, taken once
+        other_nz = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [_ZERO] * other.cols
+            for a, nz in zip(row, other_nz):
+                if a:
+                    for j, b in nz:
+                        acc[j] += a * b
+            out.append(acc)
+        return RatMatrix(self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix times column vector, as a plain list."""
@@ -201,63 +208,68 @@ class RatMatrix:
         """Rows scaled by the lcm of their denominators (rank-preserving)."""
         out = []
         for row in self.entries:
-            m = 1
-            for x in row:
-                m = m * x.denominator // gcd(m, x.denominator)
-            out.append([int(x * m) for x in row])
+            m = lcm(*[x.denominator for x in row])
+            out.append([x.numerator * (m // x.denominator) for x in row])
         return out
 
-    def rank(self) -> int:
-        """Rank over Q by fraction-free (Bareiss) elimination."""
+    def _eliminate(self, reduce: bool):
+        """Fraction-free elimination on the integer rows.
+
+        Returns ``(rows, pivots)``: row ``i < len(pivots)`` has its leading
+        entry in column ``pivots[i]`` and every later row is zero.  The pivot
+        of each column is the topmost remaining row with a nonzero entry
+        there.  Clearing column ``c`` of row ``i`` against pivot row ``r``
+        replaces it by ``(p/g) row_i - (a/g) row_r`` (``p`` the pivot, ``a``
+        the entry, ``g = gcd(p, a)``) divided by its content gcd; only the
+        nonzero entries of the pivot row are visited.  With ``reduce`` the
+        column is cleared above the pivot as well, which leaves the reduced
+        row echelon form up to one scalar per row.
+        """
         m = self._integer_rows()
-        nrows, ncols = self.rows, self.cols
+        nrows = self.rows
+        pivots = []
         r = 0
-        prev = 1
-        for c in range(ncols):
-            if r >= nrows:
+        for c in range(self.cols):
+            if r == nrows:
                 break
-            p = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+            p = next((i for i in range(r, nrows) if m[i][c]), None)
             if p is None:
                 continue
-            if p != r:
-                m[r], m[p] = m[p], m[r]
+            m[r], m[p] = m[p], m[r]
             piv = m[r][c]
-            for i in range(r + 1, nrows):
-                mic = m[i][c]
-                # Bareiss: exact division by the previous pivot
-                for j in range(c, ncols):
-                    m[i][j] = (piv * m[i][j] - mic * m[r][j]) // prev
-            prev = piv
+            piv_nz = [(j, y) for j, y in enumerate(m[r]) if y]
+            for i in range(0 if reduce else r + 1, nrows):
+                a = m[i][c]
+                if not a or i == r:
+                    continue
+                g = gcd(piv, a)
+                s, t = piv // g, a // g
+                row = [s * x for x in m[i]] if s != 1 else m[i]
+                for j, y in piv_nz:
+                    row[j] -= t * y
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+            pivots.append(c)
             r += 1
-        return r
+        return m, pivots
+
+    def rank(self) -> int:
+        """Rank over Q: the pivot count of the forward elimination."""
+        return len(self._eliminate(reduce=False)[1])
 
     def rref(self):
         """Reduced row echelon form over Q.
 
         Returns ``(rref_matrix, pivot_columns)``; deterministic (topmost row
-        with a nonzero entry becomes the pivot).
+        with a nonzero entry becomes the pivot, and the form is unique).
         """
-        m = [list(row) for row in self.entries]
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r >= nrows:
-                break
-            p = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-            if p is None:
-                continue
-            if p != r:
-                m[r], m[p] = m[p], m[r]
-            piv = m[r][c]
-            m[r] = [x / piv for x in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return RatMatrix(nrows, ncols, m), pivots
+        m, pivots = self._eliminate(reduce=True)
+        out = []
+        for row, c in zip(m, pivots):
+            d = row[c]
+            out.append([Fraction(x, d) if x else _ZERO for x in row])
+        out.extend([_ZERO] * self.cols for _ in range(self.rows - len(pivots)))
+        return RatMatrix(self.rows, self.cols, out), pivots
 
     def kernel_basis(self) -> "RatMatrix":
         """Columns form a basis of {v : self @ v = 0}."""

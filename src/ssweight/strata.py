@@ -422,9 +422,11 @@ class StrataComplex:
                             witness=wit,
                         )
                     )
+                # m and mc have the same parity, so (m, mc) and (mc, m) state
+                # the same condition: compare each pair once
                 sign = -1 if m % 2 else 1
                 q = coh.pairing.get(mc)
-                if q is not None and q != p.transpose().scale(sign):
+                if m <= mc and q is not None and q != p.transpose().scale(sign):
                     v.append(
                         Violation(
                             "pairing-symmetry",

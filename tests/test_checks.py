@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import graph_curve
-from ssweight.errors import InvalidParameters
+from ssweight.errors import InvalidParameters, SsweightError
+from ssweight.linalg import RatMatrix
 from ssweight.scenarios import (
     elliptic_stratum,
     good_reduction_pn,
@@ -12,10 +13,13 @@ from ssweight.scenarios import (
 )
 from ssweight.spectral import build_e1, compute_e2
 from ssweight.checks import (
+    bijectivity_check,
     check_h1_suite,
     check_log_hl,
     check_log_hl_all,
     check_wm,
+    injectivity_check,
+    nondegeneracy_check,
 )
 
 
@@ -130,3 +134,28 @@ class TestWitnessShape:
         for c in results:
             if c.status == "fail":
                 assert c.witness is not None
+
+
+class TestWitnessVerification:
+    """A kernel vector that does not verify is an internal fault: it raises
+    ``RuntimeError``, also under ``python -O``, and never reaches a result."""
+
+    SINGULAR = RatMatrix.from_rows([[1, 1], [1, 1]])
+
+    @pytest.mark.parametrize("check", [bijectivity_check, injectivity_check, nondegeneracy_check])
+    @pytest.mark.parametrize("bogus", [[1, 0], [0, 0]])
+    def test_bad_kernel_vector_raises(self, monkeypatch, check, bogus):
+        monkeypatch.setattr(RatMatrix, "kernel_basis", lambda self: RatMatrix.column(bogus))
+        with pytest.raises(RuntimeError) as exc:
+            check("c", {}, self.SINGULAR)
+        assert not isinstance(exc.value, SsweightError)
+
+    def test_page_level_check_raises(self, monkeypatch):
+        sc = graph_curve([(1, 2), (2, 3), (1, 3)], 3, degrees={1: 0, 2: 0, 3: 0})
+        e2 = page(sc)
+        # the failing map here is zero, so only a zero vector is a bad witness
+        monkeypatch.setattr(
+            RatMatrix, "kernel_basis", lambda self: RatMatrix.column([0] * self.cols)
+        )
+        with pytest.raises(RuntimeError):
+            check_log_hl(e2, 1)

@@ -32,6 +32,13 @@ class TestValidate:
             for v in report.violations
         )
 
+    def test_broken_pairing_symmetry_reported_once(self):
+        sc = ngon(3)
+        sc.faces[(1,)].pairing[0] = RatMatrix.from_rows([[2]])
+        report = sc.validate()
+        symmetry = [v for v in report.violations if v.code == "pairing-symmetry"]
+        assert [v.location for v in symmetry] == ["face {1}"]
+
     def test_deleted_restriction_reported(self):
         sc = ngon(3)
         del sc.restrictions[((1,), (1, 2))]
