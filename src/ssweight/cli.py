@@ -206,7 +206,12 @@ def _cmd_slopes(args) -> int:
 
 
 def _parse_rat_list(text: str):
-    return [Fraction(x) for x in text.split(",") if x != ""]
+    try:
+        return [Fraction(x) for x in text.split(",") if x != ""]
+    except (ValueError, ZeroDivisionError):
+        raise SsweightError(
+            f"expected comma-separated rationals such as 0,1/2,1: {text!r}"
+        ) from None
 
 
 def _cmd_polygons(args) -> int:
@@ -379,7 +384,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(SCHEMA_POINTER, file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

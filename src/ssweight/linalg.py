@@ -1,14 +1,18 @@
 """Exact linear algebra over Q.
 
-Dense matrices of ``fractions.Fraction`` entries; every operation is exact,
-deterministic and pure.  Products skip zero entries.  Ranks, reduced row
-echelon forms, and through them kernels, column spaces, solves, inverses and
-quotient constructions all run one fraction-free elimination on
-denominator-cleared integer rows: each row operation is an integer
-combination of two rows followed by division by the row's content gcd, so
-entries stay small, and zero entries are never touched.  Fractions appear
-again only when a finished pivot row is divided by its pivot.  No floating
-point anywhere.
+Sparse matrices of ``fractions.Fraction`` entries; every operation is exact,
+deterministic and pure.  Each row stores only its nonzero entries, as a
+``{column: Fraction}`` dict, so no operation ever visits a zero.  Products
+clear the denominators of each row of the right factor once, accumulate in
+integers over one common denominator per output row, and build one
+``Fraction`` per nonzero result.  Ranks, reduced row echelon forms, and
+through them kernels, column spaces, solves, inverses and quotient
+constructions all run one fraction-free elimination on denominator-cleared
+integer rows: each row operation is an integer combination of two rows
+followed by division by the row's content gcd, so entries stay small.
+Signatures run a fraction-free symmetric elimination on the same integer
+rows.  Fractions appear again only when a finished row is divided by its
+pivot.  No floating point anywhere.
 
 Conventions: a linear map V -> W is a matrix with ``rows = dim W`` and
 ``cols = dim V`` acting on column vectors; a subspace is stored as a matrix
@@ -25,6 +29,7 @@ from .errors import NotSymmetric, NotWellDefined
 
 Rat = Fraction
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
@@ -43,18 +48,43 @@ def format_rat(x: Fraction) -> str:
     return str(x)
 
 
-class RatMatrix:
-    """Immutable dense matrix over Q."""
+_set = object.__setattr__
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _make(rows: int, cols: int, data) -> "RatMatrix":
+    """Trusted constructor: ``data`` holds one ``{column: Fraction}`` dict of
+    nonzero entries per row, and no dict in it is mutated afterwards."""
+    m = object.__new__(RatMatrix)
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "_data", tuple(data))
+    return m
+
+
+def _fractions(row: dict, d: int) -> dict:
+    """The integer row divided by ``d``."""
+    if d == 1:
+        return {j: Fraction(x) for j, x in row.items()}
+    return {j: Fraction(x, d) for j, x in row.items()}
+
+
+class RatMatrix:
+    """Immutable sparse matrix over Q."""
+
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(tuple(rat(x) for x in row) for row in entries)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
+        data = []
+        for row in entries:
+            row = [rat(x) for x in row]
+            if len(row) != cols:
+                raise ValueError(f"entry grid does not match shape {rows}x{cols}")
+            data.append({j: x for j, x in enumerate(row) if x})
+        if len(data) != rows:
             raise ValueError(f"entry grid does not match shape {rows}x{cols}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "_data", tuple(data))
 
     def __setattr__(self, *_):
         raise AttributeError("RatMatrix is immutable")
@@ -69,11 +99,11 @@ class RatMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(rows, cols, [[0] * cols for _ in range(rows)])
+        return _make(rows, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _make(n, n, [{i: _ONE} for i in range(n)])
 
     @staticmethod
     def column(vec) -> "RatMatrix":
@@ -87,170 +117,211 @@ class RatMatrix:
             isinstance(other, RatMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._data == other._data
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._data)))
 
     def __repr__(self):
         return f"RatMatrix({self.rows}x{self.cols})"
 
+    @property
+    def entries(self):
+        """Dense rows as a tuple of tuples; built anew on every access."""
+        return tuple(tuple(self.row(i)) for i in range(self.rows))
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return self.row(i)[j]
 
     def row(self, i):
-        return list(self.entries[i])
+        r = self._data[i]
+        return [r.get(j, _ZERO) for j in range(self.cols)]
 
     def col(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} of a matrix with {self.cols} columns")
+        return [r.get(j, _ZERO) for r in self._data]
+
+    def row_items(self, i):
+        """The ``(column, entry)`` pairs of the nonzero entries of row ``i``."""
+        return self._data[i].items()
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self._data)
 
     def to_lists(self):
-        return [list(row) for row in self.entries]
+        return [self.row(i) for i in range(self.rows)]
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return RatMatrix(
-            self.rows,
-            self.cols,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return RatMatrix(
-            self.rows,
-            self.cols,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        return self._combine(other, -1)
+
+    def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        out = []
+        for ra, rb in zip(self._data, other._data):
+            row = dict(ra)
+            for j, y in rb.items():
+                v = row.get(j, 0) + sign * y
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            out.append(row)
+        return _make(self.rows, self.cols, out)
 
     def __neg__(self) -> "RatMatrix":
         return self.scale(-1)
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
-        return RatMatrix(
-            self.rows, self.cols, [[c * x for x in row] for row in self.entries]
-        )
+        if c == 1:
+            return self
+        if not c:
+            return RatMatrix.zeros(self.rows, self.cols)
+        if c == -1:
+            return _make(self.rows, self.cols, [{j: -x for j, x in r.items()} for r in self._data])
+        return _make(self.rows, self.cols, [{j: c * x for j, x in r.items()} for r in self._data])
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        # the nonzero (column, entry) pairs of each row of ``other``, taken once
-        other_nz = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        # each row of ``other`` as its denominator lcm and integer entries, taken once
+        cleared = []
+        for row in other._data:
+            if not row:
+                cleared.append(None)
+                continue
+            m = lcm(*[x.denominator for x in row.values()])
+            cleared.append((m, [(j, x.numerator * (m // x.denominator)) for j, x in row.items()]))
         out = []
-        for row in self.entries:
-            acc = [_ZERO] * other.cols
-            for a, nz in zip(row, other_nz):
-                if a:
-                    for j, b in nz:
-                        acc[j] += a * b
-            out.append(acc)
-        return RatMatrix(self.rows, other.cols, out)
+        for row in self._data:
+            terms = [(a, cleared[k]) for k, a in row.items() if cleared[k]]
+            if not terms:
+                out.append({})
+                continue
+            # one common denominator for the row: sum_k (a_k / m_k) * int_row_k
+            den = lcm(*[a.denominator * m for a, (m, _) in terms])
+            acc = {}
+            for a, (m, nz) in terms:
+                c = a.numerator * (den // (a.denominator * m))
+                for j, y in nz:
+                    acc[j] = acc.get(j, 0) + c * y
+            out.append(_fractions({j: x for j, x in acc.items() if x}, den))
+        return _make(self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix times column vector, as a plain list."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return [sum(a * rat(b) for a, b in zip(row, vec)) for row in self.entries]
+        vec = [rat(b) for b in vec]
+        return [sum((a * vec[j] for j, a in r.items()), _ZERO) for r in self._data]
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._data):
+            for j, x in row.items():
+                out[j][i] = x
+        return _make(self.cols, self.rows, out)
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return RatMatrix(
-            self.rows,
-            self.cols + other.cols,
-            [list(a) + list(b) for a, b in zip(self.entries, other.entries)],
-        )
+        off = self.cols
+        out = []
+        for a, b in zip(self._data, other._data):
+            row = dict(a)
+            for j, x in b.items():
+                row[off + j] = x
+            out.append(row)
+        return _make(self.rows, self.cols + other.cols, out)
 
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return RatMatrix(
-            self.rows + other.rows,
-            self.cols,
-            list(self.entries) + list(other.entries),
-        )
+        return _make(self.rows + other.rows, self.cols, self._data + other._data)
 
     def take_columns(self, idx) -> "RatMatrix":
-        return RatMatrix(
-            self.rows, len(idx), [[row[j] for j in idx] for row in self.entries]
+        idx = list(idx)
+        return _make(
+            self.rows,
+            len(idx),
+            [{p: r[j] for p, j in enumerate(idx) if j in r} for r in self._data],
         )
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     # -- elimination -------------------------------------------------------
 
     def _integer_rows(self):
-        """Rows scaled by the lcm of their denominators (rank-preserving)."""
+        """Rows scaled by the lcm of their denominators (rank-preserving), as
+        fresh ``{column: int}`` dicts."""
         out = []
-        for row in self.entries:
-            m = lcm(*[x.denominator for x in row])
-            out.append([x.numerator * (m // x.denominator) for x in row])
+        for row in self._data:
+            m = lcm(*[x.denominator for x in row.values()])
+            out.append({j: x.numerator * (m // x.denominator) for j, x in row.items()})
         return out
 
     def _eliminate(self, reduce: bool):
         """Fraction-free elimination on the integer rows.
 
         Returns ``(rows, pivots)``: row ``i < len(pivots)`` has its leading
-        entry in column ``pivots[i]`` and every later row is zero.  The pivot
+        entry in column ``pivots[i]`` and every later row is empty.  The pivot
         of each column is the topmost remaining row with a nonzero entry
-        there.  Clearing column ``c`` of row ``i`` against pivot row ``r``
-        replaces it by ``(p/g) row_i - (a/g) row_r`` (``p`` the pivot, ``a``
-        the entry, ``g = gcd(p, a)``) divided by its content gcd; only the
-        nonzero entries of the pivot row are visited.  With ``reduce`` the
-        column is cleared above the pivot as well, which leaves the reduced
-        row echelon form up to one scalar per row.
+        there; columns no remaining row reaches are skipped, so the next pivot
+        column is the smallest leading column of a remaining row.  Clearing
+        column ``c`` of row ``i`` against pivot row ``r`` replaces it by
+        ``(p/g) row_i - (a/g) row_r`` (``p`` the pivot, ``a`` the entry,
+        ``g = gcd(p, a)``) divided by its content gcd; only the nonzero
+        entries of the two rows are visited.  With ``reduce`` the column is
+        cleared above the pivot as well, which leaves the reduced row echelon
+        form up to one scalar per row.
         """
         m = self._integer_rows()
-        nrows = self.rows
+        nrows = len(m)
+        lead = [min(row) if row else None for row in m]
         pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == nrows:
+        for r in range(nrows):
+            c = None
+            for i in range(r, nrows):
+                li = lead[i]
+                if li is not None and (c is None or li < c):
+                    c, p = li, i
+            if c is None:
                 break
-            p = next((i for i in range(r, nrows) if m[i][c]), None)
-            if p is None:
-                continue
             m[r], m[p] = m[p], m[r]
+            lead[r], lead[p] = lead[p], lead[r]
+            piv_items = list(m[r].items())
             piv = m[r][c]
-            piv_nz = [(j, y) for j, y in enumerate(m[r]) if y]
             for i in range(0 if reduce else r + 1, nrows):
-                a = m[i][c]
-                if not a or i == r:
+                row = m[i]
+                a = row.get(c)
+                if a is None or i == r:
                     continue
                 g = gcd(piv, a)
                 s, t = piv // g, a // g
-                row = [s * x for x in m[i]] if s != 1 else m[i]
-                for j, y in piv_nz:
-                    row[j] -= t * y
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
+                if s != 1:
+                    for j in row:
+                        row[j] *= s
+                for j, y in piv_items:
+                    v = row.get(j, 0) - t * y
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                g = gcd(*row.values())
+                if g > 1:
+                    row = m[i] = {j: x // g for j, x in row.items()}
+                if i > r:
+                    lead[i] = min(row) if row else None
             pivots.append(c)
-            r += 1
         return m, pivots
 
     def rank(self) -> int:
@@ -264,28 +335,23 @@ class RatMatrix:
         with a nonzero entry becomes the pivot, and the form is unique).
         """
         m, pivots = self._eliminate(reduce=True)
-        out = []
-        for row, c in zip(m, pivots):
-            d = row[c]
-            out.append([Fraction(x, d) if x else _ZERO for x in row])
-        out.extend([_ZERO] * self.cols for _ in range(self.rows - len(pivots)))
-        return RatMatrix(self.rows, self.cols, out), pivots
+        out = [_fractions(row, row[c]) for row, c in zip(m, pivots)]
+        out.extend({} for _ in range(self.rows - len(pivots)))
+        return _make(self.rows, self.cols, out), pivots
 
     def kernel_basis(self) -> "RatMatrix":
         """Columns form a basis of {v : self @ v = 0}."""
         R, pivots = self.rref()
         pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
-        cols = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                v[p] = -R.entries[i][f]
-            cols.append(v)
-        return RatMatrix(
-            self.cols, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(self.cols)]
-        )
+        free = {f: k for k, f in enumerate(c for c in range(self.cols) if c not in pivset)}
+        # coordinate f of basis vector free[f] is 1; coordinate p of basis
+        # vector free[f] is -R[i][f] for the pivot p of row i
+        out = [{} for _ in range(self.cols)]
+        for f, k in free.items():
+            out[f] = {k: _ONE}
+        for row, p in zip(R._data, pivots):
+            out[p] = {free[j]: -x for j, x in row.items() if j != p}
+        return _make(self.cols, len(free), out)
 
     def column_space_basis(self) -> "RatMatrix":
         """Pivot columns of the matrix: a basis of the column span."""
@@ -299,16 +365,15 @@ class RatMatrix:
         """
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
-        aug = self.hstack(rhs)
-        R, pivots = aug.rref()
+        R, pivots = self.hstack(rhs).rref()
+        n = self.cols
         # a pivot in the rhs block means inconsistency
-        if any(p >= self.cols for p in pivots):
+        if any(p >= n for p in pivots):
             return None
-        sol = [[Fraction(0)] * rhs.cols for _ in range(self.cols)]
-        for i, p in enumerate(pivots):
-            for j in range(rhs.cols):
-                sol[p][j] = R.entries[i][self.cols + j]
-        return RatMatrix(self.cols, rhs.cols, sol)
+        sol = [{} for _ in range(n)]
+        for row, p in zip(R._data, pivots):
+            sol[p] = {j - n: x for j, x in row.items() if j >= n}
+        return _make(n, rhs.cols, sol)
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
@@ -322,23 +387,33 @@ class RatMatrix:
         return self.rows == self.cols and self == self.transpose()
 
 
+def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Kronecker product, row index = (a-row, b-row) with a-row major."""
+    out = []
+    for ra in a._data:
+        for rb in b._data:
+            out.append({j * b.cols + q: x * y for j, x in ra.items() for q, y in rb.items()})
+    return _make(a.rows * b.rows, a.cols * b.cols, out)
+
+
 def assemble_blocks(row_dims, col_dims, blocks) -> RatMatrix:
     """Build a matrix from a sparse dict ``(block_row, block_col) -> RatMatrix``."""
-    rows, cols = sum(row_dims), sum(col_dims)
     roff = [0]
     for d in row_dims:
         roff.append(roff[-1] + d)
     coff = [0]
     for d in col_dims:
         coff.append(coff[-1] + d)
-    out = [[Fraction(0)] * cols for _ in range(rows)]
+    out = [{} for _ in range(roff[-1])]
     for (bi, bj), m in blocks.items():
         if m.rows != row_dims[bi] or m.cols != col_dims[bj]:
             raise ValueError(f"block ({bi},{bj}) has shape {m.rows}x{m.cols}")
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[roff[bi] + i][coff[bj] + j] = m.entries[i][j]
-    return RatMatrix(rows, cols, out)
+        r0, c0 = roff[bi], coff[bj]
+        for i, row in enumerate(m._data):
+            target = out[r0 + i]
+            for j, x in row.items():
+                target[c0 + j] = x
+    return _make(roff[-1], coff[-1], out)
 
 
 def rank(m: RatMatrix) -> int:
@@ -405,9 +480,7 @@ class Subspace:
             return Subspace.zero(self.ambient_dim)
         stacked = self.basis.hstack(other.basis.scale(-1))
         ker = stacked.kernel_basis()
-        coeffs = RatMatrix(
-            self.dim, ker.cols, [ker.entries[i] for i in range(self.dim)]
-        )
+        coeffs = _make(self.dim, ker.cols, ker._data[: self.dim])
         return Subspace.spanned_by(self.ambient_dim, self.basis @ coeffs)
 
     def __eq__(self, other):
@@ -451,7 +524,7 @@ class QuotientSpace:
         sol = self._solver.solve(RatMatrix.column(vec))
         if sol is None:
             raise NotWellDefined("vector does not lie in the numerator subspace")
-        return [sol.entries[self.denominator.dim + i][0] for i in range(self.dim)]
+        return sol.col(0)[self.denominator.dim :]
 
     def coords_matrix(self, vectors: RatMatrix) -> RatMatrix:
         """Column-wise ``coords`` for a matrix of ambient vectors."""
@@ -459,11 +532,7 @@ class QuotientSpace:
         if sol is None:
             raise NotWellDefined("some vector does not lie in the numerator subspace")
         d = self.denominator.dim
-        return RatMatrix(
-            self.dim,
-            vectors.cols,
-            [sol.entries[d + i] for i in range(self.dim)],
-        )
+        return _make(self.dim, vectors.cols, sol._data[d:])
 
     def __repr__(self):
         return f"QuotientSpace(dim={self.dim} in Q^{self.ambient_dim})"
@@ -493,46 +562,61 @@ def induced_map(m: RatMatrix, src: QuotientSpace, dst: QuotientSpace) -> RatMatr
 def signature(sym: RatMatrix):
     """Inertia ``(n_plus, n_minus, n_zero)`` of a symmetric matrix.
 
-    Exact symmetric congruence diagonalization (simultaneous row and column
-    operations); Sylvester's law makes the result basis-independent.
+    Fraction-free symmetric congruence diagonalization; Sylvester's law makes
+    the result basis-independent.  The matrix is first scaled by the lcm of
+    its denominators, a positive factor that keeps the inertia.  Pivot ``d``
+    is a nonzero diagonal entry, moved into place by a symmetric swap, or
+    made by adding one row and column into another when the whole remaining
+    diagonal is zero.  Eliminating it replaces the remaining block ``B``
+    (with ``e`` the pivot's row there) by ``(|d| B - sign(d) e e^T) / c``,
+    where ``c`` is the previous ``|d|`` (1 at first): that is ``|d|`` times
+    the Schur complement, a positive multiple with the same inertia, and the
+    division is exact, as in Bareiss's elimination, so entries stay minors
+    of the scaled input.  Each step counts the sign of ``d``.
     """
     if not sym.is_symmetric():
         raise NotSymmetric("signature requires a symmetric matrix")
     n = sym.rows
-    m = [list(row) for row in sym.entries]
+    den = lcm(*[x.denominator for row in sym._data for x in row.values()])
+    m = [{j: x.numerator * (den // x.denominator) for j, x in row.items()} for row in sym._data]
 
     def swap(i, j):
         m[i], m[j] = m[j], m[i]
         for row in m:
-            row[i], row[j] = row[j], row[i]
+            a, b = row.pop(i, 0), row.pop(j, 0)
+            if b:
+                row[i] = b
+            if a:
+                row[j] = a
 
-    def add_into(i, j, f):
-        # row_i += f*row_j followed by col_i += f*col_j keeps symmetry
-        m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+    def add_into(i, j):
+        # row_i += row_j followed by col_i += col_j keeps symmetry
+        for col, y in m[j].items():
+            row_add(m[i], col, y)
         for row in m:
-            row[i] = row[i] + f * row[j]
+            y = row.get(j)
+            if y:
+                row_add(row, i, y)
+
+    def row_add(row, k, y):
+        v = row.get(k, 0) + y
+        if v:
+            row[k] = v
+        else:
+            del row[k]
 
     n_plus = n_minus = 0
-    k = 0
-    while k < n:
-        if m[k][k] == 0:
-            p = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
+    c = 1
+    for k in range(n):
+        if not m[k].get(k):
+            p = next((i for i in range(k + 1, n) if m[i].get(i)), None)
             if p is not None:
                 swap(k, p)
             else:
-                pair = next(
-                    (
-                        (a, b)
-                        for a in range(k, n)
-                        for b in range(a + 1, n)
-                        if m[a][b] != 0
-                    ),
-                    None,
-                )
-                if pair is None:
+                a = next((a for a in range(k, n) if m[a]), None)
+                if a is None:
                     break  # remaining block is zero
-                a, b = pair
-                add_into(a, b, Fraction(1))  # makes m[a][a] = 2*m[a][b] != 0
+                add_into(a, min(m[a]))  # makes m[a][a] = 2*m[a][b] != 0
                 if a != k:
                     swap(k, a)
         d = m[k][k]
@@ -540,10 +624,24 @@ def signature(sym: RatMatrix):
             n_plus += 1
         else:
             n_minus += 1
+        # rows and columns before k are gone: drop column k from the block
+        e = [(j, y) for j, y in m[k].items() if j != k]
+        ad, sd = abs(d), (1 if d > 0 else -1)
         for i in range(k + 1, n):
-            if m[i][k] != 0:
-                add_into(i, k, -m[i][k] / d)
-        k += 1
+            row = m[i]
+            ei = row.pop(k, 0)
+            if ei:
+                for j in row:
+                    row[j] *= ad
+                for j, y in e:
+                    row_add(row, j, -sd * ei * y)
+                if c != 1:
+                    for j in row:
+                        row[j] //= c
+            elif ad != c:
+                for j in row:
+                    row[j] = row[j] * ad // c
+        c = ad
     return n_plus, n_minus, n - n_plus - n_minus
 
 

@@ -59,7 +59,12 @@ def parse_spec(text: str) -> ScenarioSpec:
     kind, _, rest = text.partition(":")
     if kind not in KINDS:
         raise InvalidParameters(f"unknown scenario kind {kind!r}; known: {', '.join(KINDS)}")
-    args = [int(x) for x in rest.split(",")] if rest else []
+    try:
+        args = [int(x) for x in rest.split(",")] if rest else []
+    except ValueError:
+        raise InvalidParameters(
+            f"scenario parameters must be comma-separated integers, not {rest!r}"
+        ) from None
     if kind == "good_reduction_pn":
         return ScenarioSpec(kind, {"n": args[0] if args else 2})
     if kind == "ngon":

@@ -168,6 +168,10 @@ class E2Page:
         self.n = e1.n
         self.cycle_generated = e1.cycle_generated
         self.cells: dict[tuple[int, int], E2Cell] = {}
+        # induced N and L maps by ("n" or "l", a, b); the page is never
+        # mutated after this constructor, and two threads that compute the
+        # same entry store equal matrices, so no lock is needed
+        self._induced: dict[tuple[str, int, int], RatMatrix] = {}
         for (a, b) in e1.support():
             din = e1.d1(a - 1, b)
             dout = e1.d1(a, b)
@@ -197,10 +201,20 @@ class E2Page:
         return QuotientSpace(amb, Subspace.zero(amb), Subspace.zero(amb))
 
     def induced_n(self, a: int, b: int) -> RatMatrix:
-        return induced_map(self.e1.nmap(a, b), self.quotient(a, b), self.quotient(a + 2, b - 2))
+        key = ("n", a, b)
+        if key not in self._induced:
+            self._induced[key] = induced_map(
+                self.e1.nmap(a, b), self.quotient(a, b), self.quotient(a + 2, b - 2)
+            )
+        return self._induced[key]
 
     def induced_l(self, a: int, b: int) -> RatMatrix:
-        return induced_map(self.e1.lmap(a, b), self.quotient(a, b), self.quotient(a, b + 2))
+        key = ("l", a, b)
+        if key not in self._induced:
+            self._induced[key] = induced_map(
+                self.e1.lmap(a, b), self.quotient(a, b), self.quotient(a, b + 2)
+            )
+        return self._induced[key]
 
     def induced_n_power(self, a: int, b: int, r: int) -> RatMatrix:
         out = RatMatrix.identity(self.dim(a, b))

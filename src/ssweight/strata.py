@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InvalidParameters, MissingRestriction, SchemaError
-from .linalg import RatMatrix, assemble_blocks, format_rat, rat
+from .linalg import RatMatrix, assemble_blocks, format_rat, kron
 
 Face = tuple[int, ...]
 
@@ -47,22 +46,6 @@ def _face(indices) -> Face:
 
 def _face_str(indices: Face) -> str:
     return "{" + ",".join(str(i) for i in indices) + "}"
-
-
-def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Kronecker product, row index = (a-row, b-row) with a-row major."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.entries[i][j]
-            if x == 0:
-                continue
-            for p in range(b.rows):
-                for q in range(b.cols):
-                    out[i * b.rows + p][j * b.cols + q] = x * b.entries[p][q]
-    return RatMatrix(rows, cols, out)
 
 
 @dataclass
@@ -104,6 +87,10 @@ class StratumCohomology:
         if m in self.lefschetz:
             return self.lefschetz[m]
         return RatMatrix.zeros(self.dim_in(m + 2), self.dim_in(m))
+
+    def lefschetz_shaped(self, m: int) -> bool:
+        L = self.lefschetz_matrix(m)
+        return (L.rows, L.cols) == (self.dim_in(m + 2), self.dim_in(m))
 
     def label_list(self, m: int) -> list[str]:
         if m in self.labels:
@@ -434,20 +421,28 @@ class StrataComplex:
                             f"pairings at degrees {m},{mc} violate graded symmetry",
                         )
                     )
-            for m, L in sorted(coh.lefschetz.items()):
-                if L.rows != coh.dim_in(m + 2) or L.cols != coh.dim_in(m):
+            for m in sorted(coh.lefschetz):
+                if not coh.lefschetz_shaped(m):
                     v.append(Violation("lefschetz-shape", loc, f"lefschetz shape wrong at degree {m}"))
             # self-adjointness <Lx, y> = <x, Ly>
             for m in coh.degrees():
-                y_deg = 2 * d - m - 2
+                mc, y_deg = 2 * d - m, 2 * d - m - 2
                 if coh.dim_in(m + 2) and coh.dim_in(y_deg):
-                    lhs = coh.lefschetz_matrix(m).transpose() @ coh.pairing.get(
+                    lm, ly = coh.lefschetz_matrix(m), coh.lefschetz_matrix(y_deg)
+                    p_up = coh.pairing.get(
                         m + 2, RatMatrix.zeros(coh.dim_in(m + 2), coh.dim_in(y_deg))
                     )
-                    rhs = coh.pairing.get(
-                        m, RatMatrix.zeros(coh.dim_in(m), coh.dim_in(2 * d - m))
-                    ) @ coh.lefschetz_matrix(y_deg)
-                    if lhs != rhs:
+                    p = coh.pairing.get(m, RatMatrix.zeros(coh.dim_in(m), coh.dim_in(mc)))
+                    # a misshapen operand is already reported above as a shape
+                    # or perfectness violation, and its products may be undefined
+                    if not (
+                        coh.lefschetz_shaped(m)
+                        and coh.lefschetz_shaped(y_deg)
+                        and (p_up.rows, p_up.cols) == (coh.dim_in(m + 2), coh.dim_in(y_deg))
+                        and (p.rows, p.cols) == (coh.dim_in(m), coh.dim_in(mc))
+                    ):
+                        continue
+                    if lm.transpose() @ p_up != p @ ly:
                         v.append(
                             Violation(
                                 "lefschetz-adjoint",
@@ -479,8 +474,9 @@ class StrataComplex:
                     if r.rows != dst.dim_in(m) or r.cols != src.dim_in(m):
                         v.append(Violation("restriction-shape", loc, f"bad shape in degree {m}"))
                         continue
-                    # commute with lefschetz where the target degree survives
-                    if dst.dim_in(m + 2):
+                    # commute with lefschetz where the target degree survives;
+                    # a misshapen Lefschetz map is reported as lefschetz-shape
+                    if dst.dim_in(m + 2) and dst.lefschetz_shaped(m) and src.lefschetz_shaped(m):
                         left = dst.lefschetz_matrix(m) @ r
                         right_r = maps.get(m + 2)
                         if src.dim_in(m + 2) == 0:
@@ -492,6 +488,8 @@ class StrataComplex:
                                 )
                             )
                             continue
+                        elif right_r.cols != src.dim_in(m + 2):
+                            continue  # reported as restriction-shape in degree m + 2
                         else:
                             right = right_r @ src.lefschetz_matrix(m)
                         if left != right:
@@ -729,12 +727,13 @@ class StrataComplex:
             faces = {}
             for fd in doc["faces"]:
                 f = _face(fd["indices"])
-                dims = {int(m): int(d) for m, d in fd["cohomology"].items()}
+                dims = {int(m): int(d) for m, d in _items(fd["cohomology"], "cohomology")}
                 pairing = {
-                    int(m): _matrix_load(mat) for m, mat in fd.get("pairing", {}).items()
+                    int(m): _matrix_load(mat) for m, mat in _items(fd.get("pairing", {}), "pairing")
                 }
                 lefschetz = {
-                    int(m): _matrix_load(mat) for m, mat in fd.get("lefschetz", {}).items()
+                    int(m): _matrix_load(mat)
+                    for m, mat in _items(fd.get("lefschetz", {}), "lefschetz")
                 }
                 faces[f] = StratumCohomology(
                     dim=n + 1 - len(f),
@@ -744,16 +743,16 @@ class StrataComplex:
                     slope_pure=bool(fd.get("slope_pure", False)),
                     labels={
                         int(m): [str(x) for x in names]
-                        for m, names in fd.get("labels", {}).items()
+                        for m, names in _items(fd.get("labels", {}), "labels")
                     },
                 )
             restrictions = {}
             for rd in doc.get("restrictions", []):
                 key = (_face(rd["from"]), _face(rd["to"]))
                 restrictions[key] = {
-                    int(m): _matrix_load(mat) for m, mat in rd.get("maps", {}).items()
+                    int(m): _matrix_load(mat) for m, mat in _items(rd.get("maps", {}), "maps")
                 }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"malformed strata document: {exc}") from exc
         return StrataComplex(
             name=doc.get("name", "unnamed"),
@@ -774,17 +773,26 @@ class StrataComplex:
         return StrataComplex.from_json_dict(doc)
 
 
+def _items(value, what: str):
+    """The items of a JSON object; any other value is a schema error."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be an object, not {type(value).__name__}")
+    return value.items()
+
+
 def _add_block(existing, new):
     return new if existing is None else existing + new
 
 
 def _matrix_json(m: RatMatrix):
-    return [[format_rat(x) for x in row] for row in m.entries]
+    out = [["0"] * m.cols for _ in range(m.rows)]
+    for i, row in enumerate(out):
+        for j, x in m.row_items(i):
+            row[j] = format_rat(x)
+    return out
 
 
 def _matrix_load(rows) -> RatMatrix:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SchemaError("matrix must be a list of rows")
-    parsed = [[rat(x) for x in row] for row in rows]
-    ncols = len(parsed[0]) if parsed else 0
-    return RatMatrix(len(parsed), ncols, parsed)
+    return RatMatrix.from_rows(rows)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ssweight.cli import main
 
 
@@ -59,6 +61,25 @@ class TestExitCodes:
         code, out, _ = run(capsys, "check", "--all", "--input", str(flat))
         assert code == 1
         assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["e2", "--scenario", "ngon:abc"],
+        ["scenario", "cellular:1,x"],
+        ["polygons", "--slopes", "abc", "--jumps", "0"],
+        ["polygons", "--slopes", "1/0", "--jumps", "0"],
+        ["polygons", "--slopes", "0", "--jumps", "1/0"],
+        ["validate", "--input", "{directory}"],
+    ],
+)
+def test_input_errors_exit_two(capsys, tmp_path, argv):
+    argv = [str(tmp_path) if a == "{directory}" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 class TestJsonOutput:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +133,50 @@ class TestSignature:
         if p.rank() < 3:
             return
         assert signature(p.transpose() @ s @ p) == signature(s)
+
+
+class TestSparseRepresentation:
+    def test_equal_across_zero_patterns(self):
+        a = M([[1, 0], [0, "2/4"]])
+        b = M([[1, 1], [0, 1]]) - M([[0, 1], [0, "1/2"]])
+        c = M([[1, -1]]).transpose() @ M([[1, 1]]) + M([[0, -1], [1, "3/2"]])
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert M([[1, -1]]) @ M([[1], [1]]) == RatMatrix.zeros(1, 1)
+        assert hash(M([[1, -1]]) @ M([[1], [1]])) == hash(RatMatrix.zeros(1, 1))
+
+    def test_entries_are_dense_fraction_rows(self):
+        m = M([[0, "1/2", 0], [3, 0, 0]])
+        assert m.entries == ((0, Fraction(1, 2), 0), (3, 0, 0))
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+        assert m.to_lists() == [list(row) for row in m.entries]
+        assert m.col(0) == [0, 3] and m.row(1) == [3, 0, 0]
+        assert RatMatrix.zeros(2, 0).entries == ((), ())
+
+    @pytest.mark.parametrize(
+        "rows, cols, grid",
+        [(2, 2, [[1, 2], [3]]), (2, 2, [[1, 2]]), (1, 2, [[1, 2], [3, 4]]), (0, 1, [[1]])],
+    )
+    def test_rejects_grid_of_wrong_shape(self, rows, cols, grid):
+        with pytest.raises(ValueError):
+            RatMatrix(rows, cols, grid)
+
+    @pytest.mark.parametrize("x", [0.5, 0.0, None])
+    def test_rejects_non_rational_entries(self, x):
+        with pytest.raises(TypeError):
+            RatMatrix(1, 2, [[1, x]])
+
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_shapes(self, rows, cols):
+        m = RatMatrix.zeros(rows, cols)
+        assert (m @ RatMatrix.zeros(cols, 2)) == RatMatrix.zeros(rows, 2)
+        assert (RatMatrix.zeros(2, rows) @ m) == RatMatrix.zeros(2, cols)
+        assert m.rref() == (m, [])
+        assert m.rank() == 0
+        assert m.kernel_basis() == RatMatrix.identity(cols)
+        assert m.solve(RatMatrix.zeros(rows, 1)) == RatMatrix.zeros(cols, 1)
+        if rows:
+            assert m.solve(RatMatrix.column([1] * rows)) is None
 
 
 def coordinate_quotient(ambient, num, den):

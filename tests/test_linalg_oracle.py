@@ -3,16 +3,20 @@
 sympy is used by these tests only; the package itself stays stdlib-only.
 Inputs are rational matrices of every shape up to 8 x 8, of every density,
 with denominators up to 7, and with some rows forced to be rational
-combinations of earlier rows, so that rank deficiency is common.
+combinations of earlier rows, so that rank deficiency is common.  The
+symmetric inputs of the signature test are ``A + A^T``, the same with its
+diagonal set to zero, and ``B^T D B`` for such ``A`` and ``B`` and a diagonal
+``D``, so that zero diagonals and low ranks are common too.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssweight.linalg import RatMatrix
+from ssweight.linalg import RatMatrix, signature
 
 sympy = pytest.importorskip("sympy")
 
@@ -135,3 +139,48 @@ def test_inverse_round_trip(m):
     assert inv.to_lists() == from_sympy(to_sympy(m).inv())
     assert m @ inv == RatMatrix.identity(n)
     assert inv @ m == RatMatrix.identity(n)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(0, MAX_DIM))
+    kind = draw(st.sampled_from(("sum", "zero-diagonal", "gram")))
+    if kind != "gram":
+        a = draw(matrices(n, n))
+        s = a + a.transpose()
+        if kind == "sum":
+            return s
+        return RatMatrix(n, n, [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(s.entries)])
+    k = draw(st.integers(0, MAX_DIM))
+    b = draw(matrices(k, n))
+    d = RatMatrix(k, k, [[draw(entries) if i == j else 0 for j in range(k)] for i in range(k)])
+    return b.transpose() @ d @ b
+
+
+def sign_changes(coeffs) -> int:
+    nonzero = [c for c in coeffs if c != 0]
+    return sum(1 for x, y in zip(nonzero, nonzero[1:]) if (x > 0) != (y > 0))
+
+
+def descartes_inertia(m: RatMatrix):
+    """``(n_plus, n_minus, n_zero)`` from the characteristic polynomial.
+
+    Every root of a real symmetric matrix's characteristic polynomial is real,
+    so Descartes' rule of signs counts the positive roots exactly, and on
+    ``p(-x)`` the negative ones; the zero roots are the trailing zero
+    coefficients.
+    """
+    coeffs = to_sympy(m).charpoly().all_coeffs()  # leading coefficient first
+    n = len(coeffs) - 1
+    n_zero = len(coeffs) - len(list(itertools.dropwhile(lambda c: c == 0, reversed(coeffs))))
+    reflected = [c * (-1) ** (n - i) for i, c in enumerate(coeffs)]
+    return sign_changes(coeffs), sign_changes(reflected), n_zero
+
+
+@given(symmetric_matrices())
+@settings(max_examples=200, deadline=None)
+def test_signature_matches_descartes(m):
+    assert m.is_symmetric()
+    inertia = signature(m)
+    assert inertia == descartes_inertia(m)
+    assert inertia[0] + inertia[1] == to_sympy(m).rank()

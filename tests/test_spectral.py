@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -83,6 +85,54 @@ class TestE2:
             for (a, b) in e2.support():
                 e2.induced_n(a, b)
                 e2.induced_l(a, b)
+
+    def test_induced_maps_computed_once_per_cell(self, monkeypatch):
+        import ssweight.spectral as spectral
+
+        calls = []
+
+        def counting(m, src, dst):
+            calls.append((m.rows, m.cols))
+            return induced_map(m, src, dst)
+
+        induced_map = spectral.induced_map
+        monkeypatch.setattr(spectral, "induced_map", counting)
+        e2 = compute_e2(build_e1(tetrahedron()))
+        for _ in range(2):
+            for (a, b) in e2.support():
+                assert e2.induced_l(a, b) is e2.induced_l(a, b)
+                e2.induced_n(a, b)
+                e2.induced_l_power(a, b, 2)
+        cells = {(a, b) for (a, b) in e2.support()}
+        expected = {("l", a, b) for (a, b) in cells}
+        expected |= {("n", a, b) for (a, b) in cells}
+        expected |= {("l", a, b + 2) for (a, b) in cells}
+        assert len(calls) == len(expected)
+
+    def test_induced_maps_shared_across_threads(self):
+        # the memo has no lock: threads that race on one entry must still
+        # all see the matrices a sequential page computes
+        keys = [(a, b) for (a, b) in compute_e2(build_e1(ngon(4))).support()]
+        expected = compute_e2(build_e1(ngon(4)))
+        expected = {k: (expected.induced_n(*k), expected.induced_l(*k)) for k in keys}
+        e2 = compute_e2(build_e1(ngon(4)))
+        results = []
+
+        def work():
+            results.append({k: (e2.induced_n(*k), e2.induced_l(*k)) for k in keys})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * len(threads)
 
     def test_broken_differential_raises(self):
         # needs triple points: scaling one restriction breaks the two-path

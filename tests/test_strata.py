@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from helpers import independent_rank
@@ -180,6 +182,42 @@ class TestSerialization:
             StrataComplex.loads('{"dimension": 1}')
         with pytest.raises(SchemaError):
             StrataComplex.loads("not json")
+
+    @staticmethod
+    def _ngon_doc():
+        return json.loads(ngon(3).dumps())
+
+    def test_zero_denominator_is_schema_error(self):
+        doc = self._ngon_doc()
+        doc["faces"][0]["pairing"]["0"] = [["1/0"]]
+        with pytest.raises(SchemaError):
+            StrataComplex.loads(json.dumps(doc))
+
+    def test_cohomology_list_is_schema_error(self):
+        doc = self._ngon_doc()
+        doc["faces"][0]["cohomology"] = [1, 1]
+        with pytest.raises(SchemaError):
+            StrataComplex.loads(json.dumps(doc))
+
+    def test_wrong_dimension_is_a_verdict(self):
+        doc = self._ngon_doc()
+        doc["dimension"] += 1
+        report = StrataComplex.loads(json.dumps(doc)).validate()
+        assert not report.ok
+        assert {v.code for v in report.violations} <= {"pairing-not-perfect", "pairing-shape"}
+
+    def test_misshapen_pairing_skips_lefschetz_adjoint_product(self):
+        sc = good_reduction_pn(2)
+        sc.faces[(1,)].pairing[2] = RatMatrix.zeros(2, 2)
+        report = sc.validate()
+        assert [v.code for v in report.violations] == ["pairing-shape"]
+
+    @pytest.mark.parametrize("face", [(1,), (1, 2)])
+    def test_misshapen_lefschetz_skips_restriction_product(self, face):
+        sc = tetrahedron()
+        sc.faces[face].lefschetz[0] = RatMatrix.zeros(3, 3)
+        report = sc.validate()
+        assert [v.code for v in report.violations] == ["lefschetz-shape"]
 
     def test_labels_round_trip(self):
         coh = StratumCohomology(
