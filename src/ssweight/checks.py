@@ -23,7 +23,7 @@ from .linalg import (
     induced_map,
     kernel,
 )
-from .spectral import E2Page, build_e1, compute_e2
+from .spectral import E2Page
 from .strata import StrataComplex
 
 
@@ -244,10 +244,11 @@ def _restricted_gram(gram: RatMatrix, basis: RatMatrix) -> RatMatrix:
     return basis.transpose() @ gram @ basis
 
 
-def check_h1_suite(sc: StrataComplex) -> list[CheckResult]:
+def check_h1_suite(e2: E2Page) -> list[CheckResult]:
     """Degree-one lemma chain: pairing lemmas, the weight-monodromy
     isomorphism on weight-two classes, and the three Lefschetz-power maps
     between the corner cells of the second page."""
+    sc = e2.e1.sc
     n = sc.n
     if n < 1:
         raise InvalidParameters("degree-one suite needs dimension >= 1")
@@ -357,7 +358,6 @@ def check_h1_suite(sc: StrataComplex) -> list[CheckResult]:
     )
 
     # the three Lefschetz-power maps between degree-one and degree-(2n-1) cells
-    e2 = compute_e2(build_e1(sc))
     ell = [
         ("log_hl_h1_ell0", 1, 0),
         ("log_hl_h1_ell1", 0, 1),

@@ -4,18 +4,15 @@ scenario.
 Exit codes: 0 when every check passes, 1 when some check or validation
 fails, 2 on usage or input errors.  Output is deterministic byte for byte
 for identical inputs and flags; JSON is emitted with sorted keys and a
-``schema_version`` field.  Independent checks may be fanned out over a
-thread pool; ``SSWEIGHT_NO_PARALLEL=1`` forces sequential evaluation and
-must not change any output (results are merged in task order).
+``schema_version`` field.  ``check`` builds the second page once and runs
+the selected suites on it in a fixed order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,16 +23,6 @@ from .spectral import build_e1, compute_e2
 from .strata import StrataComplex
 
 SCHEMA_POINTER = "see docs/strata_schema.json for the input format"
-
-
-def _run_tasks(thunks):
-    """Evaluate pure thunks, in parallel unless SSWEIGHT_NO_PARALLEL=1;
-    results always come back in task order."""
-    thunks = list(thunks)
-    if os.environ.get("SSWEIGHT_NO_PARALLEL") == "1" or len(thunks) <= 1:
-        return [t() for t in thunks]
-    with ThreadPoolExecutor(max_workers=min(4, len(thunks))) as pool:
-        return list(pool.map(lambda t: t(), thunks))
 
 
 def _emit(args, text: str):
@@ -141,39 +128,27 @@ def _cmd_check(args) -> int:
     sc, failed = _validated_complex(args)
     if failed is not None:
         return failed
-    tasks = []
-    if args.all or args.hl or args.wm:
+    run_h1 = (args.all or args.h1) and sc.n >= 1
+    run_ito = (args.all or args.ito) and sc.cycle_generated
+    if args.all or args.hl or args.wm or run_h1 or run_ito:
         e2 = compute_e2(build_e1(sc))
+    results = []
     if args.all or args.hl:
-        tasks.append(lambda: check_log_hl_all(e2))
+        results += check_log_hl_all(e2)
     if args.all or args.wm:
-        tasks.append(lambda: check_wm(e2))
-    if args.all or args.h1:
-        if sc.n >= 1:
-            tasks.append(lambda: check_h1_suite(sc))
-        else:
-            tasks.append(
-                lambda: [
-                    CheckResult(
-                        "h1_suite", {}, "skipped", note="needs dimension >= 1"
-                    )
-                ]
+        results += check_wm(e2)
+    if run_h1:
+        results += check_h1_suite(e2)
+    elif args.all or args.h1:
+        results.append(CheckResult("h1_suite", {}, "skipped", note="needs dimension >= 1"))
+    if run_ito:
+        results += hodge_lefschetz.hl_suite(e2)
+    elif args.all or args.ito:
+        results.append(
+            CheckResult(
+                "hl_module_suite", {}, "skipped", note="configuration is not cycle-generated"
             )
-    if args.all or args.ito:
-        if sc.cycle_generated:
-            tasks.append(lambda: hodge_lefschetz.hl_suite(sc))
-        else:
-            tasks.append(
-                lambda: [
-                    CheckResult(
-                        "hl_module_suite",
-                        {},
-                        "skipped",
-                        note="configuration is not cycle-generated",
-                    )
-                ]
-            )
-    results = [r for group in _run_tasks(tasks) for r in group]
+        )
     if args.format == "json":
         _emit_json(args, _checks_json(sc.name, results))
     else:
@@ -219,7 +194,10 @@ def _cmd_polygons(args) -> int:
         if args.slopes is None or args.jumps is None:
             raise SsweightError("calculator mode needs both --slopes and --jumps")
         slopes = polygons.SlopeMultiset.of(args.q or 0, _parse_rat_list(args.slopes))
-        jumps = [int(x) for x in _parse_rat_list(args.jumps)]
+        jumps = _parse_rat_list(args.jumps)
+        if any(x.denominator != 1 for x in jumps):
+            raise SsweightError(f"filtration jumps must be integers: {args.jumps!r}")
+        jumps = [int(x) for x in jumps]
         module = polygons.PhiNModule(slopes=slopes, filtration_jumps=tuple(jumps))
         newton = polygons.newton_polygon(slopes)
         hodge = polygons.hodge_polygon_from_jumps(jumps)
@@ -295,7 +273,7 @@ def _cmd_polygons(args) -> int:
 
 def _cmd_report(args) -> int:
     sc = _load_complex(args)
-    (report,) = _run_tasks([lambda: polygons.hodge_symmetry_report(sc)])
+    report = polygons.hodge_symmetry_report(sc)
     if args.format == "json":
         _emit_json(args, report.to_dict())
     else:

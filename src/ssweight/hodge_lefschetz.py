@@ -19,7 +19,10 @@ operators ``N`` of bidegree (2,0), ``L`` of bidegree (0,2), a differential
 with this structure (cells re-indexed by ``(i, j) = (a, a+b-n)``, pairing
 assembled from the Poincare pairings of complementary summands), and
 ``hl_cohomology`` forms ``ker d / im d`` with the induced operators and
-pairing, which is again a module of the same weight.
+pairing, which is again a module of the same weight.  For the strata-built
+module that cohomology is the second page of the weight spectral sequence,
+so ``hl_suite`` reads its quotients and induced ``N`` and ``L`` from the
+page.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .linalg import (
     kernel,
     signature,
 )
-from .spectral import build_e1
-from .strata import StrataComplex, _matrix_json, _matrix_load
+from .spectral import E1Page, E2Page
+from .strata import _matrix_json, _matrix_load
 
 BiDeg = tuple[int, int]
 
@@ -325,14 +328,14 @@ def check_hl_axioms(v: HodgeLefschetzModule, stage: str = "") -> list[CheckResul
     return results
 
 
-def hl_from_strata(sc: StrataComplex) -> HodgeLefschetzModule:
+def hl_from_strata(e1: E1Page) -> HodgeLefschetzModule:
     """The first page of a cycle-generated configuration as a module of
     weight n, re-indexed by ``(i, j) = (a, a+b-n)``."""
-    if not sc.cycle_generated:
+    if not e1.cycle_generated:
         raise NotCycleGenerated(
             "module construction needs every stratum generated by algebraic cycles"
         )
-    e1 = build_e1(sc)
+    sc = e1.sc
     n = sc.n
     dims: dict[BiDeg, int] = {}
     n_ops: dict[BiDeg, RatMatrix] = {}
@@ -364,43 +367,28 @@ def hl_from_strata(sc: StrataComplex) -> HodgeLefschetzModule:
     )
 
 
-def hl_cohomology(v: HodgeLefschetzModule) -> HodgeLefschetzModule:
+def hl_cohomology(v: HodgeLefschetzModule, e2: E2Page | None = None) -> HodgeLefschetzModule:
     """ker d / im d with induced operators and pairing, zero differential.
+
+    With ``v = hl_from_strata(e2.e1)``, pass the second page ``e2``: the
+    quotients and the induced ``N`` and ``L`` are then read from the page at
+    ``(a, b) = (i, j-i+n)``, since they are the homology of the same ``d1``
+    matrices, and only the pairing is induced here.
 
     Raises ``InducedPairingIllDefined`` when im(d) does not pair to zero with
     ker(d) on the dual cell, which signals an adjointness violation upstream.
     """
+    n = v.weight
     quotients: dict[BiDeg, QuotientSpace] = {}
     for (i, j) in v.support():
+        if e2 is not None:
+            quotients[(i, j)] = e2.quotient(i, j - i + n)
+            continue
         din = v.d_at(i - 1, j - 1)
         dout = v.d_at(i, j)
         if not (v.d_at(i + 1, j + 1) @ dout).is_zero():
             raise DifferentialNotSquareZero(f"d^2 != 0 out of bidegree ({i},{j})")
-        quotients[(i, j)] = QuotientSpace(
-            v.dim(i, j),
-            Subspace(v.dim(i, j), dout.kernel_basis()),
-            Subspace(v.dim(i, j), din.column_space_basis()),
-        )
-    for (i, j) in v.support():
-        # representative independence on both sides of the pairing
-        im_here = image(v.d_at(i - 1, j - 1))
-        ker_here = kernel(v.d_at(i, j))
-        im_dual = image(v.d_at(-i - 1, -j - 1))
-        ker_dual = kernel(v.d_at(-i, -j))
-        p = v.pairing_at(i, j)
-        bad = (
-            im_here.dim
-            and ker_dual.dim
-            and not (im_here.basis.transpose() @ p @ ker_dual.basis).is_zero()
-        ) or (
-            ker_here.dim
-            and im_dual.dim
-            and not (ker_here.basis.transpose() @ p @ im_dual.basis).is_zero()
-        )
-        if bad:
-            raise InducedPairingIllDefined(
-                f"im(d) pairs nontrivially with ker(d) at bidegree ({i},{j})"
-            )
+        quotients[(i, j)] = QuotientSpace(v.dim(i, j), kernel(dout), image(din))
 
     def quotient(i, j) -> QuotientSpace:
         q = quotients.get((i, j))
@@ -409,6 +397,17 @@ def hl_cohomology(v: HodgeLefschetzModule) -> HodgeLefschetzModule:
             q = QuotientSpace(amb, Subspace.zero(amb), Subspace.zero(amb))
         return q
 
+    for (i, j) in v.support():
+        # representative independence on both sides of the pairing
+        here, dual = quotient(i, j), quotient(-i, -j)
+        p = v.pairing_at(i, j)
+        if _pairs_nontrivially(here.denominator, p, dual.numerator) or (
+            _pairs_nontrivially(here.numerator, p, dual.denominator)
+        ):
+            raise InducedPairingIllDefined(
+                f"im(d) pairs nontrivially with ker(d) at bidegree ({i},{j})"
+            )
+
     dims = {key: q.dim for key, q in quotients.items() if q.dim}
     n_ops = {}
     l_ops = {}
@@ -416,20 +415,30 @@ def hl_cohomology(v: HodgeLefschetzModule) -> HodgeLefschetzModule:
     for (i, j), q in quotients.items():
         if q.dim == 0:
             continue
-        n_ops[(i, j)] = induced_map(v.n_at(i, j), q, quotient(i + 2, j))
-        l_ops[(i, j)] = induced_map(v.l_at(i, j), q, quotient(i, j + 2))
-        dual = quotient(-i, -j)
-        pairing[(i, j)] = q.lift.transpose() @ v.pairing_at(i, j) @ dual.lift
+        if e2 is not None:
+            n_ops[(i, j)] = e2.induced_n(i, j - i + n)
+            l_ops[(i, j)] = e2.induced_l(i, j - i + n)
+        else:
+            n_ops[(i, j)] = induced_map(v.n_at(i, j), q, quotient(i + 2, j))
+            l_ops[(i, j)] = induced_map(v.l_at(i, j), q, quotient(i, j + 2))
+        pairing[(i, j)] = q.lift.transpose() @ v.pairing_at(i, j) @ quotient(-i, -j).lift
     return HodgeLefschetzModule(
         weight=v.weight, dims=dims, n_ops=n_ops, l_ops=l_ops, d_ops={}, pairing=pairing
     )
 
 
-def hl_suite(sc: StrataComplex) -> list[CheckResult]:
-    """Axioms for the strata-built module and again for its cohomology."""
-    v = hl_from_strata(sc)
+def _pairs_nontrivially(left: Subspace, p: RatMatrix, right: Subspace) -> bool:
+    return bool(
+        left.dim and right.dim and not (left.basis.transpose() @ p @ right.basis).is_zero()
+    )
+
+
+def hl_suite(e2: E2Page) -> list[CheckResult]:
+    """Axioms for the strata-built module and again for its cohomology,
+    which is read from the second page."""
+    v = hl_from_strata(e2.e1)
     results = check_hl_axioms(v, stage="V")
-    hv = hl_cohomology(v)
+    hv = hl_cohomology(v, e2)
     results.extend(check_hl_axioms(hv, stage="H(V)"))
     hh = hl_cohomology(hv)
     fix = (

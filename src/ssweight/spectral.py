@@ -32,7 +32,9 @@ from .linalg import (
     RatMatrix,
     Subspace,
     assemble_blocks,
+    image,
     induced_map,
+    kernel,
 )
 from .strata import StrataComplex
 
@@ -66,6 +68,9 @@ class E1Page:
         self.n = sc.n
         self.cycle_generated = sc.cycle_generated
         self.cells: dict[tuple[int, int], Cell] = {}
+        # operators by (name, a, b), built on first use: the second page asks
+        # for each d1 twice, and the module built on this page for all three
+        self._ops: dict[tuple[str, int, int], RatMatrix] = {}
         for lvl in range(1, sc.max_level + 1):
             gs = sc.level(lvl)
             for m in sorted(gs.dims):
@@ -96,7 +101,13 @@ class E1Page:
 
     # -- operators ----------------------------------------------------------
 
-    def _block_map(self, src: Cell, dst: Cell, block_for) -> RatMatrix:
+    def _block_map(
+        self, name: str, a: int, b: int, target: tuple[int, int], block_for
+    ) -> RatMatrix:
+        key = (name, a, b)
+        if key in self._ops:
+            return self._ops[key]
+        src, dst = self.cell(a, b), self.cell(*target)
         row_dims = [s.dim for s in dst.summands]
         col_dims = [s.dim for s in src.summands]
         blocks = {}
@@ -106,36 +117,36 @@ class E1Page:
                 if k_target in dst_pos:
                     blocks[(dst_pos[k_target], j)] = matrix
         if not row_dims or not col_dims:
-            return RatMatrix.zeros(dst.dim, src.dim)
-        return assemble_blocks(row_dims, col_dims, blocks)
+            m = RatMatrix.zeros(dst.dim, src.dim)
+        else:
+            m = assemble_blocks(row_dims, col_dims, blocks)
+        self._ops[key] = m
+        return m
 
     def d1(self, a: int, b: int) -> RatMatrix:
         """Differential E1^{a,b} -> E1^{a+1,b}."""
-        src, dst = self.cell(a, b), self.cell(a + 1, b)
 
         def block_for(s: Summand):
             yield s.k + 1, self.sc.rho(s.level, s.degree)
             yield s.k, self.sc.tau(s.level, s.degree)
 
-        return self._block_map(src, dst, block_for)
+        return self._block_map("d1", a, b, (a + 1, b), block_for)
 
     def nmap(self, a: int, b: int) -> RatMatrix:
         """Monodromy E1^{a,b} -> E1^{a+2,b-2}: identity on surviving summands."""
-        src, dst = self.cell(a, b), self.cell(a + 2, b - 2)
 
         def block_for(s: Summand):
             yield s.k + 1, RatMatrix.identity(s.dim)
 
-        return self._block_map(src, dst, block_for)
+        return self._block_map("n", a, b, (a + 2, b - 2), block_for)
 
     def lmap(self, a: int, b: int) -> RatMatrix:
         """Lefschetz E1^{a,b} -> E1^{a,b+2}."""
-        src, dst = self.cell(a, b), self.cell(a, b + 2)
 
         def block_for(s: Summand):
             yield s.k, self.sc.level_lefschetz(s.level, s.degree)
 
-        return self._block_map(src, dst, block_for)
+        return self._block_map("l", a, b, (a, b + 2), block_for)
 
 
 def build_e1(sc: StrataComplex) -> E1Page:
@@ -168,19 +179,17 @@ class E2Page:
         self.n = e1.n
         self.cycle_generated = e1.cycle_generated
         self.cells: dict[tuple[int, int], E2Cell] = {}
-        # induced N and L maps by ("n" or "l", a, b); the page is never
-        # mutated after this constructor, and two threads that compute the
-        # same entry store equal matrices, so no lock is needed
+        # induced N and L maps by ("n" or "l", a, b), computed on first use
+        # and shared by every suite that reads the page; two threads that
+        # compute the same entry store equal matrices, so no lock is needed
         self._induced: dict[tuple[str, int, int], RatMatrix] = {}
         for (a, b) in e1.support():
             din = e1.d1(a - 1, b)
             dout = e1.d1(a, b)
             if not (dout @ din).is_zero():
                 raise DifferentialNotSquareZero(f"d1 o d1 != 0 into cell ({a}, {b})")
-            numerator = Subspace(e1.dim(a, b), dout.kernel_basis())
-            denominator = Subspace(e1.dim(a, b), din.column_space_basis())
-            q = QuotientSpace(e1.dim(a, b), numerator, denominator)
-            if q.dim or numerator.dim or denominator.dim:
+            q = QuotientSpace(e1.dim(a, b), kernel(dout), image(din))
+            if q.dim or q.numerator.dim or q.denominator.dim:
                 self.cells[(a, b)] = E2Cell(a, b, q)
 
     def cell(self, a: int, b: int) -> E2Cell | None:

@@ -79,7 +79,7 @@ class TestWM:
 
 class TestH1Suite:
     def test_ngon_all_pass(self):
-        results = check_h1_suite(ngon(3))
+        results = check_h1_suite(page(ngon(3)))
         assert all(c.ok for c in results)
         # the middle Lefschetz map is vacuous: no odd stratum cohomology
         ell1 = [c for c in results if c.name == "log_hl_h1_ell1"]
@@ -88,22 +88,22 @@ class TestH1Suite:
         assert ell0[0].witness == {"dim": 1, "rank": 1}
 
     def test_elliptic_stratum_ell1_nonvacuous(self):
-        results = check_h1_suite(elliptic_stratum())
+        results = check_h1_suite(page(elliptic_stratum()))
         assert all(c.ok for c in results)
         ell1 = [c for c in results if c.name == "log_hl_h1_ell1"][0]
         assert ell1.witness == {"dim": 2, "rank": 2}
 
     def test_tetrahedron_all_pass(self):
-        assert all(c.ok for c in check_h1_suite(tetrahedron()))
+        assert all(c.ok for c in check_h1_suite(page(tetrahedron())))
 
     def test_ell2_injectivity_surfaced(self):
-        results = check_h1_suite(ngon(4))
+        results = check_h1_suite(page(ngon(4)))
         assert any(c.name == "log_hl_h1_ell2_injective" for c in results)
 
     def test_degenerate_polarization_fails_with_witness(self):
         sc = graph_curve([(1, 2), (2, 3), (1, 3)], 3, degrees={1: 0, 2: 0, 3: 0})
         assert sc.validate().ok
-        results = check_h1_suite(sc)
+        results = check_h1_suite(page(sc))
         bad = [c for c in results if c.name == "h0_pairing_on_ker_rho" and not c.ok]
         assert bad
         wit = bad[0].witness
@@ -124,13 +124,13 @@ class TestH1Suite:
         zero_dim = graph_curve([], 1)
         zero_dim.n = 0  # forced: not a meaningful configuration
         with pytest.raises(InvalidParameters):
-            check_h1_suite(zero_dim)
+            check_h1_suite(page(zero_dim))
 
 
 class TestWitnessShape:
     def test_every_fail_has_witness(self):
         sc = graph_curve([(1, 2), (2, 3), (1, 3)], 3, degrees={1: 0, 2: 0, 3: 0})
-        results = check_h1_suite(sc) + check_log_hl_all(page(sc)) + check_wm(page(sc))
+        results = check_h1_suite(page(sc)) + check_log_hl_all(page(sc)) + check_wm(page(sc))
         for c in results:
             if c.status == "fail":
                 assert c.witness is not None

@@ -142,6 +142,13 @@ class TestJsonOutput:
         assert doc["t_N"] == "1" and doc["t_H"] == "1"
         assert doc["admissibility_necessary"]["status"] == "pass"
 
+    @pytest.mark.parametrize("jumps", ["1/2,0", "2.5,0", "0,-3/4"])
+    def test_polygons_non_integer_jumps_rejected(self, capsys, jumps):
+        code, out, err = run(capsys, "polygons", "--slopes", "0,1", "--jumps", jumps)
+        assert code == 2
+        assert out == ""
+        assert "integers" in err
+
     def test_scenario_emission_round_trip(self, capsys):
         code, out, _ = run(capsys, "scenario", "elliptic_stratum")
         assert code == 0
@@ -156,9 +163,34 @@ class TestDeterminism:
         _, out2, _ = run(capsys, "report", "--scenario", "tetrahedron", "--format", "json")
         assert out1 == out2
 
-    def test_parallel_matches_sequential(self, capsys, monkeypatch):
-        monkeypatch.delenv("SSWEIGHT_NO_PARALLEL", raising=False)
-        _, par, _ = run(capsys, "check", "--all", "--scenario", "ngon:3", "--format", "json")
-        monkeypatch.setenv("SSWEIGHT_NO_PARALLEL", "1")
-        _, seq, _ = run(capsys, "check", "--all", "--scenario", "ngon:3", "--format", "json")
-        assert par == seq
+    def test_check_byte_identical(self, capsys):
+        _, out1, _ = run(capsys, "check", "--all", "--scenario", "ngon:3", "--format", "json")
+        _, out2, _ = run(capsys, "check", "--all", "--scenario", "ngon:3", "--format", "json")
+        assert out1 == out2
+
+
+class TestSharedPage:
+    def test_check_all_builds_each_page_once(self, capsys, monkeypatch):
+        import ssweight.checks as checks
+        import ssweight.cli as cli
+        import ssweight.hodge_lefschetz as hodge_lefschetz
+        import ssweight.spectral as spectral
+
+        calls = {"build_e1": 0, "compute_e2": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            wrapped = counting(name, getattr(spectral, name))
+            for mod in (spectral, cli, checks, hodge_lefschetz):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, wrapped)
+        code, out, _ = run(capsys, "check", "--all", "--scenario", "tetrahedron")
+        assert code == 0 and "0 failed" in out
+        assert "hl_cohomology_fixpoint" in out and "log_hl_h1_ell0" in out
+        assert calls == {"build_e1": 1, "compute_e2": 1}

@@ -10,6 +10,8 @@ from ssweight.hodge_lefschetz import (
 )
 from ssweight.linalg import RatMatrix
 from ssweight.scenarios import (
+    build,
+    builtin_specs,
     cellular,
     elliptic_stratum,
     good_reduction_pn,
@@ -57,34 +59,34 @@ class TestAxiomChecker:
 
 class TestFromStrata:
     def test_ngon_bigraded_dims(self):
-        v = hl_from_strata(ngon(3))
+        v = hl_from_strata(build_e1(ngon(3)))
         # re-indexing of the four first-page cells
         assert v.weight == 1
         assert v.dims == {(0, -1): 3, (1, 0): 3, (-1, 0): 3, (0, 1): 3}
 
     def test_pn_concentrated_in_zero_column(self):
-        v = hl_from_strata(good_reduction_pn(2))
+        v = hl_from_strata(build_e1(good_reduction_pn(2)))
         assert sorted(v.dims) == [(0, -2), (0, 0), (0, 2)]
         assert all(d == 1 for d in v.dims.values())
 
     def test_elliptic_rejected(self):
         with pytest.raises(NotCycleGenerated):
-            hl_from_strata(elliptic_stratum())
+            hl_from_strata(build_e1(elliptic_stratum()))
 
     def test_dims_match_first_page(self):
         sc = tetrahedron()
-        v = hl_from_strata(sc)
+        v = hl_from_strata(build_e1(sc))
         e1 = build_e1(sc)
         for (i, j), d in v.dims.items():
             assert d == e1.dim(i, sc.n - i + j)
 
     def test_axioms_pass_on_builtins(self):
         for sc in (ngon(3), tetrahedron(), cellular((1, 2, 1))):
-            assert all(c.ok for c in check_hl_axioms(hl_from_strata(sc)))
+            assert all(c.ok for c in check_hl_axioms(hl_from_strata(build_e1(sc))))
 
     def test_definiteness_signs_follow_kleiman_pattern(self):
         for sc in (ngon(3), tetrahedron(), cellular((1, 2, 1)), cellular((1, 1))):
-            v = hl_from_strata(sc)
+            v = hl_from_strata(build_e1(sc))
             for c in check_hl_axioms(v):
                 if c.name == "hl_positivity" and c.witness and "sign" in c.witness:
                     i, j = c.location["i"], c.location["j"]
@@ -100,22 +102,39 @@ class TestCohomology:
 
     def test_ngon_cohomology_matches_second_page(self):
         sc = ngon(3)
-        hv = hl_cohomology(hl_from_strata(sc))
+        hv = hl_cohomology(hl_from_strata(build_e1(sc)))
         e2 = compute_e2(build_e1(sc))
         for (i, j), d in hv.dims.items():
             assert d == e2.dim(i, sc.n - i + j)
         assert sorted(hv.dims.values()) == [1, 1, 1, 1]
 
     def test_tetrahedron_cohomology_is_again_a_module(self):
-        hv = hl_cohomology(hl_from_strata(tetrahedron()))
+        hv = hl_cohomology(hl_from_strata(build_e1(tetrahedron())))
         assert all(c.ok for c in check_hl_axioms(hv))
 
     def test_double_cohomology_is_identity(self):
-        hv = hl_cohomology(hl_from_strata(ngon(4)))
+        hv = hl_cohomology(hl_from_strata(build_e1(ngon(4))))
         hh = hl_cohomology(hv)
         assert hh.dims == hv.dims
         for key in hv.support():
             assert hh.pairing_at(*key) == hv.pairing_at(*key)
+
+    def test_page_quotients_match_generic_cohomology(self):
+        # the generic ker d / im d of the strata-built module is the oracle
+        # for the module read from the second page of the same first page
+        for spec in builtin_specs():
+            sc = build(spec)
+            if not sc.cycle_generated:
+                continue
+            e2 = compute_e2(build_e1(sc))
+            v = hl_from_strata(e2.e1)
+            from_page = hl_cohomology(v, e2)
+            generic = hl_cohomology(hl_from_strata(build_e1(sc)))
+            assert from_page.dims == generic.dims, spec
+            assert from_page.n_ops == generic.n_ops, spec
+            assert from_page.l_ops == generic.l_ops, spec
+            assert from_page.pairing == generic.pairing, spec
+            assert from_page.d_ops == generic.d_ops == {}
 
     def test_broken_adjointness_detected(self):
         # d maps the bottom cell to the top one but pairs ker d against im d
@@ -140,7 +159,7 @@ class TestCohomology:
 class TestSuite:
     def test_suite_passes_on_cycle_generated_builtins(self):
         for sc in (ngon(3), tetrahedron(), cellular((1, 2, 1))):
-            results = hl_suite(sc)
+            results = hl_suite(compute_e2(build_e1(sc)))
             assert all(c.ok for c in results)
             stages = {c.location.get("stage") for c in results}
             assert {"V", "H(V)"} <= stages
@@ -148,7 +167,7 @@ class TestSuite:
 
 class TestSerialization:
     def test_round_trip(self):
-        v = hl_from_strata(ngon(3))
+        v = hl_from_strata(build_e1(ngon(3)))
         back = HodgeLefschetzModule.loads(v.dumps())
         assert back.dims == v.dims
         for key in v.support():
