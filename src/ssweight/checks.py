@@ -11,6 +11,7 @@ pass with a "vacuous" note, matching mathematical convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameters
@@ -22,8 +23,9 @@ from .linalg import (
     image,
     induced_map,
     kernel,
+    kernel_witness,
 )
-from .spectral import E2Page
+from .spectral import E2Page, power
 from .strata import StrataComplex
 
 
@@ -58,21 +60,6 @@ def _vector_json(vec):
     return [format_rat(x) for x in vec]
 
 
-def _kernel_witness(matrix: RatMatrix) -> list:
-    """First kernel basis vector of ``matrix``, verified nonzero and in the kernel.
-
-    A vector that fails is a fault of this package, not of the input, so it
-    raises ``RuntimeError`` (not an ``SsweightError``); the check is explicit
-    so that it also runs under ``python -O``.
-    """
-    v = matrix.kernel_basis().col(0)
-    if not any(v) or any(matrix.apply(v)):
-        raise RuntimeError(
-            f"kernel witness of a {matrix.rows}x{matrix.cols} matrix failed verification"
-        )
-    return v
-
-
 def bijectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResult:
     """Pass iff the matrix is square of full rank; witnesses verified."""
     src, dst = matrix.cols, matrix.rows
@@ -89,7 +76,7 @@ def bijectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResu
     r = matrix.rank()
     if r == src:
         return CheckResult(name, location, "pass", witness={"dim": src, "rank": r})
-    v = _kernel_witness(matrix)
+    v = kernel_witness(matrix)
     return CheckResult(
         name,
         location,
@@ -110,7 +97,7 @@ def injectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResu
     r = matrix.rank()
     if r == matrix.cols:
         return CheckResult(name, location, "pass", witness={"rank": r})
-    v = _kernel_witness(matrix)
+    v = kernel_witness(matrix)
     return CheckResult(
         name,
         location,
@@ -135,7 +122,7 @@ def nondegeneracy_check(name: str, location: dict, gram: RatMatrix) -> CheckResu
     r = gram.rank()
     if r == gram.rows:
         return CheckResult(name, location, "pass", witness={"dim": gram.rows})
-    v = _kernel_witness(gram)
+    v = kernel_witness(gram)
     return CheckResult(
         name,
         location,
@@ -148,6 +135,36 @@ def nondegeneracy_check(name: str, location: dict, gram: RatMatrix) -> CheckResu
             "witness_verified": True,
         },
     )
+
+
+def relation_checks(
+    cx, names: dict, where, everywhere: dict, note: str = ""
+) -> list[CheckResult]:
+    """``d^2 = 0`` and the commutation of ``N``, ``L`` and ``d`` with each
+    other on every cell of a page or module.
+
+    ``names`` maps the relations "dd", "nd", "ld" and "nl" to result names,
+    in the order they are reported.  A relation fails once per cell where it
+    fails, at ``where(a, b)``; one that holds on every cell passes once, at
+    ``everywhere``.
+    """
+    results = []
+    for (a, b) in cx.support():
+        d, nm, lm = cx.d1(a, b), cx.nmap(a, b), cx.lmap(a, b)
+        values = {
+            "dd": cx.d1(a + 1, b) @ d,
+            "nd": cx.nmap(a + 1, b) @ d - cx.d1(a + 2, b - 2) @ nm,
+            "ld": cx.lmap(a + 1, b) @ d - cx.d1(a, b + 2) @ lm,
+            "nl": cx.nmap(a, b + 2) @ lm - cx.lmap(a + 2, b - 2) @ nm,
+        }
+        for key, name in names.items():
+            if not values[key].is_zero():
+                results.append(CheckResult(name, where(a, b), "fail", note=note))
+    failed = {r.name for r in results}
+    for name in names.values():
+        if name not in failed:
+            results.append(CheckResult(name, dict(everywhere), "pass"))
+    return results
 
 
 # -- log hard Lefschetz and weight-monodromy on the second page ---------------
@@ -170,7 +187,7 @@ def check_log_hl(e2: E2Page, r: int) -> list[CheckResult]:
     results = []
     for b in bs:
         a = n - r - b
-        matrix = e2.induced_l_power(a, b, r)
+        matrix = power(e2, "l", a, b, r)
         results.append(
             bijectivity_check(
                 "log_hard_lefschetz",
@@ -211,7 +228,7 @@ def check_wm(e2: E2Page) -> list[CheckResult]:
     )
     results = []
     for r, w in pairs:
-        matrix = e2.induced_n_power(-r, w + r, r)
+        matrix = power(e2, "n", -r, w + r, r)
         results.append(
             bijectivity_check("weight_monodromy", {"r": r, "w": w}, matrix)
         )
@@ -254,35 +271,43 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
         raise InvalidParameters("degree-one suite needs dimension >= 1")
     results: list[CheckResult] = []
 
+    # kernel and image of rho on H^0 of a level, each formed once
+    @functools.cache
+    def ker_rho(k: int) -> Subspace:
+        return kernel(sc.rho(k, 0))
+
+    @functools.cache
+    def im_rho(k: int) -> Subspace:
+        return image(sc.rho(k, 0))
+
     # pairing on im(rho) and ker(rho) inside H^0 of every level
     for k in range(1, sc.max_level + 1):
         if sc.level_dim(k, 0) == 0:
             continue
         gram = _twisted_gram(sc, k, 0)
         if k >= 2:
-            im_rho = image(sc.rho(k - 1, 0))
             results.append(
                 nondegeneracy_check(
                     "h0_pairing_on_im_rho",
                     {"k": k},
-                    _restricted_gram(gram, im_rho.basis),
+                    _restricted_gram(gram, im_rho(k - 1).basis),
                 )
             )
-        ker_rho = kernel(sc.rho(k, 0))
         results.append(
             nondegeneracy_check(
                 "h0_pairing_on_ker_rho",
                 {"k": k},
-                _restricted_gram(gram, ker_rho.basis),
+                _restricted_gram(gram, ker_rho(k).basis),
             )
         )
 
     # pairing on im(tau) ∩ primitive H^2 of the component level
     tau20 = sc.tau(2, 0)
-    rho10 = sc.rho(1, 0)
+    ker_tau20 = kernel(tau20)
     im_tau = image(tau20)
     primitive = kernel(sc.lefschetz_power(1, 2, n - 1))
     meet = im_tau.intersection(primitive)
+    gram2 = _twisted_gram(sc, 1, 2) if meet.dim else None
     if meet.dim == 0:
         results.append(
             CheckResult(
@@ -293,7 +318,6 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
             )
         )
     else:
-        gram2 = _twisted_gram(sc, 1, 2)
         results.append(
             nondegeneracy_check(
                 "pairing_on_im_tau_primitive",
@@ -303,11 +327,10 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
         )
 
     # im(tau rho) is the orthocomplement of im(tau) ∩ P^2 inside im(tau)
-    im_tau_rho = image(tau20 @ rho10)
+    im_tau_rho = image(tau20 @ sc.rho(1, 0))
     if meet.dim == 0:
         complement = im_tau
     else:
-        gram2 = _twisted_gram(sc, 1, 2)
         conditions = meet.basis.transpose() @ gram2 @ im_tau.basis
         coeffs = conditions.kernel_basis()
         complement = Subspace.spanned_by(im_tau.ambient_dim, im_tau.basis @ coeffs)
@@ -316,7 +339,7 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
     ))
 
     # ker(tau) ∩ im(rho) = 0 in H^0 of the double level
-    meet2 = kernel(tau20).intersection(image(rho10))
+    meet2 = ker_tau20.intersection(im_rho(1))
     if meet2.dim == 0:
         results.append(
             CheckResult("ker_tau_meets_im_rho_trivially", {"k": 2, "q": 0}, "pass")
@@ -342,13 +365,8 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
     # weight-monodromy on weight-two degree-one classes: the identity of
     # H^0(level 2) induces ker(tau)∩ker(rho) ~ ker(rho)/im(rho)
     amb = sc.level_dim(2, 0)
-    rho20 = sc.rho(2, 0)
-    source = QuotientSpace(
-        amb,
-        kernel(tau20).intersection(kernel(rho20)),
-        Subspace.zero(amb),
-    )
-    target = QuotientSpace(amb, kernel(rho20), image(rho10))
+    source = QuotientSpace(amb, ker_tau20.intersection(ker_rho(2)), Subspace.zero(amb))
+    target = QuotientSpace(amb, ker_rho(2), im_rho(1))
     results.append(
         bijectivity_check(
             "wm_h1_iso",
@@ -364,7 +382,7 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
         ("log_hl_h1_ell2", -1, 2),
     ]
     for name, a, b in ell:
-        matrix = e2.induced_l_power(a, b, n - 1)
+        matrix = power(e2, "l", a, b, n - 1)
         if name == "log_hl_h1_ell2":
             results.append(
                 injectivity_check("log_hl_h1_ell2_injective", {"a": a, "b": b}, matrix)

@@ -420,6 +420,21 @@ def rank(m: RatMatrix) -> int:
     return m.rank()
 
 
+def kernel_witness(matrix: RatMatrix) -> list:
+    """First kernel basis vector of ``matrix``, verified nonzero and in the kernel.
+
+    A vector that fails is a fault of this package, not of the input, so it
+    raises ``RuntimeError`` (not an ``SsweightError``); the check is explicit
+    so that it also runs under ``python -O``.
+    """
+    v = matrix.kernel_basis().col(0)
+    if not any(v) or any(matrix.apply(v)):
+        raise RuntimeError(
+            f"kernel witness of a {matrix.rows}x{matrix.cols} matrix failed verification"
+        )
+    return v
+
+
 def kernel(m: RatMatrix) -> "Subspace":
     return Subspace(m.cols, m.kernel_basis())
 

@@ -12,7 +12,17 @@ the cell at ``(a+2, b-2)`` -- zero where that summand is truncated away --
 and ``L`` acts by the Lefschetz operators within each summand.  Summands the
 target cell does not contain contribute zero blocks; with the adjoint
 convention for ``tau`` no further signs are needed and ``d1^2 = 0`` holds
-cell by cell.
+cell by cell.  The pairing of ``E1^{a,b}`` with ``E1^{-a,2n-b}`` pairs
+summand ``k`` with summand ``k-a`` of the dual cell, which lies on the same
+level in the complementary degree.
+
+Both pages, and the Hodge-Lefschetz modules of ``hodge_lefschetz``, are
+bigraded complexes with one interface in page coordinates ``(a, b)``:
+``n``, ``support()`` (the cells of nonzero dimension), ``dim``, ``d1``
+(to ``(a+1, b)``), ``nmap`` (to ``(a+2, b-2)``), ``lmap`` (to ``(a, b+2)``)
+and ``pairing_at`` (with ``(-a, 2n-b)``).  ``E2Page(cx)`` forms
+``ker d1 / im d1`` of any such complex with the induced operators and
+pairing; its own ``d1`` is zero, so it is again such a complex.
 
 The sequence degenerates at the second page, so abutment dimensions are sums
 of E2 dimensions along anti-diagonals.  Weight of ``E2^{a,b}`` is ``b``; for
@@ -26,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DifferentialNotSquareZero
+from .errors import DifferentialNotSquareZero, InducedPairingIllDefined
 from .linalg import (
     QuotientSpace,
     RatMatrix,
@@ -45,7 +55,6 @@ class Summand:
     level: int
     degree: int
     dim: int
-    offset: int
     twist: int  # a - k; slope bookkeeping only
 
 
@@ -61,7 +70,8 @@ class Cell:
 
 
 class E1Page:
-    """Sparse map ``(a, b) -> Cell`` plus the three operators as block maps."""
+    """Sparse map ``(a, b) -> Cell`` plus the operators and the pairing as
+    block maps."""
 
     def __init__(self, sc: StrataComplex):
         self.sc = sc
@@ -69,26 +79,18 @@ class E1Page:
         self.cycle_generated = sc.cycle_generated
         self.cells: dict[tuple[int, int], Cell] = {}
         # operators by (name, a, b), built on first use: the second page asks
-        # for each d1 twice, and the module built on this page for all three
+        # for each d1 twice, and the checks for every operator again
         self._ops: dict[tuple[str, int, int], RatMatrix] = {}
+        # levels ascend, so every cell lists its summands by increasing k
         for lvl in range(1, sc.max_level + 1):
             gs = sc.level(lvl)
             for m in sorted(gs.dims):
-                d = gs.dims[m]
                 for k in range(lvl):
                     a = 2 * k + 1 - lvl
                     b = m + 2 * (lvl - k - 1)
                     self.cells.setdefault((a, b), Cell(a, b, [])).summands.append(
-                        Summand(k, lvl, m, d, 0, a - k)
+                        Summand(k, lvl, m, gs.dims[m], a - k)
                     )
-        for cell in self.cells.values():
-            cell.summands.sort(key=lambda s: s.k)
-            off = 0
-            fixed = []
-            for s in cell.summands:
-                fixed.append(Summand(s.k, s.level, s.degree, s.dim, off, s.twist))
-                off += s.dim
-            cell.summands = fixed
 
     def cell(self, a: int, b: int) -> Cell:
         return self.cells.get((a, b), Cell(a, b, []))
@@ -101,25 +103,26 @@ class E1Page:
 
     # -- operators ----------------------------------------------------------
 
-    def _block_map(
-        self, name: str, a: int, b: int, target: tuple[int, int], block_for
-    ) -> RatMatrix:
+    def _block_map(self, name: str, a: int, b: int, src, dst, block_for) -> RatMatrix:
+        """Matrix from the cell ``src`` to the cell ``dst``; ``block_for(s)``
+        yields ``(k, block)`` for the summands ``k`` of ``dst`` that the
+        summand ``s`` of ``src`` reaches."""
         key = (name, a, b)
         if key in self._ops:
             return self._ops[key]
-        src, dst = self.cell(a, b), self.cell(*target)
-        row_dims = [s.dim for s in dst.summands]
-        col_dims = [s.dim for s in src.summands]
+        src, dst = self.cell(*src), self.cell(*dst)
         blocks = {}
         dst_pos = {s.k: i for i, s in enumerate(dst.summands)}
         for j, s in enumerate(src.summands):
             for k_target, matrix in block_for(s):
                 if k_target in dst_pos:
                     blocks[(dst_pos[k_target], j)] = matrix
-        if not row_dims or not col_dims:
+        if not src.summands or not dst.summands:
             m = RatMatrix.zeros(dst.dim, src.dim)
         else:
-            m = assemble_blocks(row_dims, col_dims, blocks)
+            m = assemble_blocks(
+                [s.dim for s in dst.summands], [s.dim for s in src.summands], blocks
+            )
         self._ops[key] = m
         return m
 
@@ -130,7 +133,7 @@ class E1Page:
             yield s.k + 1, self.sc.rho(s.level, s.degree)
             yield s.k, self.sc.tau(s.level, s.degree)
 
-        return self._block_map("d1", a, b, (a + 1, b), block_for)
+        return self._block_map("d1", a, b, (a, b), (a + 1, b), block_for)
 
     def nmap(self, a: int, b: int) -> RatMatrix:
         """Monodromy E1^{a,b} -> E1^{a+2,b-2}: identity on surviving summands."""
@@ -138,7 +141,7 @@ class E1Page:
         def block_for(s: Summand):
             yield s.k + 1, RatMatrix.identity(s.dim)
 
-        return self._block_map("n", a, b, (a + 2, b - 2), block_for)
+        return self._block_map("n", a, b, (a, b), (a + 2, b - 2), block_for)
 
     def lmap(self, a: int, b: int) -> RatMatrix:
         """Lefschetz E1^{a,b} -> E1^{a,b+2}."""
@@ -146,100 +149,113 @@ class E1Page:
         def block_for(s: Summand):
             yield s.k, self.sc.level_lefschetz(s.level, s.degree)
 
-        return self._block_map("l", a, b, (a, b + 2), block_for)
+        return self._block_map("l", a, b, (a, b), (a, b + 2), block_for)
+
+    def pairing_at(self, a: int, b: int) -> RatMatrix:
+        """Gram matrix of E1^{a,b} x E1^{-a,2n-b} -> Q, rows on E1^{a,b}."""
+        n = self.n
+
+        def block_for(s: Summand):
+            # summand k of the dual cell meets summand k + a of this one on
+            # the same level, in the complementary degree
+            yield s.k + a, self.sc.level_pairing(s.level, 2 * (n + 1 - s.level) - s.degree)
+
+        return self._block_map("p", a, b, (-a, 2 * n - b), (a, b), block_for)
 
 
 def build_e1(sc: StrataComplex) -> E1Page:
     return E1Page(sc)
 
 
-@dataclass
-class E2Cell:
-    a: int
-    b: int
-    space: QuotientSpace
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    @property
-    def weight(self) -> int:
-        return self.b
-
-    def slope(self, cycle_generated: bool):
-        return Fraction(self.b, 2) if cycle_generated else None
-
-
 class E2Page:
-    """Cellwise homology of the first page with the induced N and L."""
+    """Cellwise homology ``ker d1 / im d1`` of a bigraded complex, with the
+    induced N, L and pairing.
 
-    def __init__(self, e1: E1Page):
+    ``e1`` is any complex with the interface of the module docstring: the
+    first page, a Hodge-Lefschetz module, or another ``E2Page``.  Cells
+    outside ``e1.support()`` have no first-page summands; maps out of or
+    into them are zero without an ``induced_map`` call, since its
+    well-definedness checks are vacuous there.
+    """
+
+    def __init__(self, e1):
         self.e1 = e1
         self.n = e1.n
-        self.cycle_generated = e1.cycle_generated
-        self.cells: dict[tuple[int, int], E2Cell] = {}
-        # induced N and L maps by ("n" or "l", a, b), computed on first use
-        # and shared by every suite that reads the page; two threads that
-        # compute the same entry store equal matrices, so no lock is needed
+        self._quotients: dict[tuple[int, int], QuotientSpace] = {}
+        # induced maps by ("n", "l" or "p", a, b), computed on first use and
+        # shared by every suite that reads the page; two threads that compute
+        # the same entry store equal matrices, so no lock is needed
         self._induced: dict[tuple[str, int, int], RatMatrix] = {}
         for (a, b) in e1.support():
             din = e1.d1(a - 1, b)
             dout = e1.d1(a, b)
             if not (dout @ din).is_zero():
                 raise DifferentialNotSquareZero(f"d1 o d1 != 0 into cell ({a}, {b})")
-            q = QuotientSpace(e1.dim(a, b), kernel(dout), image(din))
-            if q.dim or q.numerator.dim or q.denominator.dim:
-                self.cells[(a, b)] = E2Cell(a, b, q)
+            self._quotients[(a, b)] = QuotientSpace(e1.dim(a, b), kernel(dout), image(din))
 
-    def cell(self, a: int, b: int) -> E2Cell | None:
-        return self.cells.get((a, b))
+    @property
+    def cycle_generated(self) -> bool:
+        return self.e1.cycle_generated
 
     def dim(self, a: int, b: int) -> int:
-        c = self.cells.get((a, b))
-        return c.dim if c else 0
+        q = self._quotients.get((a, b))
+        return q.dim if q else 0
 
     def support(self):
-        return sorted(key for key, c in self.cells.items() if c.dim)
+        return sorted(key for key, q in self._quotients.items() if q.dim)
 
-    def quotient(self, a: int, b: int) -> QuotientSpace:
-        c = self.cells.get((a, b))
-        if c is not None:
-            return c.space
-        amb = self.e1.dim(a, b)
-        return QuotientSpace(amb, Subspace.zero(amb), Subspace.zero(amb))
+    def d1(self, a: int, b: int) -> RatMatrix:
+        return RatMatrix.zeros(self.dim(a + 1, b), self.dim(a, b))
+
+    def nmap(self, a: int, b: int) -> RatMatrix:
+        return self.induced_n(a, b)
+
+    def lmap(self, a: int, b: int) -> RatMatrix:
+        return self.induced_l(a, b)
 
     def induced_n(self, a: int, b: int) -> RatMatrix:
-        key = ("n", a, b)
-        if key not in self._induced:
-            self._induced[key] = induced_map(
-                self.e1.nmap(a, b), self.quotient(a, b), self.quotient(a + 2, b - 2)
-            )
-        return self._induced[key]
+        def compute(src, dst):
+            return induced_map(self.e1.nmap(a, b), src, dst)
+
+        return self._cached(("n", a, b), (a, b), (a + 2, b - 2), compute)
 
     def induced_l(self, a: int, b: int) -> RatMatrix:
-        key = ("l", a, b)
+        def compute(src, dst):
+            return induced_map(self.e1.lmap(a, b), src, dst)
+
+        return self._cached(("l", a, b), (a, b), (a, b + 2), compute)
+
+    def pairing_at(self, a: int, b: int) -> RatMatrix:
+        """Induced pairing of E2^{a,b} with E2^{-a,2n-b}, rows on E2^{a,b}.
+
+        Raises ``InducedPairingIllDefined`` when im(d1) does not pair to zero
+        with ker(d1) on the dual cell, which signals an adjointness violation
+        upstream.
+        """
+
+        def compute(there, here):
+            p = self.e1.pairing_at(a, b)
+            if _pairs_nontrivially(here.denominator, p, there.numerator) or (
+                _pairs_nontrivially(here.numerator, p, there.denominator)
+            ):
+                raise InducedPairingIllDefined(
+                    f"im(d1) pairs nontrivially with ker(d1) at cell ({a}, {b})"
+                )
+            return here.lift.transpose() @ p @ there.lift
+
+        return self._cached(("p", a, b), (-a, 2 * self.n - b), (a, b), compute)
+
+    def _cached(self, key, src, dst, compute) -> RatMatrix:
+        """A matrix with columns on the cell ``src`` and rows on ``dst``,
+        ``compute(quotient at src, quotient at dst)``, formed once; zero
+        without computing when either cell has no first-page summands."""
         if key not in self._induced:
-            self._induced[key] = induced_map(
-                self.e1.lmap(a, b), self.quotient(a, b), self.quotient(a, b + 2)
-            )
+            q_src, q_dst = self._quotients.get(src), self._quotients.get(dst)
+            if q_src is None or q_dst is None:
+                self._induced[key] = RatMatrix.zeros(self.dim(*dst), self.dim(*src))
+            else:
+                self._induced[key] = compute(q_src, q_dst)
         return self._induced[key]
-
-    def induced_n_power(self, a: int, b: int, r: int) -> RatMatrix:
-        out = RatMatrix.identity(self.dim(a, b))
-        ca, cb = a, b
-        for _ in range(r):
-            out = self.induced_n(ca, cb) @ out
-            ca, cb = ca + 2, cb - 2
-        return out
-
-    def induced_l_power(self, a: int, b: int, r: int) -> RatMatrix:
-        out = RatMatrix.identity(self.dim(a, b))
-        ca, cb = a, b
-        for _ in range(r):
-            out = self.induced_l(ca, cb) @ out
-            cb += 2
-        return out
 
     def abutment(self) -> dict[int, int]:
         """dim H^q as the sum of E2 dimensions along each anti-diagonal."""
@@ -270,33 +286,42 @@ class E2Page:
         }
 
 
+def _pairs_nontrivially(left: Subspace, p: RatMatrix, right: Subspace) -> bool:
+    return bool(
+        left.dim and right.dim and not (left.basis.transpose() @ p @ right.basis).is_zero()
+    )
+
+
 def compute_e2(e1: E1Page) -> E2Page:
     return E2Page(e1)
+
+
+def power(cx, op: str, a: int, b: int, r: int) -> RatMatrix:
+    """``N^r`` (``op`` "n") or ``L^r`` (``op`` "l") out of the cell (a, b) of
+    a page or module."""
+    out = RatMatrix.identity(cx.dim(a, b))
+    for _ in range(r):
+        if op == "n":
+            out = cx.nmap(a, b) @ out
+            a, b = a + 2, b - 2
+        else:
+            out = cx.lmap(a, b) @ out
+            b += 2
+    return out
 
 
 def page_relations(e1: E1Page):
     """d1^2 = 0 and the commutation of N and L with d1 and each other,
     quantified over every cell of the first page; list of results."""
-    from .checks import CheckResult  # local import to avoid a cycle
+    from .checks import relation_checks  # local import to avoid a cycle
 
-    results = []
-    for (a, b) in e1.support():
-        pairs = [
-            ("d1_squared", e1.d1(a + 1, b) @ e1.d1(a, b), None),
-            ("N_commutes_d1", e1.nmap(a + 1, b) @ e1.d1(a, b), e1.d1(a + 2, b - 2) @ e1.nmap(a, b)),
-            ("L_commutes_d1", e1.lmap(a + 1, b) @ e1.d1(a, b), e1.d1(a, b + 2) @ e1.lmap(a, b)),
-            ("N_commutes_L", e1.nmap(a, b + 2) @ e1.lmap(a, b), e1.lmap(a + 2, b - 2) @ e1.nmap(a, b)),
-        ]
-        for name, lhs, rhs in pairs:
-            diff = lhs if rhs is None else lhs - rhs
-            if not diff.is_zero():
-                results.append(
-                    CheckResult(name, {"a": a, "b": b}, "fail", note="relation violated")
-                )
-    for name in ("d1_squared", "N_commutes_d1", "L_commutes_d1", "N_commutes_L"):
-        if not any(r.name == name for r in results):
-            results.append(CheckResult(name, {}, "pass"))
-    return results
+    names = {
+        "dd": "d1_squared",
+        "nd": "N_commutes_d1",
+        "ld": "L_commutes_d1",
+        "nl": "N_commutes_L",
+    }
+    return relation_checks(e1, names, lambda a, b: {"a": a, "b": b}, {}, "relation violated")
 
 
 def duality_check(e2: E2Page):

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameters, MissingRestriction, SchemaError
-from .linalg import RatMatrix, assemble_blocks, format_rat, kron
+from .linalg import RatMatrix, assemble_blocks, format_rat, kernel_witness, kron
 
 Face = tuple[int, ...]
 
@@ -164,7 +164,8 @@ class StrataComplex:
             (_face(a), _face(b)): {int(m): mat for m, mat in maps.items()}
             for (a, b), maps in restrictions.items()
         }
-        self._tau_cache: dict[tuple[int, int], RatMatrix] = {}
+        # rho and tau by ("rho" or "tau", k, m), built on first use
+        self._maps: dict[tuple[str, int, int], RatMatrix] = {}
         self._level_cache: dict[int, GradedSpace] = {}
 
     # -- basic structure ---------------------------------------------------
@@ -275,6 +276,9 @@ class StrataComplex:
 
     def rho(self, k: int, m: int) -> RatMatrix:
         """Signed restriction map H^m(level k) -> H^m(level k+1)."""
+        key = ("rho", k, m)
+        if key in self._maps:
+            return self._maps[key]
         src_table = self.level(k).offsets.get(m, []) if 1 <= k <= self.max_level else []
         dst_table = (
             self.level(k + 1).offsets.get(m, []) if k + 1 <= self.max_level else []
@@ -290,8 +294,11 @@ class StrataComplex:
                     sign = -1 if a % 2 else 1
                     blocks[(i, src_index[I])] = self.restriction_matrix(I, J, m).scale(sign)
         if not row_dims or not col_dims:
-            return RatMatrix.zeros(sum(row_dims), sum(col_dims))
-        return assemble_blocks(row_dims, col_dims, blocks)
+            r = RatMatrix.zeros(sum(row_dims), sum(col_dims))
+        else:
+            r = assemble_blocks(row_dims, col_dims, blocks)
+        self._maps[key] = r
+        return r
 
     def tau(self, k: int, m: int) -> RatMatrix:
         """Gysin map H^m(level k) -> H^{m+2}(level k-1), adjoint of ``rho``.
@@ -300,9 +307,9 @@ class StrataComplex:
         the degree complementary to ``m`` on level ``k``; requires perfect
         pairings on level ``k-1``.
         """
-        key = (k, m)
-        if key in self._tau_cache:
-            return self._tau_cache[key]
+        key = ("tau", k, m)
+        if key in self._maps:
+            return self._maps[key]
         cols = self.level_dim(k, m)
         rows = self.level_dim(k - 1, m + 2) if k >= 2 else 0
         if rows == 0 or cols == 0:
@@ -313,7 +320,7 @@ class StrataComplex:
             p1 = self.level_pairing(k, m)
             p0 = self.level_pairing(k - 1, m + 2)
             t = (p1 @ a @ p0.inverse()).transpose()
-        self._tau_cache[key] = t
+        self._maps[key] = t
         return t
 
     # -- validation ----------------------------------------------------------
@@ -356,6 +363,15 @@ class StrataComplex:
                             f"subface {_face_str(sub)} is missing",
                         )
                     )
+        for c, name in enumerate(self.components, start=1):
+            if (c,) not in self.faces:
+                v.append(
+                    Violation(
+                        "component-without-stratum",
+                        f"component {c}",
+                        f"component {name!r} has no face {_face_str((c,))}",
+                    )
+                )
 
     def _check_strata(self, v):
         for f in sorted(self.faces):
@@ -397,16 +413,13 @@ class StrataComplex:
                     v.append(Violation("pairing-shape", loc, f"pairing shape wrong in degree {m}"))
                     continue
                 if p.rank() != p.rows:
-                    ker = p.transpose().kernel_basis()
-                    wit = None
-                    if ker.cols:
-                        wit = {"kernel_vector": [format_rat(x) for x in ker.col(0)]}
+                    vec = kernel_witness(p.transpose())
                     v.append(
                         Violation(
                             "pairing-not-perfect",
                             loc,
                             f"pairing not perfect at degree {m}",
-                            witness=wit,
+                            witness={"kernel_vector": [format_rat(x) for x in vec]},
                         )
                     )
                 # m and mc have the same parity, so (m, mc) and (mc, m) state
@@ -452,6 +465,18 @@ class StrataComplex:
                         )
 
     def _check_restrictions(self, v):
+        # a restriction runs from a face to a face with one more index;
+        # any other pair would be ignored by rho
+        for (sub, f) in sorted(self.restrictions):
+            missing = [g for g in (sub, f) if g not in self.faces]
+            if missing:
+                message = f"face {_face_str(missing[0])} is not in the nerve"
+            elif len(f) != len(sub) + 1 or not set(sub) < set(f):
+                message = f"{_face_str(sub)} is not a facet of {_face_str(f)}"
+            else:
+                continue
+            loc = f"restriction {_face_str(sub)} -> {_face_str(f)}"
+            v.append(Violation("restriction-unknown-face", loc, message))
         for f in sorted(self.faces):
             if len(f) < 2:
                 continue
@@ -727,6 +752,8 @@ class StrataComplex:
             faces = {}
             for fd in doc["faces"]:
                 f = _face(fd["indices"])
+                if f in faces:
+                    raise SchemaError(f"face {_face_str(f)} is listed twice")
                 dims = {int(m): int(d) for m, d in _items(fd["cohomology"], "cohomology")}
                 pairing = {
                     int(m): _matrix_load(mat) for m, mat in _items(fd.get("pairing", {}), "pairing")
@@ -749,6 +776,10 @@ class StrataComplex:
             restrictions = {}
             for rd in doc.get("restrictions", []):
                 key = (_face(rd["from"]), _face(rd["to"]))
+                if key in restrictions:
+                    raise SchemaError(
+                        f"restriction {_face_str(key[0])} -> {_face_str(key[1])} is listed twice"
+                    )
                 restrictions[key] = {
                     int(m): _matrix_load(mat) for m, mat in _items(rd.get("maps", {}), "maps")
                 }

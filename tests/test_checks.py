@@ -4,6 +4,7 @@ import pytest
 
 from helpers import graph_curve
 from ssweight.errors import InvalidParameters, SsweightError
+from ssweight.hodge_lefschetz import HodgeLefschetzModule, check_hl_axioms
 from ssweight.linalg import RatMatrix
 from ssweight.scenarios import (
     elliptic_stratum,
@@ -159,3 +160,46 @@ class TestWitnessVerification:
         )
         with pytest.raises(RuntimeError):
             check_log_hl(e2, 1)
+
+    @staticmethod
+    def _zero_kernel_vector(monkeypatch, shape=None):
+        # a zero "kernel vector" for every matrix, or only for one shape
+        real = RatMatrix.kernel_basis
+
+        def bogus(self):
+            if shape is None or (self.rows, self.cols) == shape:
+                return RatMatrix.column([0] * self.cols)
+            return real(self)
+
+        monkeypatch.setattr(RatMatrix, "kernel_basis", bogus)
+
+    def test_module_pairing_null_vector_verified(self, monkeypatch):
+        v = HodgeLefschetzModule(
+            weight=0, dims={(0, 0): 1}, pairing={(0, 0): RatMatrix.zeros(1, 1)}
+        )
+        self._zero_kernel_vector(monkeypatch)
+        with pytest.raises(RuntimeError):
+            check_hl_axioms(v)
+
+    def test_module_positivity_null_vector_verified(self, monkeypatch):
+        # hyperbolic pairing on V^{0,0}; L kills e1, so the primitive form is
+        # the 1x1 zero matrix, whose null vector is the witness
+        v = HodgeLefschetzModule(
+            weight=0,
+            dims={(0, 0): 2, (0, 2): 1},
+            l_ops={(0, 0): RatMatrix.from_rows([[0, 1]])},
+            pairing={(0, 0): RatMatrix.from_rows([[0, 1], [1, 0]])},
+        )
+        positivity = [c for c in check_hl_axioms(v) if c.name == "hl_positivity"]
+        assert positivity[0].witness["null_vector"] == ["1"]
+        self._zero_kernel_vector(monkeypatch, shape=(1, 1))
+        with pytest.raises(RuntimeError):
+            check_hl_axioms(v)
+
+    def test_validator_pairing_kernel_vector_verified(self, monkeypatch):
+        sc = ngon(3)
+        sc.faces[(1,)].pairing[0] = RatMatrix.zeros(1, 1)
+        sc.faces[(1,)].pairing[2] = RatMatrix.zeros(1, 1)
+        self._zero_kernel_vector(monkeypatch)
+        with pytest.raises(RuntimeError):
+            sc.validate()

@@ -82,6 +82,29 @@ def test_input_errors_exit_two(capsys, tmp_path, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "change, expected",
+    [
+        (lambda doc: doc["faces"].append(dict(doc["faces"][0])), 2),
+        (lambda doc: doc["restrictions"].append(dict(doc["restrictions"][0])), 2),
+        (lambda doc: doc["restrictions"].append(dict(doc["restrictions"][0], to=[2, 3])), 1),
+        (lambda doc: doc["components"].append("Y4"), 1),
+    ],
+    ids=["face-twice", "restriction-twice", "restriction-off-nerve", "component-without-stratum"],
+)
+def test_dropped_data_is_not_silent(capsys, tmp_path, change, expected):
+    _, text, _ = run(capsys, "scenario", "ngon:3")
+    doc = json.loads(text)
+    change(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate"], ["check", "--all"], ["report"]):
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == expected, argv
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+
+
 class TestJsonOutput:
     def test_e2_json(self, capsys):
         code, out, _ = run(capsys, "e2", "--scenario", "tetrahedron", "--format", "json")

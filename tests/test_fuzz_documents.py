@@ -5,7 +5,10 @@ mutations at random places (a dropped key, a value of the wrong type, a
 ragged or wrongly shaped matrix, a zero denominator, a wrong dimension) and
 runs ``validate``, ``check --all`` and ``report`` on it through
 ``cli.main``.  Every command must return an exit code of the contract
-(0 pass, 1 a check or validation fails, 2 a usage or input error).
+(0 pass, 1 a check or validation fails, 2 a usage or input error).  A
+second property changes the nerve itself (a dropped face, a face made as
+the union of two faces, a duplicate entry, an extra component) and holds
+every data-reading command to the same contract.
 """
 
 from __future__ import annotations
@@ -115,3 +118,65 @@ def test_mutated_documents_keep_the_exit_code_contract(case):
             assert code in (0, 1, 2), (label, argv, code)
             if code == 2:
                 assert err.startswith("error: "), (label, argv, err)
+
+
+NERVE_KINDS = (
+    "drop_face",
+    "drop_face_and_restrictions",
+    "union_face",
+    "union_face_with_restrictions",
+    "duplicate_face",
+    "duplicate_restriction",
+    "extra_component",
+)
+
+
+@st.composite
+def nerve_mutations(draw):
+    label = draw(st.sampled_from(sorted(SOURCES)))
+    doc = copy.deepcopy(SOURCES[label])
+    faces, restrictions = doc["faces"], doc["restrictions"]
+    kind = draw(st.sampled_from(NERVE_KINDS))
+
+    def pick(seq):
+        return seq[draw(st.integers(0, len(seq) - 1))]
+
+    if kind.startswith("drop_face"):
+        dropped = faces.pop(draw(st.integers(0, len(faces) - 1)))["indices"]
+        if kind == "drop_face_and_restrictions":
+            doc["restrictions"] = [
+                r for r in restrictions if dropped not in (r["from"], r["to"])
+            ]
+    elif kind.startswith("union_face"):
+        first, second = pick(faces), pick(faces)
+        union = sorted(set(first["indices"]) | set(second["indices"]))
+        faces.append(dict(copy.deepcopy(first), indices=union))
+        if kind == "union_face_with_restrictions" and restrictions:
+            # copied maps, shaped for other faces, into the new face
+            for u in union:
+                facet = [x for x in union if x != u]
+                if facet:
+                    maps = copy.deepcopy(pick(restrictions)["maps"])
+                    restrictions.append({"from": facet, "to": union, "maps": maps})
+    elif kind == "duplicate_face":
+        faces.append(copy.deepcopy(pick(faces)))
+    elif kind == "duplicate_restriction" and restrictions:
+        restrictions.append(copy.deepcopy(pick(restrictions)))
+    elif kind == "extra_component":
+        doc["components"].append("extra")
+    return label, kind, doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(nerve_mutations())
+def test_nerve_mutations_keep_the_exit_code_contract(case):
+    label, kind, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (["validate"], ["check", "--all"], ["report"], ["e2"], ["slopes"], ["polygons"]):
+            code, _, err = _run(argv + ["--input", path])
+            assert code in (0, 1, 2), (label, kind, argv, code)
+            if code == 2:
+                assert err.startswith("error: "), (label, kind, argv, err)

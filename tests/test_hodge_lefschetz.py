@@ -96,13 +96,13 @@ class TestFromStrata:
 class TestCohomology:
     def test_zero_differential_fixpoint(self):
         v = one_dim_module()
-        hv = hl_cohomology(v)
+        hv = HodgeLefschetzModule.of(hl_cohomology(v))
         assert hv.dims == v.dims
         assert hv.pairing_at(0, 0) == v.pairing_at(0, 0)
 
     def test_ngon_cohomology_matches_second_page(self):
         sc = ngon(3)
-        hv = hl_cohomology(hl_from_strata(build_e1(sc)))
+        hv = HodgeLefschetzModule.of(hl_cohomology(hl_from_strata(build_e1(sc))))
         e2 = compute_e2(build_e1(sc))
         for (i, j), d in hv.dims.items():
             assert d == e2.dim(i, sc.n - i + j)
@@ -113,23 +113,22 @@ class TestCohomology:
         assert all(c.ok for c in check_hl_axioms(hv))
 
     def test_double_cohomology_is_identity(self):
-        hv = hl_cohomology(hl_from_strata(build_e1(ngon(4))))
-        hh = hl_cohomology(hv)
+        page = hl_cohomology(hl_from_strata(build_e1(ngon(4))))
+        hv, hh = HodgeLefschetzModule.of(page), HodgeLefschetzModule.of(hl_cohomology(page))
         assert hh.dims == hv.dims
         for key in hv.support():
             assert hh.pairing_at(*key) == hv.pairing_at(*key)
 
     def test_page_quotients_match_generic_cohomology(self):
-        # the generic ker d / im d of the strata-built module is the oracle
-        # for the module read from the second page of the same first page
+        # ker d / im d of the tabulated strata-built module is the oracle for
+        # the second page of the first page it was tabulated from
         for spec in builtin_specs():
             sc = build(spec)
             if not sc.cycle_generated:
                 continue
             e2 = compute_e2(build_e1(sc))
-            v = hl_from_strata(e2.e1)
-            from_page = hl_cohomology(v, e2)
-            generic = hl_cohomology(hl_from_strata(build_e1(sc)))
+            from_page = HodgeLefschetzModule.of(e2)
+            generic = HodgeLefschetzModule.of(hl_cohomology(hl_from_strata(build_e1(sc))))
             assert from_page.dims == generic.dims, spec
             assert from_page.n_ops == generic.n_ops, spec
             assert from_page.l_ops == generic.l_ops, spec
@@ -171,9 +170,9 @@ class TestSerialization:
         back = HodgeLefschetzModule.loads(v.dumps())
         assert back.dims == v.dims
         for key in v.support():
-            assert back.n_at(*key) == v.n_at(*key)
-            assert back.l_at(*key) == v.l_at(*key)
-            assert back.d_at(*key) == v.d_at(*key)
+            assert back.nmap(*key) == v.nmap(*key)
+            assert back.lmap(*key) == v.lmap(*key)
+            assert back.d1(*key) == v.d1(*key)
             assert back.pairing_at(*key) == v.pairing_at(*key)
         assert all(c.ok for c in check_hl_axioms(back))
 

@@ -19,6 +19,7 @@ from ssweight.spectral import (
     duality_check,
     nerve_cohomology_oracle,
     page_relations,
+    power,
 )
 
 
@@ -102,11 +103,14 @@ class TestE2:
             for (a, b) in e2.support():
                 assert e2.induced_l(a, b) is e2.induced_l(a, b)
                 e2.induced_n(a, b)
-                e2.induced_l_power(a, b, 2)
+                power(e2, "l", a, b, 2)
         cells = {(a, b) for (a, b) in e2.support()}
-        expected = {("l", a, b) for (a, b) in cells}
-        expected |= {("n", a, b) for (a, b) in cells}
-        expected |= {("l", a, b + 2) for (a, b) in cells}
+        expected = {("l", a, b, (a, b + 2)) for (a, b) in cells}
+        expected |= {("n", a, b, (a + 2, b - 2)) for (a, b) in cells}
+        expected |= {("l", a, b + 2, (a, b + 4)) for (a, b) in cells}
+        # a cell without first-page summands gives a zero map without a call
+        first = set(e2.e1.support())
+        expected = {key for key in expected if {key[1:3], key[3]} <= first}
         assert len(calls) == len(expected)
 
     def test_induced_maps_shared_across_threads(self):

@@ -54,6 +54,26 @@ class TestValidate:
         report = sc.validate()
         assert any(v.code == "nerve-not-closed" for v in report.violations)
 
+    @pytest.mark.parametrize("target", [[2, 3], [1, 7], [1]])
+    def test_restriction_outside_the_nerve_reported(self, target):
+        # a pair that is not a face and one of its facets is never read
+        doc = json.loads(ngon(3).dumps())
+        extra = dict(doc["restrictions"][0], to=target)
+        doc["restrictions"].append(extra)
+        report = StrataComplex.loads(json.dumps(doc)).validate()
+        assert [v.code for v in report.violations] == ["restriction-unknown-face"]
+        assert report.violations[0].location == "restriction {1} -> " + "{" + ",".join(
+            map(str, target)
+        ) + "}"
+
+    def test_component_without_stratum_reported(self):
+        sc = ngon(3)
+        sc.components.append("Y4")
+        report = sc.validate()
+        assert [(v.code, v.location) for v in report.violations] == [
+            ("component-without-stratum", "component 4")
+        ]
+
     def test_slope_pure_with_odd_cohomology_reported(self):
         sc = ngon(3)
         sc.faces[(1,)].dims[1] = 2
@@ -191,6 +211,14 @@ class TestSerialization:
         doc = self._ngon_doc()
         doc["faces"][0]["pairing"]["0"] = [["1/0"]]
         with pytest.raises(SchemaError):
+            StrataComplex.loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("table", ["faces", "restrictions"])
+    def test_entry_listed_twice_is_schema_error(self, table):
+        # the second copy used to replace the first silently
+        doc = self._ngon_doc()
+        doc[table].append(json.loads(json.dumps(doc[table][0])))
+        with pytest.raises(SchemaError, match="listed twice"):
             StrataComplex.loads(json.dumps(doc))
 
     def test_cohomology_list_is_schema_error(self):
