@@ -131,23 +131,34 @@ class HodgeLefschetzModule:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "HodgeLefschetzModule":
-        def op_table(items):
-            return {
-                (int(e["i"]), int(e["j"])): _matrix_load(e["matrix"])
-                for e in items
-            }
-
+        """The module of a JSON document; every matrix must have the shape of
+        the zero matrix its accessor gives for a missing entry."""
         try:
-            return HodgeLefschetzModule(
+            v = HodgeLefschetzModule(
                 weight=int(doc["weight"]),
                 dims={(int(c["i"]), int(c["j"])): int(c["dim"]) for c in doc["cells"]},
-                n_ops=op_table(doc.get("n_ops", [])),
-                l_ops=op_table(doc.get("l_ops", [])),
-                d_ops=op_table(doc.get("d_ops", [])),
-                pairing=op_table(doc.get("pairing", [])),
             )
+            tables = {
+                name: {
+                    (int(e["i"]), int(e["j"])): _matrix_load(e["matrix"])
+                    for e in doc.get(name, [])
+                }
+                for name in _ACCESSORS
+            }
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed module document: {exc}") from exc
+        # the tables of v are still empty, so each accessor synthesizes a zero
+        for name, table in tables.items():
+            for (i, j), m in table.items():
+                zero = getattr(v, _ACCESSORS[name])(i, j - i + v.weight)
+                if (m.rows, m.cols) != (zero.rows, zero.cols):
+                    raise SchemaError(
+                        f"{name} entry at (i, j) = ({i}, {j}) has shape"
+                        f" {m.rows}x{m.cols}, not {zero.rows}x{zero.cols}"
+                    )
+        for name, table in tables.items():
+            setattr(v, name, table)
+        return v
 
     @staticmethod
     def loads(text: str) -> "HodgeLefschetzModule":
@@ -156,6 +167,10 @@ class HodgeLefschetzModule:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"input is not JSON: {exc}") from exc
         return HodgeLefschetzModule.from_json_dict(doc)
+
+
+# each table of a module document and the accessor that reads it
+_ACCESSORS = {"n_ops": "nmap", "l_ops": "lmap", "d_ops": "d1", "pairing": "pairing_at"}
 
 
 def _sign_match(lhs: RatMatrix, rhs: RatMatrix):

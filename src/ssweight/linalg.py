@@ -33,10 +33,11 @@ _ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4', and Fractions to Fraction; a bool is
+    not a number here."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
@@ -396,24 +397,37 @@ def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return _make(a.rows * b.rows, a.cols * b.cols, out)
 
 
-def assemble_blocks(row_dims, col_dims, blocks) -> RatMatrix:
-    """Build a matrix from a sparse dict ``(block_row, block_col) -> RatMatrix``."""
-    roff = [0]
-    for d in row_dims:
-        roff.append(roff[-1] + d)
-    coff = [0]
-    for d in col_dims:
-        coff.append(coff[-1] + d)
-    out = [{} for _ in range(roff[-1])]
-    for (bi, bj), m in blocks.items():
-        if m.rows != row_dims[bi] or m.cols != col_dims[bj]:
-            raise ValueError(f"block ({bi},{bj}) has shape {m.rows}x{m.cols}")
-        r0, c0 = roff[bi], coff[bj]
+def assemble_blocks(rows, cols, blocks) -> RatMatrix:
+    """Matrix of a map between two direct sums.
+
+    ``rows`` and ``cols`` list the summands of the target and of the source
+    as ordered ``(key, dim)`` pairs; ``blocks`` maps ``(row_key, col_key)``
+    to the block between them.  A block naming an unlisted summand is
+    dropped, and every block not given is zero.
+    """
+    roff, nrows = _offsets(rows)
+    coff, ncols = _offsets(cols)
+    out = [{} for _ in range(nrows)]
+    for (ri, cj), m in blocks.items():
+        if ri not in roff or cj not in coff:
+            continue
+        (r0, dr), (c0, dc) = roff[ri], coff[cj]
+        if m.rows != dr or m.cols != dc:
+            raise ValueError(f"block ({ri}, {cj}) has shape {m.rows}x{m.cols}, not {dr}x{dc}")
         for i, row in enumerate(m._data):
             target = out[r0 + i]
             for j, x in row.items():
                 target[c0 + j] = x
-    return _make(roff[-1], coff[-1], out)
+    return _make(nrows, ncols, out)
+
+
+def _offsets(summands):
+    """``{key: (offset, dim)}`` of ordered ``(key, dim)`` summands, and the total."""
+    pos, off = {}, 0
+    for key, d in summands:
+        pos[key] = (off, d)
+        off += d
+    return pos, off
 
 
 def rank(m: RatMatrix) -> int:
@@ -534,15 +548,9 @@ class QuotientSpace:
     def dim(self) -> int:
         return self.numerator.dim - self.denominator.dim
 
-    def coords(self, vec):
-        """Coordinates of an ambient vector (must lie in the numerator)."""
-        sol = self._solver.solve(RatMatrix.column(vec))
-        if sol is None:
-            raise NotWellDefined("vector does not lie in the numerator subspace")
-        return sol.col(0)[self.denominator.dim :]
-
     def coords_matrix(self, vectors: RatMatrix) -> RatMatrix:
-        """Column-wise ``coords`` for a matrix of ambient vectors."""
+        """Quotient coordinates of each column of ``vectors``, which must lie
+        in the numerator."""
         sol = self._solver.solve(vectors)
         if sol is None:
             raise NotWellDefined("some vector does not lie in the numerator subspace")

@@ -9,12 +9,13 @@ The differential ``d1 = rho + tau`` raises ``a`` by one: ``rho`` sends
 summand ``k`` to summand ``k+1`` (level up), ``tau`` keeps ``k`` (level down,
 degree up two).  ``N`` sends summand ``k`` identically to summand ``k+1`` of
 the cell at ``(a+2, b-2)`` -- zero where that summand is truncated away --
-and ``L`` acts by the Lefschetz operators within each summand.  Summands the
-target cell does not contain contribute zero blocks; with the adjoint
-convention for ``tau`` no further signs are needed and ``d1^2 = 0`` holds
-cell by cell.  The pairing of ``E1^{a,b}`` with ``E1^{-a,2n-b}`` pairs
-summand ``k`` with summand ``k-a`` of the dual cell, which lies on the same
-level in the complementary degree.
+and ``L`` acts by the Lefschetz operators within each summand.  Every
+operator is assembled by ``linalg.assemble_blocks`` with ``k`` as the
+summand key, so a block into a summand the target cell does not contain is
+dropped; with the adjoint convention for ``tau`` no further signs are needed
+and ``d1^2 = 0`` holds cell by cell.  The pairing of ``E1^{a,b}`` with
+``E1^{-a,2n-b}`` pairs summand ``k`` with summand ``k-a`` of the dual cell,
+which lies on the same level in the complementary degree.
 
 Both pages, and the Hodge-Lefschetz modules of ``hodge_lefschetz``, are
 bigraded complexes with one interface in page coordinates ``(a, b)``:
@@ -104,27 +105,18 @@ class E1Page:
     # -- operators ----------------------------------------------------------
 
     def _block_map(self, name: str, a: int, b: int, src, dst, block_for) -> RatMatrix:
-        """Matrix from the cell ``src`` to the cell ``dst``; ``block_for(s)``
-        yields ``(k, block)`` for the summands ``k`` of ``dst`` that the
-        summand ``s`` of ``src`` reaches."""
+        """Matrix from the cell ``src`` to the cell ``dst``, keyed by summand
+        ``k``; ``block_for(s)`` yields ``(k, block)`` for the summands ``k`` of
+        ``dst`` that the summand ``s`` of ``src`` may reach."""
         key = (name, a, b)
-        if key in self._ops:
-            return self._ops[key]
-        src, dst = self.cell(*src), self.cell(*dst)
-        blocks = {}
-        dst_pos = {s.k: i for i, s in enumerate(dst.summands)}
-        for j, s in enumerate(src.summands):
-            for k_target, matrix in block_for(s):
-                if k_target in dst_pos:
-                    blocks[(dst_pos[k_target], j)] = matrix
-        if not src.summands or not dst.summands:
-            m = RatMatrix.zeros(dst.dim, src.dim)
-        else:
-            m = assemble_blocks(
-                [s.dim for s in dst.summands], [s.dim for s in src.summands], blocks
+        if key not in self._ops:
+            src = self.cell(*src).summands
+            self._ops[key] = assemble_blocks(
+                [(s.k, s.dim) for s in self.cell(*dst).summands],
+                [(s.k, s.dim) for s in src],
+                {(k, s.k): m for s in src for k, m in block_for(s)},
             )
-        self._ops[key] = m
-        return m
+        return self._ops[key]
 
     def d1(self, a: int, b: int) -> RatMatrix:
         """Differential E1^{a,b} -> E1^{a+1,b}."""

@@ -4,7 +4,10 @@ A configuration is stored as the nerve of its irreducible components together
 with the graded cohomology of every stratum: for a set ``I`` of component
 indices the stratum is the ``|I|``-fold intersection, of dimension
 ``n + 1 - |I|``.  The level-``k`` space is the disjoint union of all strata
-with ``|I| = k``.
+with ``|I| = k``; in degree ``m`` its summands are the ``(face, dim)`` pairs
+of the faces with nonzero ``H^m``.  Every map below is assembled by
+``linalg.assemble_blocks`` from blocks keyed by face, and the Kunneth
+product keys its summands ``H^{m1} (x) H^{m2}`` by ``(m1, m2)``.
 
 Three families of maps live on this data:
 
@@ -37,8 +40,15 @@ from .linalg import RatMatrix, assemble_blocks, format_rat, kernel_witness, kron
 Face = tuple[int, ...]
 
 
+def _int(x, what: str) -> int:
+    """A JSON integer; a float or a bool is a schema error, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise SchemaError(f"{what} must be an integer, not {x!r}")
+    return x
+
+
 def _face(indices) -> Face:
-    t = tuple(sorted(int(i) for i in indices))
+    t = tuple(sorted(_int(i, "a face index") for i in indices))
     if not t or len(set(t)) != len(t) or t[0] < 1:
         raise SchemaError(f"face indices must be a nonempty set of positive ints: {indices}")
     return t
@@ -105,7 +115,7 @@ class GradedSpace:
     level: int
     faces: list[Face]
     dims: dict[int, int]
-    offsets: dict[int, list[tuple[Face, int, int]]]  # m -> [(face, offset, dim)]
+    summands: dict[int, list[tuple[Face, int]]]  # m -> [(face, dim)], dim != 0
 
     def dim_in(self, m: int) -> int:
         return self.dims.get(m, 0)
@@ -185,29 +195,30 @@ class StrataComplex:
         return sorted(f for f in self.faces if len(f) == k)
 
     def level(self, k: int) -> GradedSpace:
-        """Direct sum over faces with ``|I| = k``, with summand offsets."""
+        """Direct sum over faces with ``|I| = k``, keyed by face."""
         if k < 1:
             raise ValueError("levels are indexed from 1")
         if k in self._level_cache:
             return self._level_cache[k]
         faces = self.faces_at(k)
         dims: dict[int, int] = {}
-        offsets: dict[int, list[tuple[Face, int, int]]] = {}
-        degrees = sorted({m for f in faces for m in self.faces[f].degrees()})
-        for m in degrees:
-            off = 0
-            table = []
-            for f in faces:
-                d = self.faces[f].dim_in(m)
-                if d:
-                    table.append((f, off, d))
-                    off += d
-            if off:
-                dims[m] = off
-                offsets[m] = table
-        gs = GradedSpace(k, faces, dims, offsets)
+        summands: dict[int, list[tuple[Face, int]]] = {}
+        for m in sorted({m for f in faces for m in self.faces[f].degrees()}):
+            table = [(f, self.faces[f].dim_in(m)) for f in faces if self.faces[f].dim_in(m)]
+            total = sum(d for _, d in table)
+            if total:
+                dims[m] = total
+                summands[m] = table
+        gs = GradedSpace(k, faces, dims, summands)
         self._level_cache[k] = gs
         return gs
+
+    def _summands(self, k: int, m: int) -> list[tuple[Face, int]]:
+        """The ``(face, dim)`` summands of H^m(level k); none outside the
+        levels ``1..max_level``."""
+        if k < 1 or k > self.max_level:
+            return []
+        return self.level(k).summands.get(m, [])
 
     def level_dim(self, k: int, m: int) -> int:
         if k < 1 or k > self.max_level:
@@ -218,41 +229,14 @@ class StrataComplex:
 
     def level_pairing(self, k: int, m: int) -> RatMatrix:
         """Poincare pairing H^m(level k) x H^{m'}(level k), block-diagonal."""
-        mc = 2 * (self.n + 1 - k) - m
-        gs = self.level(k) if 1 <= k <= self.max_level else None
-        row_table = gs.offsets.get(m, []) if gs else []
-        col_table = gs.offsets.get(mc, []) if gs else []
-        row_dims = [d for _, _, d in row_table]
-        col_dims = [d for _, _, d in col_table]
-        col_pos = {f: j for j, (f, _, _) in enumerate(col_table)}
-        blocks = {}
-        for i, (f, _, dm) in enumerate(row_table):
-            j = col_pos.get(f)
-            if j is None:
-                continue
-            coh = self.faces[f]
-            p = coh.pairing.get(m)
-            if p is None:
-                p = RatMatrix.zeros(dm, coh.dim_in(mc))
-            blocks[(i, j)] = p
-        if not row_dims or not col_dims:
-            return RatMatrix.zeros(sum(row_dims), sum(col_dims))
-        return assemble_blocks(row_dims, col_dims, blocks)
+        rows = self._summands(k, m)
+        blocks = {(f, f): self.faces[f].pairing[m] for f, _ in rows if m in self.faces[f].pairing}
+        return assemble_blocks(rows, self._summands(k, 2 * (self.n + 1 - k) - m), blocks)
 
     def level_lefschetz(self, k: int, m: int) -> RatMatrix:
-        src = self.level(k)
-        dst_dim = self.level_dim(k, m + 2)
-        blocks = {}
-        dst_table = {f: i for i, (f, _, _) in enumerate(src.offsets.get(m + 2, []))}
-        src_table = src.offsets.get(m, [])
-        row_dims = [d for _, _, d in src.offsets.get(m + 2, [])]
-        col_dims = [d for _, _, d in src_table]
-        for j, (f, _, _) in enumerate(src_table):
-            if f in dst_table:
-                blocks[(dst_table[f], j)] = self.faces[f].lefschetz_matrix(m)
-        if not row_dims or not col_dims:
-            return RatMatrix.zeros(dst_dim, self.level_dim(k, m))
-        return assemble_blocks(row_dims, col_dims, blocks)
+        cols = self._summands(k, m)
+        blocks = {(f, f): self.faces[f].lefschetz_matrix(m) for f, _ in cols}
+        return assemble_blocks(self._summands(k, m + 2), cols, blocks)
 
     def lefschetz_power(self, k: int, m: int, power: int) -> RatMatrix:
         out = RatMatrix.identity(self.level_dim(k, m))
@@ -279,25 +263,15 @@ class StrataComplex:
         key = ("rho", k, m)
         if key in self._maps:
             return self._maps[key]
-        src_table = self.level(k).offsets.get(m, []) if 1 <= k <= self.max_level else []
-        dst_table = (
-            self.level(k + 1).offsets.get(m, []) if k + 1 <= self.max_level else []
-        )
-        col_dims = [d for _, _, d in src_table]
-        row_dims = [d for _, _, d in dst_table]
-        src_index = {f: j for j, (f, _, _) in enumerate(src_table)}
+        rows, cols = self._summands(k + 1, m), self._summands(k, m)
+        src = {f for f, _ in cols}
         blocks = {}
-        for i, (J, _, _) in enumerate(dst_table):
+        for J, _ in rows:
             for a in range(len(J)):
                 I = J[:a] + J[a + 1 :]
-                if I in src_index:
-                    sign = -1 if a % 2 else 1
-                    blocks[(i, src_index[I])] = self.restriction_matrix(I, J, m).scale(sign)
-        if not row_dims or not col_dims:
-            r = RatMatrix.zeros(sum(row_dims), sum(col_dims))
-        else:
-            r = assemble_blocks(row_dims, col_dims, blocks)
-        self._maps[key] = r
+                if I in src:
+                    blocks[(J, I)] = self.restriction_matrix(I, J, m).scale(-1 if a % 2 else 1)
+        r = self._maps[key] = assemble_blocks(rows, cols, blocks)
         return r
 
     def tau(self, k: int, m: int) -> RatMatrix:
@@ -587,70 +561,48 @@ class StrataComplex:
                 raise InvalidParameters("product factor must have perfect pairings")
         factor_pure = all(m % 2 == 0 for m in factor.degrees())
 
-        def tensor_dims(coh: StratumCohomology):
-            dims: dict[int, int] = {}
-            for m1 in coh.degrees():
-                for m2 in factor.degrees():
-                    dims[m1 + m2] = dims.get(m1 + m2, 0) + coh.dim_in(m1) * factor.dim_in(m2)
-            return dims
-
-        def blocks_of(m: int, coh: StratumCohomology):
-            """Ordered (m1, m2) summands of total degree m."""
+        def summands(m: int, coh: StratumCohomology):
+            """Ordered ``((m1, m2), dim)`` summands H^m1 (x) H^m2 of total degree m."""
             return [
-                (m1, m - m1)
+                ((m1, m - m1), coh.dim_in(m1) * factor.dim_in(m - m1))
                 for m1 in coh.degrees()
                 if factor.dim_in(m - m1)
             ]
 
         def tensor_stratum(coh: StratumCohomology) -> StratumCohomology:
             d = coh.dim + factor.dim
-            dims = tensor_dims(coh)
+            degrees = sorted({m1 + m2 for m1 in coh.degrees() for m2 in factor.degrees()})
+            dims = {m: sum(dm for _, dm in summands(m, coh)) for m in degrees}
             pairing = {}
             lefschetz = {}
-            for m in sorted(dims):
-                src_blocks = blocks_of(m, coh)
-                mc = 2 * d - m
-                dst_blocks = blocks_of(mc, coh)
-                dst_pos = {b: i for i, b in enumerate(dst_blocks)}
-                row_dims = [coh.dim_in(a) * factor.dim_in(b) for a, b in src_blocks]
-                col_dims = [coh.dim_in(a) * factor.dim_in(b) for a, b in dst_blocks]
+            for m in degrees:
+                here = summands(m, coh)
+                dual = summands(2 * d - m, coh)
                 pb = {}
-                for i, (m1, m2) in enumerate(src_blocks):
+                for (m1, m2), _ in here:
                     m1c, m2c = 2 * coh.dim - m1, 2 * factor.dim - m2
-                    j = dst_pos.get((m1c, m2c))
-                    if j is None or m1 not in coh.pairing:
-                        continue
-                    sign = -1 if (m2 % 2) and (m1c % 2) else 1
-                    pb[(i, j)] = kron(coh.pairing[m1], factor.pairing[m2]).scale(sign)
-                if row_dims and col_dims:
-                    pairing[m] = assemble_blocks(row_dims, col_dims, pb)
+                    if m1 in coh.pairing:
+                        sign = -1 if (m2 % 2) and (m1c % 2) else 1
+                        pb[((m1, m2), (m1c, m2c))] = kron(
+                            coh.pairing[m1], factor.pairing[m2]
+                        ).scale(sign)
+                if dual:
+                    pairing[m] = assemble_blocks(here, dual, pb)
                 # lefschetz: L (x) 1 + 1 (x) L_f into degree m + 2
-                up_blocks = blocks_of(m + 2, coh)
-                if up_blocks:
-                    up_pos = {b: i for i, b in enumerate(up_blocks)}
-                    urow = [coh.dim_in(a) * factor.dim_in(b) for a, b in up_blocks]
-                    lb = {}
-                    for j, (m1, m2) in enumerate(src_blocks):
-                        tgt = up_pos.get((m1 + 2, m2))
-                        if tgt is not None:
-                            lb[(tgt, j)] = _add_block(
-                                lb.get((tgt, j)),
-                                kron(
-                                    coh.lefschetz_matrix(m1),
-                                    RatMatrix.identity(factor.dim_in(m2)),
-                                ),
-                            )
-                        tgt = up_pos.get((m1, m2 + 2))
-                        if tgt is not None:
-                            lb[(tgt, j)] = _add_block(
-                                lb.get((tgt, j)),
-                                kron(
-                                    RatMatrix.identity(coh.dim_in(m1)),
-                                    factor.lefschetz_matrix(m2),
-                                ),
-                            )
-                    if urow and row_dims and lb:
-                        lefschetz[m] = assemble_blocks(urow, row_dims, lb)
+                up = summands(m + 2, coh)
+                targets = {key for key, _ in up}
+                lb = {}
+                for (m1, m2), _ in here:
+                    if (m1 + 2, m2) in targets:
+                        lb[((m1 + 2, m2), (m1, m2))] = kron(
+                            coh.lefschetz_matrix(m1), RatMatrix.identity(factor.dim_in(m2))
+                        )
+                    if (m1, m2 + 2) in targets:
+                        lb[((m1, m2 + 2), (m1, m2))] = kron(
+                            RatMatrix.identity(coh.dim_in(m1)), factor.lefschetz_matrix(m2)
+                        )
+                if lb:
+                    lefschetz[m] = assemble_blocks(up, here, lb)
             return StratumCohomology(
                 dim=d,
                 dims=dims,
@@ -663,33 +615,19 @@ class StrataComplex:
         new_restrictions = {}
         for (a, b) in self.restrictions:
             src, dst = self.faces[a], self.faces[b]
-            out = {}
-            degrees = sorted(
-                {
-                    m1 + m2
-                    for m1 in src.degrees()
-                    for m2 in factor.degrees()
-                    if dst.dim_in(m1)
-                }
-            )
-            for m in degrees:
-                src_blocks = blocks_of(m, src)
-                dst_blocks = blocks_of(m, dst)
-                dst_pos = {blk: i for i, blk in enumerate(dst_blocks)}
-                row_dims = [dst.dim_in(x) * factor.dim_in(y) for x, y in dst_blocks]
-                col_dims = [src.dim_in(x) * factor.dim_in(y) for x, y in src_blocks]
-                rb = {}
-                for j, (m1, m2) in enumerate(src_blocks):
-                    i = dst_pos.get((m1, m2))
-                    if i is None or dst.dim_in(m1) == 0:
-                        continue
-                    rb[(i, j)] = kron(
-                        self.restriction_matrix(a, b, m1),
-                        RatMatrix.identity(factor.dim_in(m2)),
+            out = new_restrictions[(a, b)] = {}
+            for m in sorted(
+                {m1 + m2 for m1 in src.degrees() if dst.dim_in(m1) for m2 in factor.degrees()}
+            ):
+                here = summands(m, src)
+                blocks = {
+                    (key, key): kron(
+                        self.restriction_matrix(a, b, key[0]),
+                        RatMatrix.identity(factor.dim_in(key[1])),
                     )
-                if row_dims and col_dims:
-                    out[m] = assemble_blocks(row_dims, col_dims, rb)
-            new_restrictions[(a, b)] = out
+                    for key, _ in here
+                }
+                out[m] = assemble_blocks(summands(m, dst), here, blocks)
         return StrataComplex(
             name=f"{self.name} x factor",
             n=self.n + factor.dim,
@@ -747,14 +685,17 @@ class StrataComplex:
     @staticmethod
     def from_json_dict(doc: dict) -> "StrataComplex":
         try:
-            n = int(doc["dimension"])
+            n = _int(doc["dimension"], "dimension")
             components = [str(c) for c in doc["components"]]
             faces = {}
             for fd in doc["faces"]:
                 f = _face(fd["indices"])
                 if f in faces:
                     raise SchemaError(f"face {_face_str(f)} is listed twice")
-                dims = {int(m): int(d) for m, d in _items(fd["cohomology"], "cohomology")}
+                dims = {
+                    int(m): _int(d, f"the dimension of H^{m}")
+                    for m, d in _items(fd["cohomology"], "cohomology")
+                }
                 pairing = {
                     int(m): _matrix_load(mat) for m, mat in _items(fd.get("pairing", {}), "pairing")
                 }
@@ -762,12 +703,15 @@ class StrataComplex:
                     int(m): _matrix_load(mat)
                     for m, mat in _items(fd.get("lefschetz", {}), "lefschetz")
                 }
+                slope_pure = fd.get("slope_pure", False)
+                if not isinstance(slope_pure, bool):
+                    raise SchemaError(f"slope_pure must be a boolean, not {slope_pure!r}")
                 faces[f] = StratumCohomology(
                     dim=n + 1 - len(f),
                     dims=dims,
                     pairing=pairing,
                     lefschetz=lefschetz,
-                    slope_pure=bool(fd.get("slope_pure", False)),
+                    slope_pure=slope_pure,
                     labels={
                         int(m): [str(x) for x in names]
                         for m, names in _items(fd.get("labels", {}), "labels")
@@ -809,10 +753,6 @@ def _items(value, what: str):
     if not isinstance(value, dict):
         raise SchemaError(f"{what} must be an object, not {type(value).__name__}")
     return value.items()
-
-
-def _add_block(existing, new):
-    return new if existing is None else existing + new
 
 
 def _matrix_json(m: RatMatrix):

@@ -105,6 +105,46 @@ def test_dropped_data_is_not_silent(capsys, tmp_path, change, expected):
             assert out == "" and err.startswith("error: ")
 
 
+def _first_face(doc, **changes):
+    doc["faces"][0].update(changes)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: doc.update(dimension=1.7),
+        lambda doc: _first_face(doc, indices=[1.9]),
+        lambda doc: doc["restrictions"][0].update({"from": [1.5]}),
+        lambda doc: _first_face(doc, cohomology={"0": 1.5, "2": 1}),
+        lambda doc: doc["faces"][1].update(cohomology={"0": True}),
+        lambda doc: _first_face(doc, slope_pure="no"),
+        lambda doc: _first_face(doc, slope_pure=1),
+        lambda doc: _first_face(doc, pairing={"0": [[True]]}),
+    ],
+    ids=[
+        "float-dimension",
+        "float-index",
+        "float-restriction-index",
+        "float-cohomology-dim",
+        "bool-cohomology-dim",
+        "string-slope-pure",
+        "int-slope-pure",
+        "bool-matrix-entry",
+    ],
+)
+def test_schema_types_are_enforced(capsys, tmp_path, change):
+    # a float or a bool where the schema says integer, or a non-boolean
+    # slope_pure, is a schema error rather than a truncated or coerced value
+    _, text, _ = run(capsys, "scenario", "ngon:3")
+    doc = json.loads(text)
+    change(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", "--input", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 class TestJsonOutput:
     def test_e2_json(self, capsys):
         code, out, _ = run(capsys, "e2", "--scenario", "tetrahedron", "--format", "json")

@@ -183,3 +183,17 @@ class TestSerialization:
             HodgeLefschetzModule.loads('{"weight": 1}')
         with pytest.raises(SchemaError):
             HodgeLefschetzModule.loads("nope")
+
+    @pytest.mark.parametrize("table", ["n_ops", "l_ops", "d_ops", "pairing"])
+    def test_misshapen_matrix_rejected(self, table):
+        from ssweight.errors import SchemaError
+
+        # weight 0, cells (0,0) and (0,2) of dimension 1: every entry at
+        # (0,0) has one column, so the 1x2 matrix fits none of the tables
+        doc = {
+            "weight": 0,
+            "cells": [{"i": 0, "j": 0, "dim": 1}, {"i": 0, "j": 2, "dim": 1}],
+            table: [{"i": 0, "j": 0, "matrix": [["1", "0"]]}],
+        }
+        with pytest.raises(SchemaError, match=rf"{table} entry at \(i, j\) = \(0, 0\)"):
+            HodgeLefschetzModule.from_json_dict(doc)

@@ -9,6 +9,7 @@ from ssweight.linalg import (
     QuotientSpace,
     RatMatrix,
     Subspace,
+    assemble_blocks,
     image,
     induced_map,
     kernel,
@@ -177,6 +178,35 @@ class TestSparseRepresentation:
         assert m.solve(RatMatrix.zeros(rows, 1)) == RatMatrix.zeros(cols, 1)
         if rows:
             assert m.solve(RatMatrix.column([1] * rows)) is None
+
+
+class TestAssembleBlocks:
+    def test_keys_place_blocks_in_listed_order(self):
+        # summands listed out of key order; blocks given in yet another order
+        rows = [("b", 1), ("a", 2)]
+        cols = [(2, 1), (1, 2)]
+        blocks = {("a", 1): M([[1, 2], [3, 4]]), ("b", 2): M([[5]]), ("a", 2): M([[6], [7]])}
+        assert assemble_blocks(rows, cols, blocks) == M([[5, 0, 0], [6, 1, 2], [7, 3, 4]])
+
+    def test_block_naming_an_unlisted_summand_is_dropped(self):
+        blocks = {("x", "y"): M([[1]]), ("x", "z"): M([[1, 2, 3]]), ("w", "y"): M([[9]])}
+        assert assemble_blocks([("x", 1)], [("y", 1)], blocks) == M([[1]])
+
+    def test_zero_dimension_summands(self):
+        rows = [("a", 0), ("b", 2)]
+        cols = [("c", 1), ("d", 0)]
+        blocks = {("a", "c"): RatMatrix.zeros(0, 1), ("b", "d"): RatMatrix.zeros(2, 0)}
+        assert assemble_blocks(rows, cols, blocks) == RatMatrix.zeros(2, 1)
+
+    @pytest.mark.parametrize("rows, cols", [([], [("c", 3)]), ([("r", 2)], []), ([], [])])
+    def test_empty_side_gives_zero_matrix(self, rows, cols):
+        blocks = {("r", "c"): M([[1, 1, 1], [1, 1, 1]])}
+        shape = (sum(d for _, d in rows), sum(d for _, d in cols))
+        assert assemble_blocks(rows, cols, blocks) == RatMatrix.zeros(*shape)
+
+    def test_wrong_shaped_block_raises(self):
+        with pytest.raises(ValueError, match="shape"):
+            assemble_blocks([("r", 2)], [("c", 1)], {("r", "c"): M([[1, 2]])})
 
 
 def coordinate_quotient(ambient, num, den):

@@ -7,9 +7,12 @@ import pytest
 from helpers import cycle_incidence, independent_rank
 from ssweight.errors import DifferentialNotSquareZero
 from ssweight.scenarios import (
+    build,
+    cellular_cohomology,
     elliptic_stratum,
     good_reduction_pn,
     ngon,
+    parse_spec,
     projective_space_cohomology,
     tetrahedron,
 )
@@ -79,6 +82,27 @@ class TestE2:
         e2 = compute_e2(build_e1(prod))
         # oracle: Kunneth with the curve answer (1,2,1) times (1,0,1)
         assert e2.abutment() == {0: 1, 1: 2, 2: 2, 3: 2, 4: 1}
+
+    @pytest.mark.parametrize("factor", ["P1", "P2", "cellular:1,1,1", "cellular:1,2,1"])
+    @pytest.mark.parametrize(
+        "base", ["ngon:3", "ngon:5", "tetrahedron", "elliptic_stratum", "good_reduction_pn:2"]
+    )
+    def test_kunneth_cell_by_cell(self, base, factor):
+        # oracle: the product with a smooth factor F tensors every stratum with
+        # H(F), so dim E2^{a,b}(X x F) = sum_m dim E2^{a,b-m}(X) dim H^m(F)
+        sc = build(parse_spec(base))
+        if factor.startswith("P"):
+            f = projective_space_cohomology(int(factor[1:]))
+        else:
+            f = cellular_cohomology(tuple(int(c) for c in factor.split(":")[1].split(",")))
+        prod = sc.product_with_factor(f)
+        assert prod.validate().ok
+        e2, e2_prod = compute_e2(build_e1(sc)), compute_e2(build_e1(prod))
+        cells = {(a, b + m) for (a, b) in e2.support() for m in f.degrees()}
+        assert set(e2_prod.support()) <= cells
+        for (a, b) in sorted(cells):
+            expected = sum(e2.dim(a, b - m) * f.dim_in(m) for m in f.degrees())
+            assert e2_prod.dim(a, b) == expected, (a, b)
 
     def test_induced_operators_well_defined(self):
         for sc in (ngon(3), tetrahedron(), elliptic_stratum()):
