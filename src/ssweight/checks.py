@@ -333,7 +333,7 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
     else:
         conditions = meet.basis.transpose() @ gram2 @ im_tau.basis
         coeffs = conditions.kernel_basis()
-        complement = Subspace.spanned_by(im_tau.ambient_dim, im_tau.basis @ coeffs)
+        complement = Subspace(im_tau.ambient_dim, im_tau.basis @ coeffs)
     results.append(_subspace_equality_check(
         "im_tau_rho_is_orthocomplement", {"k": 1, "q": 2}, im_tau_rho, complement
     ))

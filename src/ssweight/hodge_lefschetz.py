@@ -37,7 +37,7 @@ from .checks import CheckResult, bijectivity_check, relation_checks, _vector_jso
 from .errors import NotCycleGenerated, SchemaError
 from .linalg import RatMatrix, kernel, kernel_witness, signature
 from .spectral import E1Page, E2Page, power
-from .strata import _matrix_json, _matrix_load
+from .strata import _int, _matrix_json, _matrix_load
 
 BiDeg = tuple[int, int]
 
@@ -133,19 +133,20 @@ class HodgeLefschetzModule:
     def from_json_dict(doc: dict) -> "HodgeLefschetzModule":
         """The module of a JSON document; every matrix must have the shape of
         the zero matrix its accessor gives for a missing entry."""
+
+        def at(e, what):
+            return _int(e["i"], f"{what} i"), _int(e["j"], f"{what} j")
+
         try:
             v = HodgeLefschetzModule(
-                weight=int(doc["weight"]),
-                dims={(int(c["i"]), int(c["j"])): int(c["dim"]) for c in doc["cells"]},
+                weight=_int(doc["weight"], "weight"),
+                dims={at(c, "cell"): _int(c["dim"], "cell dim", 0) for c in doc["cells"]},
             )
             tables = {
-                name: {
-                    (int(e["i"]), int(e["j"])): _matrix_load(e["matrix"])
-                    for e in doc.get(name, [])
-                }
+                name: {at(e, name): _matrix_load(e["matrix"]) for e in doc.get(name, [])}
                 for name in _ACCESSORS
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"malformed module document: {exc}") from exc
         # the tables of v are still empty, so each accessor synthesizes a zero
         for name, table in tables.items():

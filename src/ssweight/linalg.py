@@ -16,11 +16,14 @@ pivot.  No floating point anywhere.
 
 Conventions: a linear map V -> W is a matrix with ``rows = dim W`` and
 ``cols = dim V`` acting on column vectors; a subspace is stored as a matrix
-whose columns are an independent spanning set.
+whose columns are an independent spanning set; a quotient keeps one basis
+``[denominator | lift]`` of its numerator, from one elimination, and an
+induced map is one solve against the target's, a pairing one product.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -30,16 +33,20 @@ from .errors import NotSymmetric, NotWellDefined
 Rat = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# the rational strings of docs/strata_schema.json
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction; a bool is
-    not a number here."""
+    """Coerce ints, strings of the schema's form 'a' or 'a/b' (like '-3/4'),
+    and Fractions to Fraction; a bool is not a number here."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ValueError(f"{x!r} is not a rational of the form a or a/b")
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
@@ -131,10 +138,6 @@ class RatMatrix:
     def entries(self):
         """Dense rows as a tuple of tuples; built anew on every access."""
         return tuple(tuple(self.row(i)) for i in range(self.rows))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.row(i)[j]
 
     def row(self, i):
         r = self._data[i]
@@ -245,11 +248,6 @@ class RatMatrix:
                 row[off + j] = x
             out.append(row)
         return _make(self.rows, self.cols + other.cols, out)
-
-    def vstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return _make(self.rows + other.rows, self.cols, self._data + other._data)
 
     def take_columns(self, idx) -> "RatMatrix":
         idx = list(idx)
@@ -478,13 +476,6 @@ class Subspace:
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, RatMatrix.identity(ambient_dim))
 
-    @staticmethod
-    def spanned_by(ambient_dim: int, generators: RatMatrix) -> "Subspace":
-        """Span of arbitrary generator columns (dependencies dropped)."""
-        if generators.rows != ambient_dim:
-            raise ValueError("generator rows must equal ambient dimension")
-        return Subspace(ambient_dim, generators.column_space_basis())
-
     @property
     def dim(self) -> int:
         return self.basis.cols
@@ -502,7 +493,8 @@ class Subspace:
         return stacked.rank() == self.dim
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        """Kernel of the stacked basis matrix, pushed back into the ambient."""
+        """Kernel of the stacked basis matrix, pushed back into the ambient;
+        both bases are independent, so the pushed columns are too."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
         if self.dim == 0 or other.dim == 0:
@@ -510,7 +502,7 @@ class Subspace:
         stacked = self.basis.hstack(other.basis.scale(-1))
         ker = stacked.kernel_basis()
         coeffs = _make(self.dim, ker.cols, ker._data[: self.dim])
-        return Subspace.spanned_by(self.ambient_dim, self.basis @ coeffs)
+        return Subspace(self.ambient_dim, self.basis @ coeffs)
 
     def __eq__(self, other):
         return (
@@ -524,62 +516,64 @@ class Subspace:
 class QuotientSpace:
     """numerator / denominator inside Q^ambient_dim.
 
-    The quotient basis completes the denominator basis to a basis of the
-    numerator by pivoted elimination over the numerator's own columns, so two
-    runs on equal inputs pick identical representatives.
+    ``basis = [denominator | lift]`` is a basis of the numerator adapted to
+    the denominator: ``lift`` is the numerator columns that extend the
+    denominator basis in one pivoted elimination of ``[denominator |
+    numerator]``, so equal inputs pick identical representatives.  Its
+    columns are independent, so every quotient coordinate is unique.
     """
 
     def __init__(self, ambient_dim: int, numerator: Subspace, denominator: Subspace):
         if numerator.ambient_dim != ambient_dim or denominator.ambient_dim != ambient_dim:
             raise ValueError("ambient dimensions differ")
-        if not numerator.contains(denominator):
+        # the independent denominator columns are the first d pivots, and
+        # there are numerator.dim pivots iff the denominator lies inside
+        d = denominator.dim
+        _, pivots = denominator.basis.hstack(numerator.basis).rref()
+        if len(pivots) != numerator.dim:
             raise NotWellDefined("denominator is not contained in numerator")
         self.ambient_dim = ambient_dim
         self.numerator = numerator
         self.denominator = denominator
-        # columns of the numerator basis that extend the denominator basis
-        stacked = denominator.basis.hstack(numerator.basis)
-        _, pivots = stacked.rref()
-        chosen = [p - denominator.basis.cols for p in pivots if p >= denominator.basis.cols]
-        self.lift = numerator.basis.take_columns(chosen)
-        self._solver = denominator.basis.hstack(self.lift)
+        self.lift = numerator.basis.take_columns(p - d for p in pivots[d:])
+        self.basis = denominator.basis.hstack(self.lift)
 
     @property
     def dim(self) -> int:
-        return self.numerator.dim - self.denominator.dim
-
-    def coords_matrix(self, vectors: RatMatrix) -> RatMatrix:
-        """Quotient coordinates of each column of ``vectors``, which must lie
-        in the numerator."""
-        sol = self._solver.solve(vectors)
-        if sol is None:
-            raise NotWellDefined("some vector does not lie in the numerator subspace")
-        d = self.denominator.dim
-        return _make(self.dim, vectors.cols, sol._data[d:])
+        return self.lift.cols
 
     def __repr__(self):
         return f"QuotientSpace(dim={self.dim} in Q^{self.ambient_dim})"
 
 
 def induced_map(m: RatMatrix, src: QuotientSpace, dst: QuotientSpace) -> RatMatrix:
-    """Matrix of the map induced by ``m`` on quotient bases.
+    """Matrix of the map induced by ``m`` on quotient bases: the lift block
+    of the one solution of ``dst.basis @ X = m @ src.basis``.
 
-    Raises ``NotWellDefined`` unless ``m`` carries src.numerator into
-    dst.numerator and src.denominator into dst.denominator (rank-tested).
+    Raises ``NotWellDefined`` when there is no solution (``m`` does not
+    carry numerator into numerator) or when an image of a src.denominator
+    column has a nonzero lift coordinate (nor denominator into denominator).
     """
     if m.cols != src.ambient_dim or m.rows != dst.ambient_dim:
         raise ValueError("matrix shape does not match the ambient spaces")
-    if src.numerator.dim and not dst.numerator.contains(
-        Subspace.spanned_by(dst.ambient_dim, m @ src.numerator.basis)
-    ):
+    x = dst.basis.solve(m @ src.basis)
+    if x is None:
         raise NotWellDefined("map does not preserve numerators")
-    if src.denominator.dim and not dst.denominator.contains(
-        Subspace.spanned_by(dst.ambient_dim, m @ src.denominator.basis)
-    ):
+    r0, c0 = dst.denominator.dim, src.denominator.dim
+    if any(j < c0 for row in x._data[r0:] for j in row):
         raise NotWellDefined("map does not preserve denominators")
-    if src.dim == 0 or dst.ambient_dim == 0:
-        return RatMatrix.zeros(dst.dim, src.dim)
-    return dst.coords_matrix(m @ src.lift)
+    return _make(x.rows - r0, x.cols, x._data[r0:]).take_columns(range(c0, x.cols))
+
+
+def induced_pairing(p: RatMatrix, left: QuotientSpace, right: QuotientSpace):
+    """Gram matrix of the pairing ``p`` induced on ``left x right``, rows on
+    ``left``: the lift block of ``left.basis^T p right.basis``, or None when
+    a denominator row or column of that product is nonzero."""
+    g = left.basis.transpose() @ p @ right.basis
+    r0, c0 = left.denominator.dim, right.denominator.dim
+    if any(g._data[:r0]) or any(j < c0 for row in g._data for j in row):
+        return None
+    return _make(g.rows - r0, g.cols, g._data[r0:]).take_columns(range(c0, g.cols))
 
 
 def signature(sym: RatMatrix):

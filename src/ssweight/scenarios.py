@@ -65,6 +65,8 @@ def parse_spec(text: str) -> ScenarioSpec:
         raise InvalidParameters(
             f"scenario parameters must be comma-separated integers, not {rest!r}"
         ) from None
+    if kind in ("good_reduction_pn", "ngon", "ngon_x_p1") and len(args) > 1:
+        raise InvalidParameters(f"scenario {kind} takes one parameter, not {rest!r}")
     if kind == "good_reduction_pn":
         return ScenarioSpec(kind, {"n": args[0] if args else 2})
     if kind == "ngon":

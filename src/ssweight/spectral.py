@@ -41,10 +41,10 @@ from .errors import DifferentialNotSquareZero, InducedPairingIllDefined
 from .linalg import (
     QuotientSpace,
     RatMatrix,
-    Subspace,
     assemble_blocks,
     image,
     induced_map,
+    induced_pairing,
     kernel,
 )
 from .strata import StrataComplex
@@ -226,14 +226,12 @@ class E2Page:
         """
 
         def compute(there, here):
-            p = self.e1.pairing_at(a, b)
-            if _pairs_nontrivially(here.denominator, p, there.numerator) or (
-                _pairs_nontrivially(here.numerator, p, there.denominator)
-            ):
+            gram = induced_pairing(self.e1.pairing_at(a, b), here, there)
+            if gram is None:
                 raise InducedPairingIllDefined(
                     f"im(d1) pairs nontrivially with ker(d1) at cell ({a}, {b})"
                 )
-            return here.lift.transpose() @ p @ there.lift
+            return gram
 
         return self._cached(("p", a, b), (-a, 2 * self.n - b), (a, b), compute)
 
@@ -276,12 +274,6 @@ class E2Page:
             "cells": cells,
             "abutment": {str(q): d for q, d in self.abutment().items()},
         }
-
-
-def _pairs_nontrivially(left: Subspace, p: RatMatrix, right: Subspace) -> bool:
-    return bool(
-        left.dim and right.dim and not (left.basis.transpose() @ p @ right.basis).is_zero()
-    )
 
 
 def compute_e2(e1: E1Page) -> E2Page:

@@ -40,10 +40,13 @@ from .linalg import RatMatrix, assemble_blocks, format_rat, kernel_witness, kron
 Face = tuple[int, ...]
 
 
-def _int(x, what: str) -> int:
-    """A JSON integer; a float or a bool is a schema error, not truncated."""
+def _int(x, what: str, minimum=None) -> int:
+    """A JSON integer, at least ``minimum`` if one is given; a float or a
+    bool is a schema error, not truncated."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise SchemaError(f"{what} must be an integer, not {x!r}")
+    if minimum is not None and x < minimum:
+        raise SchemaError(f"{what} must be at least {minimum}, not {x}")
     return x
 
 
@@ -685,7 +688,7 @@ class StrataComplex:
     @staticmethod
     def from_json_dict(doc: dict) -> "StrataComplex":
         try:
-            n = _int(doc["dimension"], "dimension")
+            n = _int(doc["dimension"], "dimension", 0)
             components = [str(c) for c in doc["components"]]
             faces = {}
             for fd in doc["faces"]:
@@ -693,7 +696,7 @@ class StrataComplex:
                 if f in faces:
                     raise SchemaError(f"face {_face_str(f)} is listed twice")
                 dims = {
-                    int(m): _int(d, f"the dimension of H^{m}")
+                    int(m): _int(d, f"the dimension of H^{m}", 0)
                     for m, d in _items(fd["cohomology"], "cohomology")
                 }
                 pairing = {

@@ -135,6 +135,11 @@ def _first_face(doc, **changes):
 def test_schema_types_are_enforced(capsys, tmp_path, change):
     # a float or a bool where the schema says integer, or a non-boolean
     # slope_pure, is a schema error rather than a truncated or coerced value
+    _assert_schema_error(capsys, tmp_path, change)
+
+
+def _assert_schema_error(capsys, tmp_path, change):
+    """``validate`` of ngon:3 after ``change`` exits 2 with an error only."""
     _, text, _ = run(capsys, "scenario", "ngon:3")
     doc = json.loads(text)
     change(doc)
@@ -143,6 +148,43 @@ def test_schema_types_are_enforced(capsys, tmp_path, change):
     code, out, err = run(capsys, "validate", "--input", str(path))
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+def _face_at(doc, indices):
+    return next(f for f in doc["faces"] if f["indices"] == indices)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        *(
+            lambda doc, x=x: _face_at(doc, [1])["pairing"].update({"0": [[x]]})
+            for x in ("1.0", "1e0", " 1 ", "+1", "1_0")
+        ),
+        lambda doc: _face_at(doc, [1, 2]).update(cohomology={"0": -1}),
+        lambda doc: doc.update(dimension=-1),
+    ],
+    ids=[
+        "decimal-entry",
+        "exponent-entry",
+        "padded-entry",
+        "plus-entry",
+        "underscore-entry",
+        "negative-cohomology-dim",
+        "negative-dimension",
+    ],
+)
+def test_schema_values_are_enforced(capsys, tmp_path, change):
+    # a rational string outside the schema's pattern ^-?[0-9]+(/[0-9]+)?$,
+    # or a negative dimension, is a schema error, not a value or a verdict
+    _assert_schema_error(capsys, tmp_path, change)
+
+
+@pytest.mark.parametrize("spec", ["ngon:3,4", "good_reduction_pn:2,9", "ngon_x_p1:3,1"])
+def test_surplus_scenario_parameters_exit_two(capsys, spec):
+    code, out, err = run(capsys, "e2", "--scenario", spec)
+    assert code == 2
+    assert out == "" and "one parameter" in err
 
 
 class TestJsonOutput:

@@ -183,6 +183,14 @@ class TestSerialization:
             HodgeLefschetzModule.loads('{"weight": 1}')
         with pytest.raises(SchemaError):
             HodgeLefschetzModule.loads("nope")
+        for entry in ("1/0", "1.0"):
+            doc = {
+                "weight": 0,
+                "cells": [{"i": 0, "j": 0, "dim": 1}],
+                "pairing": [{"i": 0, "j": 0, "matrix": [[entry]]}],
+            }
+            with pytest.raises(SchemaError):
+                HodgeLefschetzModule.from_json_dict(doc)
 
     @pytest.mark.parametrize("table", ["n_ops", "l_ops", "d_ops", "pairing"])
     def test_misshapen_matrix_rejected(self, table):
@@ -196,4 +204,31 @@ class TestSerialization:
             table: [{"i": 0, "j": 0, "matrix": [["1", "0"]]}],
         }
         with pytest.raises(SchemaError, match=rf"{table} entry at \(i, j\) = \(0, 0\)"):
+            HodgeLefschetzModule.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"weight": 0.9, "cells": [{"i": 0, "j": 0, "dim": 1}]}, "weight"),
+            ({"weight": 0, "cells": [{"i": 0.5, "j": 0, "dim": 1}]}, "cell i"),
+            ({"weight": 0, "cells": [{"i": 0, "j": True, "dim": 1}]}, "cell j"),
+            ({"weight": 0, "cells": [{"i": 0, "j": 0, "dim": 1.7}]}, "cell dim"),
+            ({"weight": 0, "cells": [{"i": 0, "j": 0, "dim": -1}]}, "cell dim"),
+            (
+                {
+                    "weight": 0,
+                    "cells": [{"i": 0, "j": 0, "dim": 1}],
+                    "pairing": [{"i": False, "j": 0, "matrix": [["1"]]}],
+                },
+                "pairing i",
+            ),
+        ],
+        ids=["float-weight", "float-i", "bool-j", "float-dim", "negative-dim", "bool-table-i"],
+    )
+    def test_integers_are_enforced(self, doc, message):
+        from ssweight.errors import SchemaError
+
+        # a float or a bool is a schema error rather than a truncated value,
+        # and a negative dimension is one too
+        with pytest.raises(SchemaError, match=message):
             HodgeLefschetzModule.from_json_dict(doc)

@@ -230,8 +230,22 @@ class TestQuotient:
     def test_not_well_defined(self):
         src = coordinate_quotient(2, 2, 0)
         dst = coordinate_quotient(2, 1, 0)
-        with pytest.raises(NotWellDefined):
+        with pytest.raises(NotWellDefined, match="does not preserve numerators"):
             induced_map(RatMatrix.identity(2), src, dst)
+
+    def test_denominator_not_preserved(self):
+        # the numerators agree, but the denominator e1 of the source is a
+        # nonzero class in the target
+        src = coordinate_quotient(2, 2, 1)
+        dst = coordinate_quotient(2, 2, 0)
+        with pytest.raises(NotWellDefined, match="does not preserve denominators"):
+            induced_map(RatMatrix.identity(2), src, dst)
+        assert induced_map(RatMatrix.identity(2), dst, src) == M([[0, 1]])
+
+    def test_denominator_outside_numerator(self):
+        e1, e2 = M([[1], [0]]), M([[0], [1]])
+        with pytest.raises(NotWellDefined, match="denominator is not contained"):
+            QuotientSpace(2, Subspace(2, e1), Subspace(2, e2))
 
     def test_rotation_on_cycle_graph_h1(self):
         # H^1 of the 3-cycle graph: edge space modulo the image of the signed

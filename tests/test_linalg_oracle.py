@@ -6,7 +6,10 @@ with denominators up to 7, and with some rows forced to be rational
 combinations of earlier rows, so that rank deficiency is common.  The
 symmetric inputs of the signature test are ``A + A^T``, the same with its
 diagonal set to zero, and ``B^T D B`` for such ``A`` and ``B`` and a diagonal
-``D``, so that zero diagonals and low ranks are common too.
+``D``, so that zero diagonals and low ranks are common too.  The quotient
+tests draw flags ``denominator ⊂ numerator`` (sometimes not nested), and
+maps and pairings that are drawn at random or built in bases adapted to the
+flags so that they descend; sympy's ranks decide which is which.
 """
 
 import itertools
@@ -16,7 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssweight.linalg import RatMatrix, signature
+from ssweight.errors import NotWellDefined
+from ssweight.linalg import (
+    QuotientSpace,
+    RatMatrix,
+    Subspace,
+    induced_map,
+    induced_pairing,
+    signature,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -184,3 +195,123 @@ def test_signature_matches_descartes(m):
     inertia = signature(m)
     assert inertia == descartes_inertia(m)
     assert inertia[0] + inertia[1] == to_sympy(m).rank()
+
+
+# -- quotients -------------------------------------------------------------------
+
+FLAG_DIM = 5
+
+
+@st.composite
+def flags(draw, nested=True):
+    """``(ambient, numerator, denominator)``, with bases in Q^ambient; the
+    denominator is spanned by combinations of numerator columns unless
+    ``nested`` is False and a draw makes it arbitrary."""
+    amb = draw(st.integers(1, FLAG_DIM))
+    k = draw(st.integers(1, amb))
+    num = draw(matrices(amb, k))
+    if draw(st.booleans()):  # most often of dimension k
+        num = num + RatMatrix.identity(amb).take_columns(range(k))
+    num = num.column_space_basis()
+    if nested or draw(st.booleans()):
+        den = num @ draw(matrices(num.cols, draw(st.integers(0, num.cols))))
+    else:
+        den = draw(matrices(amb, draw(st.integers(0, FLAG_DIM))))
+    return amb, num, den.column_space_basis()
+
+
+def rank_of(*blocks) -> int:
+    """sympy rank of the blocks joined side by side."""
+    joined = to_sympy(blocks[0])
+    for b in blocks[1:]:
+        joined = joined.row_join(to_sympy(b))
+    return joined.rank()
+
+
+def inside(small: RatMatrix, big: RatMatrix) -> bool:
+    return rank_of(big, small) == rank_of(big)
+
+
+def quotient(flag) -> QuotientSpace:
+    amb, num, den = flag
+    return QuotientSpace(amb, Subspace(amb, num), Subspace(amb, den))
+
+
+def completed(q: QuotientSpace) -> RatMatrix:
+    """``q.basis`` followed by coordinate vectors: an invertible matrix."""
+    return q.basis.hstack(RatMatrix.identity(q.ambient_dim)).column_space_basis()
+
+
+@given(flags(nested=False))
+@settings(max_examples=100, deadline=None)
+def test_quotient_needs_a_nested_flag(flag):
+    amb, num, den = flag
+    if not inside(den, num):
+        with pytest.raises(NotWellDefined):
+            quotient(flag)
+        return
+    q = quotient(flag)
+    assert q.dim == rank_of(num) - rank_of(den)
+    assert rank_of(q.basis) == q.basis.cols == num.cols
+    assert inside(q.basis, num)
+    assert q.basis.take_columns(range(den.cols)) == den
+
+
+@given(flags(), flags(), st.sampled_from(("random", "numerators", "flags")), st.data())
+@settings(max_examples=150, deadline=None)
+def test_induced_map_matches_sympy(src_flag, dst_flag, kind, data):
+    src, dst = quotient(src_flag), quotient(dst_flag)
+    if kind == "random":
+        m = data.draw(matrices(dst.ambient_dim, src.ambient_dim))
+    else:
+        # images of the adapted source basis: the denominator into the
+        # denominator ("flags") or only into the numerator, the lift into the
+        # numerator, the completing vectors anywhere
+        d, k = src.denominator.dim, src.numerator.dim
+        den = dst.denominator.basis if kind == "flags" else dst.basis
+        images = den @ data.draw(matrices(den.cols, d))
+        images = images.hstack(dst.basis @ data.draw(matrices(dst.basis.cols, k - d)))
+        images = images.hstack(data.draw(matrices(dst.ambient_dim, src.ambient_dim - k)))
+        m = images @ completed(src).inverse()
+    descends = inside(m @ src.numerator.basis, dst.numerator.basis) and inside(
+        m @ src.denominator.basis, dst.denominator.basis
+    )
+    if not descends:
+        with pytest.raises(NotWellDefined):
+            induced_map(m, src, dst)
+        return
+    f = induced_map(m, src, dst)
+    assert (f.rows, f.cols) == (dst.dim, src.dim)
+    assert inside(m @ src.lift - dst.lift @ f, dst.denominator.basis)
+
+
+@given(flags(), flags(), st.sampled_from(("random", "left", "right", "both")), st.data())
+@settings(max_examples=150, deadline=None)
+def test_induced_pairing_matches_sympy(left_flag, right_flag, kind, data):
+    left, right = quotient(left_flag), quotient(right_flag)
+    p = data.draw(matrices(left.ambient_dim, right.ambient_dim))
+    if kind != "random":
+        # ``p`` read in the adapted bases, with zero blocks where the left
+        # denominator meets the right numerator ("left"), the left numerator
+        # meets the right denominator ("right"), or both
+        dl, dr = left.denominator.dim, right.denominator.dim
+        kl, kr = left.numerator.dim, right.numerator.dim
+        g = p.to_lists()
+        for i, row in enumerate(g):
+            for j in range(len(row)):
+                if (kind != "right" and i < dl and j < kr) or (kind != "left" and j < dr and i < kl):
+                    row[j] = 0
+        g = RatMatrix(left.ambient_dim, right.ambient_dim, g)
+        p = completed(left).inverse().transpose() @ g @ completed(right).inverse()
+
+    def pairs_to_zero(a: RatMatrix, b: RatMatrix) -> bool:
+        return (to_sympy(a).T * to_sympy(p) * to_sympy(b)).is_zero_matrix
+
+    descends = pairs_to_zero(left.denominator.basis, right.numerator.basis) and pairs_to_zero(
+        left.numerator.basis, right.denominator.basis
+    )
+    gram = induced_pairing(p, left, right)
+    assert (gram is not None) == descends
+    if gram is not None:
+        expected = to_sympy(left.lift).T * to_sympy(p) * to_sympy(right.lift)
+        assert gram.to_lists() == from_sympy(expected)

@@ -75,3 +75,6 @@ class TestParse:
     def test_surplus_parameters(self):
         with pytest.raises(InvalidParameters):
             parse_spec("tetrahedron:3")
+        for spec in ("ngon:3,4", "good_reduction_pn:2,9", "ngon_x_p1:3,1"):
+            with pytest.raises(InvalidParameters, match="one parameter"):
+                parse_spec(spec)
