@@ -1,18 +1,21 @@
 """Exact linear algebra over Q.
 
-Sparse matrices of ``fractions.Fraction`` entries; every operation is exact,
-deterministic and pure.  Each row stores only its nonzero entries, as a
-``{column: Fraction}`` dict, so no operation ever visits a zero.  Products
-clear the denominators of each row of the right factor once, accumulate in
-integers over one common denominator per output row, and build one
-``Fraction`` per nonzero result.  Ranks, reduced row echelon forms, and
-through them kernels, column spaces, solves, inverses and quotient
-constructions all run one fraction-free elimination on denominator-cleared
-integer rows: each row operation is an integer combination of two rows
-followed by division by the row's content gcd, so entries stay small.
+A matrix is stored as integer rows over one positive common denominator:
+one ``{column: int}`` dict of nonzero numerators per row, so no operation
+ever visits a zero, and one ``int`` denominator for the whole matrix, kept
+in lowest terms (it is coprime to the numerators taken together), so equal
+matrices have equal storage.  Products are integer sparse products over the
+product of the denominators, reduced once.  Ranks, reduced row echelon
+forms, and through them kernels, column spaces, solves, inverses and
+quotient constructions all run one fraction-free elimination on the integer
+rows as stored: each row operation is an integer combination of two rows
+followed by division by the row's content gcd, so entries stay small; a
+reduced echelon form keeps the lcm of its pivots as its denominator.
 Signatures run a fraction-free symmetric elimination on the same integer
-rows.  Fractions appear again only when a finished row is divided by its
-pivot.  No floating point anywhere.
+rows.  ``Fraction`` appears only where single entries leave a matrix
+(``row``, ``col``, ``row_items``, ``entries``, ``apply``); ``to_strings``
+formats the schema strings straight from the integers.  No floating point
+anywhere.
 
 Conventions: a linear map V -> W is a matrix with ``rows = dim W`` and
 ``cols = dim V`` acting on column vectors; a subspace is stored as a matrix
@@ -32,23 +35,37 @@ from .errors import NotSymmetric, NotWellDefined
 
 Rat = Fraction
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 # the rational strings of docs/strata_schema.json
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse(x) -> tuple[int, int]:
+    """``(numerator, denominator)`` in lowest terms, denominator positive, of
+    an int, a Fraction or a string of the schema's form 'a' or 'a/b' (like
+    '-3/4'); a bool is not a number here."""
+    if isinstance(x, str):
+        match = _RATIONAL.fullmatch(x)
+        if not match:
+            raise ValueError(f"{x!r} is not a rational of the form a or a/b")
+        n = int(match[1])
+        if match[2] is None:
+            return n, 1
+        d = int(match[2])
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        g = gcd(n, d)
+        return n // g, d // g
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
 def rat(x) -> Fraction:
     """Coerce ints, strings of the schema's form 'a' or 'a/b' (like '-3/4'),
     and Fractions to Fraction; a bool is not a number here."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str):
-        if not _RATIONAL.fullmatch(x):
-            raise ValueError(f"{x!r} is not a rational of the form a or a/b")
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+    return x if isinstance(x, Fraction) else Fraction(*_parse(x))
 
 
 def format_rat(x: Fraction) -> str:
@@ -56,43 +73,72 @@ def format_rat(x: Fraction) -> str:
     return str(x)
 
 
+def _format(n: int, d: int) -> str:
+    """``format_rat(Fraction(n, d))`` without building the Fraction."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 _set = object.__setattr__
 
 
-def _make(rows: int, cols: int, data) -> "RatMatrix":
-    """Trusted constructor: ``data`` holds one ``{column: Fraction}`` dict of
-    nonzero entries per row, and no dict in it is mutated afterwards."""
+def _make(rows: int, cols: int, den: int, data) -> "RatMatrix":
+    """Trusted constructor: ``data`` holds one ``{column: int}`` dict of
+    nonzero numerators per row, ``den`` is positive and coprime to them
+    taken together, and no dict in ``data`` is mutated afterwards."""
     m = object.__new__(RatMatrix)
     _set(m, "rows", rows)
     _set(m, "cols", cols)
+    _set(m, "_den", den)
     _set(m, "_data", tuple(data))
     return m
 
 
-def _fractions(row: dict, d: int) -> dict:
-    """The integer row divided by ``d``."""
-    if d == 1:
-        return {j: Fraction(x) for j, x in row.items()}
-    return {j: Fraction(x, d) for j, x in row.items()}
+def _reduced(rows: int, cols: int, den: int, data) -> "RatMatrix":
+    """``_make`` for integer rows over a positive ``den`` that may share a
+    factor with every numerator: divides that factor out once."""
+    g = den
+    for row in data:
+        if g == 1:
+            break
+        if row:
+            g = gcd(g, *row.values())
+    if g != 1:
+        data = [{j: x // g for j, x in row.items()} for row in data]
+        den //= g
+    return _make(rows, cols, den, data)
+
+
+def _submatrix(m: "RatMatrix", rows: range, cols: range) -> "RatMatrix":
+    """The block of ``m`` on a range of rows and a range of columns."""
+    c0 = cols.start
+    data = [{j - c0: x for j, x in m._data[i].items() if j in cols} for i in rows]
+    return _reduced(len(rows), len(cols), m._den, data)
 
 
 class RatMatrix:
-    """Immutable sparse matrix over Q."""
+    """Immutable sparse matrix over Q: integer rows over one denominator."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_den", "_data")
 
     def __init__(self, rows: int, cols: int, entries):
-        data = []
+        parsed = []
         for row in entries:
-            row = [rat(x) for x in row]
+            row = [_parse(x) for x in row]
             if len(row) != cols:
                 raise ValueError(f"entry grid does not match shape {rows}x{cols}")
-            data.append({j: x for j, x in enumerate(row) if x})
-        if len(data) != rows:
+            parsed.append([(j, n, d) for j, (n, d) in enumerate(row) if n])
+        if len(parsed) != rows:
             raise ValueError(f"entry grid does not match shape {rows}x{cols}")
+        # the lcm of denominators in lowest terms is coprime to the scaled
+        # numerators: an entry whose denominator has a prime's top power
+        # keeps a numerator that the prime does not divide
+        den = lcm(*[d for row in parsed for _, _, d in row])
         _set(self, "rows", rows)
         _set(self, "cols", cols)
-        _set(self, "_data", tuple(data))
+        _set(self, "_den", den)
+        _set(self, "_data", tuple({j: n * (den // d) for j, n, d in row} for row in parsed))
 
     def __setattr__(self, *_):
         raise AttributeError("RatMatrix is immutable")
@@ -107,11 +153,11 @@ class RatMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        return _make(rows, cols, [{} for _ in range(rows)])
+        return _make(rows, cols, 1, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return _make(n, n, [{i: _ONE} for i in range(n)])
+        return _make(n, n, 1, [{i: 1} for i in range(n)])
 
     @staticmethod
     def column(vec) -> "RatMatrix":
@@ -125,11 +171,14 @@ class RatMatrix:
             isinstance(other, RatMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
+            and self._den == other._den
             and self._data == other._data
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._data)))
+        return hash(
+            (self.rows, self.cols, self._den, tuple(frozenset(r.items()) for r in self._data))
+        )
 
     def __repr__(self):
         return f"RatMatrix({self.rows}x{self.cols})"
@@ -140,17 +189,30 @@ class RatMatrix:
         return tuple(tuple(self.row(i)) for i in range(self.rows))
 
     def row(self, i):
-        r = self._data[i]
-        return [r.get(j, _ZERO) for j in range(self.cols)]
+        out, d = [_ZERO] * self.cols, self._den
+        for j, x in self._data[i].items():
+            out[j] = Fraction(x, d)
+        return out
 
     def col(self, j):
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} of a matrix with {self.cols} columns")
-        return [r.get(j, _ZERO) for r in self._data]
+        d = self._den
+        return [Fraction(r[j], d) if j in r else _ZERO for r in self._data]
 
     def row_items(self, i):
         """The ``(column, entry)`` pairs of the nonzero entries of row ``i``."""
-        return self._data[i].items()
+        d = self._den
+        return [(j, Fraction(x, d)) for j, x in self._data[i].items()]
+
+    def to_strings(self):
+        """Dense rows of schema strings 'a' or 'a/b', formatted from the integers."""
+        d = self._den
+        out = [["0"] * self.cols for _ in range(self.rows)]
+        for row, r in zip(out, self._data):
+            for j, x in r.items():
+                row[j] = _format(x, d)
+        return out
 
     def is_zero(self) -> bool:
         return not any(self._data)
@@ -169,17 +231,19 @@ class RatMatrix:
     def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
         out = []
         for ra, rb in zip(self._data, other._data):
-            row = dict(ra)
+            row = {j: sa * x for j, x in ra.items()}
             for j, y in rb.items():
-                v = row.get(j, 0) + sign * y
+                v = row.get(j, 0) + sb * y
                 if v:
                     row[j] = v
                 else:
                     del row[j]
             out.append(row)
-        return _make(self.rows, self.cols, out)
+        return _reduced(self.rows, self.cols, den, out)
 
     def __neg__(self) -> "RatMatrix":
         return self.scale(-1)
@@ -190,86 +254,71 @@ class RatMatrix:
             return self
         if not c:
             return RatMatrix.zeros(self.rows, self.cols)
-        if c == -1:
-            return _make(self.rows, self.cols, [{j: -x for j, x in r.items()} for r in self._data])
-        return _make(self.rows, self.cols, [{j: c * x for j, x in r.items()} for r in self._data])
+        p = c.numerator
+        data = [{j: p * x for j, x in r.items()} for r in self._data]
+        return _reduced(self.rows, self.cols, self._den * c.denominator, data)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        # each row of ``other`` as its denominator lcm and integer entries, taken once
-        cleared = []
-        for row in other._data:
-            if not row:
-                cleared.append(None)
-                continue
-            m = lcm(*[x.denominator for x in row.values()])
-            cleared.append((m, [(j, x.numerator * (m // x.denominator)) for j, x in row.items()]))
+        b = other._data
         out = []
         for row in self._data:
-            terms = [(a, cleared[k]) for k, a in row.items() if cleared[k]]
-            if not terms:
-                out.append({})
-                continue
-            # one common denominator for the row: sum_k (a_k / m_k) * int_row_k
-            den = lcm(*[a.denominator * m for a, (m, _) in terms])
             acc = {}
-            for a, (m, nz) in terms:
-                c = a.numerator * (den // (a.denominator * m))
-                for j, y in nz:
-                    acc[j] = acc.get(j, 0) + c * y
-            out.append(_fractions({j: x for j, x in acc.items() if x}, den))
-        return _make(self.rows, other.cols, out)
+            for k, a in row.items():
+                for j, y in b[k].items():
+                    acc[j] = acc.get(j, 0) + a * y
+            if not all(acc.values()):
+                acc = {j: x for j, x in acc.items() if x}
+            out.append(acc)
+        return _reduced(self.rows, other.cols, self._den * other._den, out)
 
     def apply(self, vec):
         """Matrix times column vector, as a plain list."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         vec = [rat(b) for b in vec]
-        return [sum((a * vec[j] for j, a in r.items()), _ZERO) for r in self._data]
+        d = self._den
+        return [sum((a * vec[j] for j, a in r.items()), _ZERO) / d for r in self._data]
 
     def transpose(self) -> "RatMatrix":
         out = [{} for _ in range(self.cols)]
         for i, row in enumerate(self._data):
             for j, x in row.items():
                 out[j][i] = x
-        return _make(self.cols, self.rows, out)
+        return _make(self.cols, self.rows, self._den, out)
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
+        # lowest terms as in ``assemble_blocks``
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
         off = self.cols
         out = []
         for a, b in zip(self._data, other._data):
-            row = dict(a)
+            row = {j: sa * x for j, x in a.items()}
             for j, x in b.items():
-                row[off + j] = x
+                row[off + j] = sb * x
             out.append(row)
-        return _make(self.rows, self.cols + other.cols, out)
+        return _make(self.rows, self.cols + other.cols, den, out)
 
     def take_columns(self, idx) -> "RatMatrix":
         idx = list(idx)
-        return _make(
+        return _reduced(
             self.rows,
             len(idx),
+            self._den,
             [{p: r[j] for p, j in enumerate(idx) if j in r} for r in self._data],
         )
 
     # -- elimination -------------------------------------------------------
 
-    def _integer_rows(self):
-        """Rows scaled by the lcm of their denominators (rank-preserving), as
-        fresh ``{column: int}`` dicts."""
-        out = []
-        for row in self._data:
-            m = lcm(*[x.denominator for x in row.values()])
-            out.append({j: x.numerator * (m // x.denominator) for j, x in row.items()})
-        return out
-
     def _eliminate(self, reduce: bool):
-        """Fraction-free elimination on the integer rows.
+        """Fraction-free elimination on copies of the integer rows (the common
+        denominator scales every row alike, so it changes no pivot).
 
         Returns ``(rows, pivots)``: row ``i < len(pivots)`` has its leading
         entry in column ``pivots[i]`` and every later row is empty.  The pivot
@@ -283,7 +332,7 @@ class RatMatrix:
         cleared above the pivot as well, which leaves the reduced row echelon
         form up to one scalar per row.
         """
-        m = self._integer_rows()
+        m = [dict(row) for row in self._data]
         nrows = len(m)
         lead = [min(row) if row else None for row in m]
         pivots = []
@@ -331,12 +380,15 @@ class RatMatrix:
         """Reduced row echelon form over Q.
 
         Returns ``(rref_matrix, pivot_columns)``; deterministic (topmost row
-        with a nonzero entry becomes the pivot, and the form is unique).
+        with a nonzero entry becomes the pivot, and the form is unique).  The
+        form is each eliminated row over its pivot, all over the lcm of the
+        absolute pivots.
         """
         m, pivots = self._eliminate(reduce=True)
-        out = [_fractions(row, row[c]) for row, c in zip(m, pivots)]
+        den = lcm(*[abs(row[c]) for row, c in zip(m, pivots)])
+        out = [{j: x * (den // row[c]) for j, x in row.items()} for row, c in zip(m, pivots)]
         out.extend({} for _ in range(self.rows - len(pivots)))
-        return _make(self.rows, self.cols, out), pivots
+        return _reduced(self.rows, self.cols, den, out), pivots
 
     def kernel_basis(self) -> "RatMatrix":
         """Columns form a basis of {v : self @ v = 0}."""
@@ -345,12 +397,13 @@ class RatMatrix:
         free = {f: k for k, f in enumerate(c for c in range(self.cols) if c not in pivset)}
         # coordinate f of basis vector free[f] is 1; coordinate p of basis
         # vector free[f] is -R[i][f] for the pivot p of row i
+        den = R._den
         out = [{} for _ in range(self.cols)]
         for f, k in free.items():
-            out[f] = {k: _ONE}
+            out[f] = {k: den}
         for row, p in zip(R._data, pivots):
             out[p] = {free[j]: -x for j, x in row.items() if j != p}
-        return _make(self.cols, len(free), out)
+        return _reduced(self.cols, len(free), den, out)
 
     def column_space_basis(self) -> "RatMatrix":
         """Pivot columns of the matrix: a basis of the column span."""
@@ -372,7 +425,7 @@ class RatMatrix:
         sol = [{} for _ in range(n)]
         for row, p in zip(R._data, pivots):
             sol[p] = {j - n: x for j, x in row.items() if j >= n}
-        return _make(n, rhs.cols, sol)
+        return _reduced(n, rhs.cols, R._den, sol)
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
@@ -392,7 +445,7 @@ def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     for ra in a._data:
         for rb in b._data:
             out.append({j * b.cols + q: x * y for j, x in ra.items() for q, y in rb.items()})
-    return _make(a.rows * b.rows, a.cols * b.cols, out)
+    return _reduced(a.rows * b.rows, a.cols * b.cols, a._den * b._den, out)
 
 
 def assemble_blocks(rows, cols, blocks) -> RatMatrix:
@@ -405,18 +458,26 @@ def assemble_blocks(rows, cols, blocks) -> RatMatrix:
     """
     roff, nrows = _offsets(rows)
     coff, ncols = _offsets(cols)
-    out = [{} for _ in range(nrows)]
+    placed = []
     for (ri, cj), m in blocks.items():
         if ri not in roff or cj not in coff:
             continue
         (r0, dr), (c0, dc) = roff[ri], coff[cj]
         if m.rows != dr or m.cols != dc:
             raise ValueError(f"block ({ri}, {cj}) has shape {m.rows}x{m.cols}, not {dr}x{dc}")
+        placed.append((r0, c0, m))
+    # every block is in lowest terms, so the lcm of their denominators is
+    # too: the block whose denominator has a prime's top power keeps, scaled,
+    # a numerator that the prime does not divide
+    den = lcm(*[m._den for _, _, m in placed])
+    out = [{} for _ in range(nrows)]
+    for r0, c0, m in placed:
+        s = den // m._den
         for i, row in enumerate(m._data):
             target = out[r0 + i]
             for j, x in row.items():
-                target[c0 + j] = x
-    return _make(nrows, ncols, out)
+                target[c0 + j] = s * x
+    return _make(nrows, ncols, den, out)
 
 
 def _offsets(summands):
@@ -501,7 +562,7 @@ class Subspace:
             return Subspace.zero(self.ambient_dim)
         stacked = self.basis.hstack(other.basis.scale(-1))
         ker = stacked.kernel_basis()
-        coeffs = _make(self.dim, ker.cols, ker._data[: self.dim])
+        coeffs = _submatrix(ker, range(self.dim), range(ker.cols))
         return Subspace(self.ambient_dim, self.basis @ coeffs)
 
     def __eq__(self, other):
@@ -562,7 +623,7 @@ def induced_map(m: RatMatrix, src: QuotientSpace, dst: QuotientSpace) -> RatMatr
     r0, c0 = dst.denominator.dim, src.denominator.dim
     if any(j < c0 for row in x._data[r0:] for j in row):
         raise NotWellDefined("map does not preserve denominators")
-    return _make(x.rows - r0, x.cols, x._data[r0:]).take_columns(range(c0, x.cols))
+    return _submatrix(x, range(r0, x.rows), range(c0, x.cols))
 
 
 def induced_pairing(p: RatMatrix, left: QuotientSpace, right: QuotientSpace):
@@ -573,18 +634,18 @@ def induced_pairing(p: RatMatrix, left: QuotientSpace, right: QuotientSpace):
     r0, c0 = left.denominator.dim, right.denominator.dim
     if any(g._data[:r0]) or any(j < c0 for row in g._data for j in row):
         return None
-    return _make(g.rows - r0, g.cols, g._data[r0:]).take_columns(range(c0, g.cols))
+    return _submatrix(g, range(r0, g.rows), range(c0, g.cols))
 
 
 def signature(sym: RatMatrix):
     """Inertia ``(n_plus, n_minus, n_zero)`` of a symmetric matrix.
 
     Fraction-free symmetric congruence diagonalization; Sylvester's law makes
-    the result basis-independent.  The matrix is first scaled by the lcm of
-    its denominators, a positive factor that keeps the inertia.  Pivot ``d``
-    is a nonzero diagonal entry, moved into place by a symmetric swap, or
-    made by adding one row and column into another when the whole remaining
-    diagonal is zero.  Eliminating it replaces the remaining block ``B``
+    the result basis-independent.  It runs on the integer numerators: the
+    matrix times its denominator, a positive factor that keeps the inertia.
+    Pivot ``d`` is a nonzero diagonal entry, moved into place by a symmetric
+    swap, or made by adding one row and column into another when the whole
+    remaining diagonal is zero.  Eliminating it replaces the remaining block ``B``
     (with ``e`` the pivot's row there) by ``(|d| B - sign(d) e e^T) / c``,
     where ``c`` is the previous ``|d|`` (1 at first): that is ``|d|`` times
     the Schur complement, a positive multiple with the same inertia, and the
@@ -594,8 +655,7 @@ def signature(sym: RatMatrix):
     if not sym.is_symmetric():
         raise NotSymmetric("signature requires a symmetric matrix")
     n = sym.rows
-    den = lcm(*[x.denominator for row in sym._data for x in row.values()])
-    m = [{j: x.numerator * (den // x.denominator) for j, x in row.items()} for row in sym._data]
+    m = [dict(row) for row in sym._data]
 
     def swap(i, j):
         m[i], m[j] = m[j], m[i]

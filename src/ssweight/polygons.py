@@ -161,7 +161,7 @@ class Polygon:
         yspan = (ymax - ymin) or Fraction(1)
         grid = [[" "] * width for _ in range(height)]
         steps = 8 * width
-        for t in range(steps + 1):
+        for t in range(steps + 1 if self.width else 0):  # a zero-width polygon is its origin
             x = xmax * t / steps
             y = self.value_at(x)
             cx = min(width - 1, int((x / xmax) * (width - 1)))

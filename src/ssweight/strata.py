@@ -32,12 +32,15 @@ is filled in automatically using graded symmetry ``<y,x> = (-1)^{|x||y|}<x,y>``.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameters, MissingRestriction, SchemaError
 from .linalg import RatMatrix, assemble_blocks, format_rat, kernel_witness, kron
 
 Face = tuple[int, ...]
+# the degree keys of docs/strata_schema.json
+_DEGREE = re.compile(r"0|[1-9][0-9]*")
 
 
 def _int(x, what: str, minimum=None) -> int:
@@ -696,15 +699,16 @@ class StrataComplex:
                 if f in faces:
                     raise SchemaError(f"face {_face_str(f)} is listed twice")
                 dims = {
-                    int(m): _int(d, f"the dimension of H^{m}", 0)
-                    for m, d in _items(fd["cohomology"], "cohomology")
+                    m: _int(d, f"the dimension of H^{m}", 0)
+                    for m, d in _degree_items(fd["cohomology"], "cohomology")
                 }
                 pairing = {
-                    int(m): _matrix_load(mat) for m, mat in _items(fd.get("pairing", {}), "pairing")
+                    m: _matrix_load(mat)
+                    for m, mat in _degree_items(fd.get("pairing", {}), "pairing")
                 }
                 lefschetz = {
-                    int(m): _matrix_load(mat)
-                    for m, mat in _items(fd.get("lefschetz", {}), "lefschetz")
+                    m: _matrix_load(mat)
+                    for m, mat in _degree_items(fd.get("lefschetz", {}), "lefschetz")
                 }
                 slope_pure = fd.get("slope_pure", False)
                 if not isinstance(slope_pure, bool):
@@ -716,8 +720,8 @@ class StrataComplex:
                     lefschetz=lefschetz,
                     slope_pure=slope_pure,
                     labels={
-                        int(m): [str(x) for x in names]
-                        for m, names in _items(fd.get("labels", {}), "labels")
+                        m: [str(x) for x in names]
+                        for m, names in _degree_items(fd.get("labels", {}), "labels")
                     },
                 )
             restrictions = {}
@@ -728,7 +732,7 @@ class StrataComplex:
                         f"restriction {_face_str(key[0])} -> {_face_str(key[1])} is listed twice"
                     )
                 restrictions[key] = {
-                    int(m): _matrix_load(mat) for m, mat in _items(rd.get("maps", {}), "maps")
+                    m: _matrix_load(mat) for m, mat in _degree_items(rd.get("maps", {}), "maps")
                 }
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"malformed strata document: {exc}") from exc
@@ -751,19 +755,21 @@ class StrataComplex:
         return StrataComplex.from_json_dict(doc)
 
 
-def _items(value, what: str):
-    """The items of a JSON object; any other value is a schema error."""
+def _degree_items(value, what: str):
+    """The ``(degree, value)`` pairs of a JSON object keyed by degree.  Any
+    other value, or a key that is not a degree written ``0`` or ``[1-9][0-9]*``
+    (no sign, space, underscore, leading zero or non-ASCII digit), is a schema
+    error, so no two keys name one degree."""
     if not isinstance(value, dict):
         raise SchemaError(f"{what} must be an object, not {type(value).__name__}")
-    return value.items()
+    for key, x in value.items():
+        if not (isinstance(key, str) and _DEGREE.fullmatch(key)):
+            raise SchemaError(f"{what} key {key!r} is not a degree 0, 1, 2, ...")
+        yield int(key), x
 
 
 def _matrix_json(m: RatMatrix):
-    out = [["0"] * m.cols for _ in range(m.rows)]
-    for i, row in enumerate(out):
-        for j, x in m.row_items(i):
-            row[j] = format_rat(x)
-    return out
+    return m.to_strings()
 
 
 def _matrix_load(rows) -> RatMatrix:

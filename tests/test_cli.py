@@ -180,6 +180,63 @@ def test_schema_values_are_enforced(capsys, tmp_path, change):
     _assert_schema_error(capsys, tmp_path, change)
 
 
+def _rekey(obj, key):
+    """Move the degree-0 entry of ``obj`` to ``key``."""
+    obj[key] = obj.pop("0")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        *(
+            lambda doc, key=key: _rekey(_face_at(doc, [1])["cohomology"], key)
+            for key in ("+0", " 0", "0_0", "\u0660", "00", "-1")
+        ),
+        lambda doc: _face_at(doc, [1])["cohomology"].update({" 0": 5}),
+        lambda doc: _rekey(_face_at(doc, [1])["pairing"], "00"),
+        lambda doc: _rekey(_face_at(doc, [1])["lefschetz"], "00"),
+        lambda doc: _face_at(doc, [1]).update(labels={"00": ["pt"]}),
+        lambda doc: _rekey(doc["restrictions"][0]["maps"], "00"),
+    ],
+    ids=[
+        "plus-degree",
+        "padded-degree",
+        "underscore-degree",
+        "arabic-indic-degree",
+        "leading-zero-degree",
+        "negative-degree",
+        "second-key-for-degree",
+        "pairing-degree",
+        "lefschetz-degree",
+        "labels-degree",
+        "restriction-degree",
+    ],
+)
+def test_degree_keys_are_canonical(capsys, tmp_path, change):
+    # a degree key is 0 or [1-9][0-9]*, so no two keys name one degree and
+    # no spelling of a degree loads as another
+    _assert_schema_error(capsys, tmp_path, change)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polygons", "--scenario", "tetrahedron", "--q", "1"],
+        ["polygons", "--slopes", "", "--jumps", ""],
+        ["slopes", "--scenario", "tetrahedron", "--q", "1"],
+    ],
+    ids=["polygons-empty-degree", "polygons-empty-calculator", "slopes-empty-degree"],
+)
+def test_empty_slope_multiset(capsys, argv, fmt):
+    # H^1 of the tetrahedron configuration is zero: its polygon is the
+    # origin alone, drawn as one vertex
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "text" and argv[0] == "polygons":
+        assert out.rstrip("\n").endswith("\n" * 11 + "o")
+
+
 @pytest.mark.parametrize("spec", ["ngon:3,4", "good_reduction_pn:2,9", "ngon_x_p1:3,1"])
 def test_surplus_scenario_parameters_exit_two(capsys, spec):
     code, out, err = run(capsys, "e2", "--scenario", spec)

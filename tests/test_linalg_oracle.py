@@ -9,7 +9,9 @@ diagonal set to zero, and ``B^T D B`` for such ``A`` and ``B`` and a diagonal
 ``D``, so that zero diagonals and low ranks are common too.  The quotient
 tests draw flags ``denominator ⊂ numerator`` (sometimes not nested), and
 maps and pairings that are drawn at random or built in bases adapted to the
-flags so that they descend; sympy's ranks decide which is which.
+flags so that they descend; sympy's ranks decide which is which.  Every
+result that is compared is also checked to equal, and hash like, the same
+entries loaded afresh, so that equal values always have equal storage.
 """
 
 import itertools
@@ -24,10 +26,14 @@ from ssweight.linalg import (
     QuotientSpace,
     RatMatrix,
     Subspace,
+    assemble_blocks,
+    format_rat,
     induced_map,
     induced_pairing,
+    kron,
     signature,
 )
+from ssweight.strata import _matrix_json
 
 sympy = pytest.importorskip("sympy")
 
@@ -82,11 +88,18 @@ def from_sympy(s) -> list:
     return [[Fraction(int(s[i, j].p), int(s[i, j].q)) for j in range(s.cols)] for i in range(s.rows)]
 
 
+def canonical(m: RatMatrix) -> RatMatrix:
+    """``m``, checked equal and hash-equal to its entries loaded afresh."""
+    fresh = RatMatrix(m.rows, m.cols, m.entries)
+    assert m == fresh and hash(m) == hash(fresh)
+    return m
+
+
 @given(products())
 @settings(max_examples=150, deadline=None)
 def test_product_matches_sympy(ab):
     a, b = ab
-    prod = a @ b
+    prod = canonical(a @ b)
     assert (prod.rows, prod.cols) == (a.rows, b.cols)
     assert prod.to_lists() == from_sympy(to_sympy(a) * to_sympy(b))
     assert all(type(x) is Fraction for row in prod.entries for x in row)
@@ -102,6 +115,7 @@ def test_rank_matches_sympy(m):
 @settings(max_examples=200, deadline=None)
 def test_rref_matches_sympy(m):
     R, pivots = m.rref()
+    canonical(R)
     expected, expected_pivots = to_sympy(m).rref()
     assert pivots == list(expected_pivots)
     assert R.to_lists() == from_sympy(expected)
@@ -146,7 +160,7 @@ def test_inverse_round_trip(m):
         with pytest.raises(ValueError):
             m.inverse()
         return
-    inv = m.inverse()
+    inv = canonical(m.inverse())
     assert inv.to_lists() == from_sympy(to_sympy(m).inv())
     assert m @ inv == RatMatrix.identity(n)
     assert inv @ m == RatMatrix.identity(n)
@@ -315,3 +329,106 @@ def test_induced_pairing_matches_sympy(left_flag, right_flag, kind, data):
     if gram is not None:
         expected = to_sympy(left.lift).T * to_sympy(p) * to_sympy(right.lift)
         assert gram.to_lists() == from_sympy(expected)
+
+
+# -- structure, canonical form and the schema boundary -------------------------------
+
+
+def sympy_rational(x: Fraction):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_structural_operations_match_sympy(data):
+    r, c = data.draw(st.integers(0, MAX_DIM)), data.draw(st.integers(0, MAX_DIM))
+    a, b = data.draw(matrices(r, c)), data.draw(matrices(r, c))
+    sa, sb = to_sympy(a), to_sympy(b)
+    x = data.draw(entries)
+    right = data.draw(matrices(r, data.draw(st.integers(0, MAX_DIM))))
+    idx = data.draw(st.lists(st.integers(0, c - 1), max_size=MAX_DIM)) if c else []
+    for got, expected in [
+        (a + b, sa + sb),
+        (a - b, sa - sb),
+        (-a, -sa),
+        (a.scale(x), sa * sympy_rational(x)),
+        (a.transpose(), sa.T),
+        (a.hstack(right), sa.row_join(to_sympy(right))),
+        (a.take_columns(idx), sa.extract(list(range(r)), idx)),
+    ]:
+        assert canonical(got).to_lists() == from_sympy(expected)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_kron_matches_sympy(data):
+    a, b = (data.draw(matrices(*(data.draw(st.integers(1, 4)) for _ in range(2)))) for _ in range(2))
+    got = canonical(kron(a, b))
+    assert got.to_lists() == from_sympy(sympy.kronecker_product(to_sympy(a), to_sympy(b)))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_assemble_blocks_matches_sympy(data):
+    dims = st.lists(st.integers(0, 3), min_size=1, max_size=3)
+    rows = list(enumerate(data.draw(dims)))
+    cols = list(enumerate(data.draw(dims)))
+    blocks = {
+        (i, j): data.draw(matrices(dr, dc))
+        for i, dr in rows
+        for j, dc in cols
+        if data.draw(st.booleans())
+    }
+    # a block naming an unlisted summand is dropped, whatever its entries
+    blocks[(len(rows), 0)] = RatMatrix.from_rows([["1/97"]])
+    got = canonical(assemble_blocks(rows, cols, blocks))
+    expected = sympy.zeros(sum(d for _, d in rows), sum(d for _, d in cols))
+    for (i, j), m in blocks.items():
+        if i < len(rows) and m.rows and m.cols:
+            r0, c0 = sum(d for _, d in rows[:i]), sum(d for _, d in cols[:j])
+            expected[r0 : r0 + m.rows, c0 : c0 + m.cols] = to_sympy(m)
+    assert got.to_lists() == from_sympy(expected)
+
+
+@given(matrices(), entries.filter(bool))
+@settings(max_examples=150, deadline=None)
+def test_equal_values_built_by_other_routes_are_equal(a, x):
+    for other in (
+        a.scale(x).scale(1 / x),
+        a @ RatMatrix.identity(a.cols),
+        RatMatrix.identity(a.rows) @ a,
+        (a + a).scale(Fraction(1, 2)),
+        a - a.scale(x) + a.scale(x),
+        a.transpose().transpose(),
+        a.hstack(a).take_columns(range(a.cols)),
+    ):
+        assert other == a and hash(other) == hash(a)
+
+
+def test_kept_columns_sharing_a_factor_are_reduced():
+    # the whole matrix is over 6; the kept columns alone over 2, 3 or 1
+    a = RatMatrix.from_rows([["1/2", "1/3", "2"], ["3/2", "2/3", "-4"]])
+    for idx, rows in [
+        ([0], [["1/2"], ["3/2"]]),
+        ([1], [["1/3"], ["2/3"]]),
+        ([2], [["2"], ["-4"]]),
+        ([2, 0], [["2", "1/2"], ["-4", "3/2"]]),
+    ]:
+        kept, fresh = a.take_columns(idx), RatMatrix.from_rows(rows)
+        assert kept == fresh and hash(kept) == hash(fresh)
+        assert _matrix_json(kept) == rows
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_boundary_round_trips(data):
+    m = data.draw(matrices(rows=data.draw(st.integers(1, MAX_DIM))))
+    strings = _matrix_json(m)
+    assert strings == [[format_rat(x) for x in row] for row in m.entries]
+    assert RatMatrix.from_rows(strings) == m
+    dense = [[0] * m.cols for _ in range(m.rows)]
+    for i in range(m.rows):
+        for j, x in m.row_items(i):
+            assert type(x) is Fraction and x != 0
+            dense[i][j] = x
+    assert RatMatrix.from_rows(dense) == m
