@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import hodge_lefschetz, polygons, scenarios
 from .checks import CheckResult, check_h1_suite, check_log_hl_all, check_wm
 from .errors import SsweightError
+from .linalg import rat
 from .spectral import build_e1, compute_e2
 from .strata import StrataComplex
 
 SCHEMA_POINTER = "see docs/strata_schema.json for the input format"
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _emit(args, text: str):
@@ -156,7 +158,13 @@ def _cmd_check(args) -> int:
     return _checks_exit_code(results)
 
 
+def _check_degree(args) -> None:
+    if args.q is not None and args.q < 0:
+        raise SsweightError(f"degree --q must be nonnegative, not {args.q}")
+
+
 def _cmd_slopes(args) -> int:
+    _check_degree(args)
     sc, failed = _validated_complex(args)
     if failed is not None:
         return failed
@@ -182,7 +190,7 @@ def _cmd_slopes(args) -> int:
 
 def _parse_rat_list(text: str):
     try:
-        return [Fraction(x) for x in text.split(",") if x != ""]
+        return [rat(x) for x in text.split(",") if x != ""]
     except (ValueError, ZeroDivisionError):
         raise SsweightError(
             f"expected comma-separated rationals such as 0,1/2,1: {text!r}"
@@ -194,8 +202,8 @@ def _cmd_polygons(args) -> int:
         if args.slopes is None or args.jumps is None:
             raise SsweightError("calculator mode needs both --slopes and --jumps")
         slopes = polygons.SlopeMultiset.of(args.q or 0, _parse_rat_list(args.slopes))
-        jumps = _parse_rat_list(args.jumps)
-        if any(x.denominator != 1 for x in jumps):
+        jumps = [x for x in args.jumps.split(",") if x != ""]
+        if not all(_INTEGER.fullmatch(x) for x in jumps):
             raise SsweightError(f"filtration jumps must be integers: {args.jumps!r}")
         jumps = [int(x) for x in jumps]
         module = polygons.PhiNModule(slopes=slopes, filtration_jumps=tuple(jumps))
@@ -228,6 +236,7 @@ def _cmd_polygons(args) -> int:
             )
         return 0 if adm.ok else 1
 
+    _check_degree(args)
     sc, failed = _validated_complex(args)
     if failed is not None:
         return failed

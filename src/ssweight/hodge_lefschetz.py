@@ -18,160 +18,22 @@ operators ``N`` of bidegree (2,0), ``L`` of bidegree (0,2), a differential
 Read in page coordinates ``(a, b) = (i, j-i+n)``, such a module is a
 bigraded complex with the interface of ``spectral`` (``d = d1``), and
 ``check_hl_axioms`` reads any such complex through that interface; ``(i, j)``
-appears only in the tables of ``HodgeLefschetzModule``, its JSON form and
-the locations of results.  ``hl_from_strata`` tabulates the first page of a
-cycle-generated configuration, whose pairing ``E1Page`` assembles from the
-Poincare pairings of complementary summands.  ``hl_cohomology`` is
-``E2Page``: ``ker d / im d`` with the induced operators and pairing, again a
-module of the same weight.  For the strata-built module that is the second
-page of the weight spectral sequence, so ``hl_suite`` checks the page itself
-as ``H(V)``.
+appears only in the locations of results.  ``hl_from_strata`` returns the
+first page of a cycle-generated configuration, which is the strata-built
+module: ``E1Page`` assembles its pairing from the Poincare pairings of
+complementary summands.  ``hl_cohomology`` is ``E2Page``: ``ker d / im d``
+with the induced operators and pairing, again a module of the same weight.
+For the strata-built module that is the second page of the weight spectral
+sequence, so ``hl_suite`` checks the page itself as ``H(V)``, and checks
+that taking cohomology once more changes nothing.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 from .checks import CheckResult, bijectivity_check, relation_checks, _vector_json
-from .errors import NotCycleGenerated, SchemaError
+from .errors import NotCycleGenerated
 from .linalg import RatMatrix, kernel, kernel_witness, signature
 from .spectral import E1Page, E2Page, power
-from .strata import _int, _matrix_json, _matrix_load
-
-BiDeg = tuple[int, int]
-
-
-@dataclass
-class HodgeLefschetzModule:
-    """Tables of a module keyed by ``(i, j)``; the accessors take page
-    coordinates ``(a, b) = (i, j-i+n)`` and give zero matrices for entries
-    the tables leave out."""
-
-    weight: int
-    dims: dict[BiDeg, int]
-    n_ops: dict[BiDeg, RatMatrix] = field(default_factory=dict)
-    l_ops: dict[BiDeg, RatMatrix] = field(default_factory=dict)
-    d_ops: dict[BiDeg, RatMatrix] = field(default_factory=dict)
-    pairing: dict[BiDeg, RatMatrix] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.dims = {k: int(v) for k, v in self.dims.items() if int(v) != 0}
-
-    @staticmethod
-    def of(cx) -> "HodgeLefschetzModule":
-        """The dimensions and nonzero maps of a page or module, as tables."""
-        n = cx.n
-        cells = {(a, a + b - n): (a, b) for (a, b) in cx.support()}
-
-        def table(op):
-            out = {ij: op(*ab) for ij, ab in cells.items()}
-            return {ij: m for ij, m in out.items() if not m.is_zero()}
-
-        return HodgeLefschetzModule(
-            weight=n,
-            dims={ij: cx.dim(*ab) for ij, ab in cells.items()},
-            n_ops=table(cx.nmap),
-            l_ops=table(cx.lmap),
-            d_ops=table(cx.d1),
-            pairing=table(cx.pairing_at),
-        )
-
-    @property
-    def n(self) -> int:
-        return self.weight
-
-    def dim(self, a: int, b: int) -> int:
-        return self.dims.get((a, a + b - self.weight), 0)
-
-    def support(self) -> list[BiDeg]:
-        return sorted((i, j - i + self.weight) for (i, j) in self.dims)
-
-    def _entry(self, table, a, b, rows, cols) -> RatMatrix:
-        m = table.get((a, a + b - self.weight))
-        return m if m is not None else RatMatrix.zeros(rows, cols)
-
-    def d1(self, a: int, b: int) -> RatMatrix:
-        return self._entry(self.d_ops, a, b, self.dim(a + 1, b), self.dim(a, b))
-
-    def nmap(self, a: int, b: int) -> RatMatrix:
-        return self._entry(self.n_ops, a, b, self.dim(a + 2, b - 2), self.dim(a, b))
-
-    def lmap(self, a: int, b: int) -> RatMatrix:
-        return self._entry(self.l_ops, a, b, self.dim(a, b + 2), self.dim(a, b))
-
-    def pairing_at(self, a: int, b: int) -> RatMatrix:
-        dual = self.dim(-a, 2 * self.weight - b)
-        return self._entry(self.pairing, a, b, self.dim(a, b), dual)
-
-    # -- serialization (matrix conventions as in the strata documents) -------
-
-    def to_json_dict(self) -> dict:
-        def op_list(table):
-            # empty-shaped matrices are canonical zeros and carry no JSON
-            # representation of their shape; the accessors resynthesize them
-            return [
-                {"i": i, "j": j, "matrix": _matrix_json(m)}
-                for (i, j), m in sorted(table.items())
-                if m.rows and m.cols
-            ]
-
-        return {
-            "schema_version": 1,
-            "weight": self.weight,
-            "cells": [{"i": i, "j": j, "dim": d} for (i, j), d in sorted(self.dims.items())],
-            "n_ops": op_list(self.n_ops),
-            "l_ops": op_list(self.l_ops),
-            "d_ops": op_list(self.d_ops),
-            "pairing": op_list(self.pairing),
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "HodgeLefschetzModule":
-        """The module of a JSON document; every matrix must have the shape of
-        the zero matrix its accessor gives for a missing entry."""
-
-        def at(e, what):
-            return _int(e["i"], f"{what} i"), _int(e["j"], f"{what} j")
-
-        try:
-            v = HodgeLefschetzModule(
-                weight=_int(doc["weight"], "weight"),
-                dims={at(c, "cell"): _int(c["dim"], "cell dim", 0) for c in doc["cells"]},
-            )
-            tables = {
-                name: {at(e, name): _matrix_load(e["matrix"]) for e in doc.get(name, [])}
-                for name in _ACCESSORS
-            }
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"malformed module document: {exc}") from exc
-        # the tables of v are still empty, so each accessor synthesizes a zero
-        for name, table in tables.items():
-            for (i, j), m in table.items():
-                zero = getattr(v, _ACCESSORS[name])(i, j - i + v.weight)
-                if (m.rows, m.cols) != (zero.rows, zero.cols):
-                    raise SchemaError(
-                        f"{name} entry at (i, j) = ({i}, {j}) has shape"
-                        f" {m.rows}x{m.cols}, not {zero.rows}x{zero.cols}"
-                    )
-        for name, table in tables.items():
-            setattr(v, name, table)
-        return v
-
-    @staticmethod
-    def loads(text: str) -> "HodgeLefschetzModule":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"input is not JSON: {exc}") from exc
-        return HodgeLefschetzModule.from_json_dict(doc)
-
-
-# each table of a module document and the accessor that reads it
-_ACCESSORS = {"n_ops": "nmap", "l_ops": "lmap", "d_ops": "d1", "pairing": "pairing_at"}
 
 
 def _sign_match(lhs: RatMatrix, rhs: RatMatrix):
@@ -328,14 +190,14 @@ def check_hl_axioms(v, stage: str = "") -> list[CheckResult]:
     return results
 
 
-def hl_from_strata(e1: E1Page) -> HodgeLefschetzModule:
-    """The first page of a cycle-generated configuration as a module of
-    weight n, re-indexed by ``(i, j) = (a, a+b-n)``."""
+def hl_from_strata(e1: E1Page) -> E1Page:
+    """The strata-built module of weight n: the first page of a
+    cycle-generated configuration itself."""
     if not e1.cycle_generated:
         raise NotCycleGenerated(
             "module construction needs every stratum generated by algebraic cycles"
         )
-    return HodgeLefschetzModule.of(e1)
+    return e1
 
 
 def _induce_pairing(page: E2Page) -> E2Page:
@@ -356,20 +218,29 @@ def hl_cohomology(v) -> E2Page:
     return _induce_pairing(E2Page(v))
 
 
+def _same_complex(u, v) -> bool:
+    """Equal supports, and equal ``d``, ``N``, ``L`` and pairing out of every
+    cell of the support."""
+    return u.support() == v.support() and all(
+        getattr(u, op)(a, b) == getattr(v, op)(a, b)
+        for op in ("nmap", "lmap", "d1", "pairing_at")
+        for (a, b) in u.support()
+    )
+
+
 def hl_suite(e2: E2Page) -> list[CheckResult]:
     """Axioms for the strata-built module and again for its cohomology,
     which is the second page itself."""
-    v = hl_from_strata(e2.e1)
-    results = check_hl_axioms(v, stage="V")
+    results = check_hl_axioms(hl_from_strata(e2.e1), stage="V")
     results.extend(check_hl_axioms(_induce_pairing(e2), stage="H(V)"))
-    hv = HodgeLefschetzModule.of(e2)
-    fix = HodgeLefschetzModule.of(E2Page(e2)) == hv
+    n = e2.n
+    dims = sorted(((a, a + b - n), e2.dim(a, b)) for (a, b) in e2.support())
     results.append(
         CheckResult(
             "hl_cohomology_fixpoint",
             {},
-            "pass" if fix else "fail",
-            witness={"dims": str(sorted(hv.dims.items()))},
+            "pass" if _same_complex(E2Page(e2), e2) else "fail",
+            witness={"dims": str(dims)},
         )
     )
     return results

@@ -17,11 +17,10 @@ and ``d1^2 = 0`` holds cell by cell.  The pairing of ``E1^{a,b}`` with
 ``E1^{-a,2n-b}`` pairs summand ``k`` with summand ``k-a`` of the dual cell,
 which lies on the same level in the complementary degree.
 
-Both pages, and the Hodge-Lefschetz modules of ``hodge_lefschetz``, are
-bigraded complexes with one interface in page coordinates ``(a, b)``:
-``n``, ``support()`` (the cells of nonzero dimension), ``dim``, ``d1``
-(to ``(a+1, b)``), ``nmap`` (to ``(a+2, b-2)``), ``lmap`` (to ``(a, b+2)``)
-and ``pairing_at`` (with ``(-a, 2n-b)``).  ``E2Page(cx)`` forms
+Both pages are bigraded complexes with one interface in page coordinates
+``(a, b)``: ``n``, ``support()`` (the cells of nonzero dimension), ``dim``,
+``d1`` (to ``(a+1, b)``), ``nmap`` (to ``(a+2, b-2)``), ``lmap`` (to
+``(a, b+2)``) and ``pairing_at`` (with ``(-a, 2n-b)``).  ``E2Page(cx)`` forms
 ``ker d1 / im d1`` of any such complex with the induced operators and
 pairing; its own ``d1`` is zero, so it is again such a complex.
 
@@ -164,9 +163,9 @@ class E2Page:
     induced N, L and pairing.
 
     ``e1`` is any complex with the interface of the module docstring: the
-    first page, a Hodge-Lefschetz module, or another ``E2Page``.  Cells
-    outside ``e1.support()`` have no first-page summands; maps out of or
-    into them are zero without an ``induced_map`` call, since its
+    first page, another ``E2Page``, or a module built by hand.  Cells outside
+    ``e1.support()`` have no first-page summands; maps out of or into them
+    are zero without an ``induced_map`` call, since its
     well-definedness checks are vacuous there.
     """
 
@@ -292,75 +291,3 @@ def power(cx, op: str, a: int, b: int, r: int) -> RatMatrix:
             out = cx.lmap(a, b) @ out
             b += 2
     return out
-
-
-def page_relations(e1: E1Page):
-    """d1^2 = 0 and the commutation of N and L with d1 and each other,
-    quantified over every cell of the first page; list of results."""
-    from .checks import relation_checks  # local import to avoid a cycle
-
-    names = {
-        "dd": "d1_squared",
-        "nd": "N_commutes_d1",
-        "ld": "L_commutes_d1",
-        "nl": "N_commutes_L",
-    }
-    return relation_checks(e1, names, lambda a, b: {"a": a, "b": b}, {}, "relation violated")
-
-
-def duality_check(e2: E2Page):
-    """dim E2^{a,b} = dim E2^{-a, 2n-b} for every cell; list of results."""
-    from .checks import CheckResult  # local import to avoid a cycle
-
-    n = e2.n
-    seen = set()
-    results = []
-    for (a, b) in e2.support():
-        pair = ((a, b), (-a, 2 * n - b))
-        key = tuple(sorted(pair))
-        if key in seen:
-            continue
-        seen.add(key)
-        d1 = e2.dim(a, b)
-        d2 = e2.dim(-a, 2 * n - b)
-        results.append(
-            CheckResult(
-                name="poincare_duality_dims",
-                location={"a": a, "b": b, "dual_a": -a, "dual_b": 2 * n - b},
-                status="pass" if d1 == d2 else "fail",
-                witness={"dim": d1, "dual_dim": d2},
-            )
-        )
-    return results
-
-
-def nerve_cohomology_oracle(sc: StrataComplex, a: int) -> int:
-    """dim H^a of the abstract nerve over Q by a direct cochain computation.
-
-    Independent of the page machinery: builds the simplicial coboundary from
-    the face sets alone and takes ranks.  Cross-checks the weight-zero row of
-    the second page for cycle-generated scenarios with connected strata.
-    """
-    if a < 0:
-        return 0
-
-    def coboundary(k: int) -> RatMatrix:
-        src = sc.faces_at(k + 1)
-        dst = sc.faces_at(k + 2)
-        src_pos = {f: j for j, f in enumerate(src)}
-        rows = []
-        for J in dst:
-            row = [Fraction(0)] * len(src)
-            for i in range(len(J)):
-                sub = J[:i] + J[i + 1 :]
-                if sub in src_pos:
-                    row[src_pos[sub]] = Fraction(-1 if i % 2 else 1)
-            rows.append(row)
-        return RatMatrix(len(dst), len(src), rows)
-
-    d_a = coboundary(a)
-    if d_a.cols == 0:
-        return 0
-    dim_ker = d_a.cols - d_a.rank()
-    rank_prev = coboundary(a - 1).rank() if a >= 1 else 0
-    return dim_ker - rank_prev

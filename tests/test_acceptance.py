@@ -8,7 +8,14 @@ import json
 import random
 from fractions import Fraction
 
-from helpers import cycle_incidence, independent_rank, random_valid_complex
+from helpers import (
+    cycle_incidence,
+    duality_check,
+    independent_rank,
+    nerve_cohomology_oracle,
+    page_relations,
+    random_valid_complex,
+)
 
 from ssweight.checks import check_h1_suite, check_log_hl_all, check_wm
 from ssweight.cli import main
@@ -28,13 +35,7 @@ from ssweight.polygons import (
     t_N,
 )
 from ssweight.scenarios import build, builtin_specs, ngon
-from ssweight.spectral import (
-    build_e1,
-    compute_e2,
-    duality_check,
-    nerve_cohomology_oracle,
-    page_relations,
-)
+from ssweight.spectral import build_e1, compute_e2
 
 
 def verdict(number, label, ok):

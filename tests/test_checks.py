@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import graph_curve
+from helpers import HodgeLefschetzModule, graph_curve
 from ssweight.errors import InvalidParameters, SsweightError
-from ssweight.hodge_lefschetz import HodgeLefschetzModule, check_hl_axioms
+from ssweight.hodge_lefschetz import check_hl_axioms
 from ssweight.linalg import RatMatrix
 from ssweight.scenarios import (
     elliptic_stratum,

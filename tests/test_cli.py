@@ -237,6 +237,26 @@ def test_empty_slope_multiset(capsys, argv, fmt):
         assert out.rstrip("\n").endswith("\n" * 11 + "o")
 
 
+@pytest.mark.parametrize("flag", ["--slopes", "--jumps"])
+@pytest.mark.parametrize("value", ["1_0", "0.5", "1e0", " 1", "+1"])
+def test_polygons_calculator_entries_use_the_schema_form(capsys, flag, value):
+    # Python's own parsers accept these spellings; the calculator reads
+    # slopes as the schema's rationals and jumps as plain integers
+    slopes, jumps = (value, "0") if flag == "--slopes" else ("0", value)
+    code, out, err = run(capsys, "polygons", "--slopes", slopes, "--jumps", jumps)
+    assert code == 2
+    assert out == "" and ("rationals" if flag == "--slopes" else "integers") in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("q", ["-1", "-2"])
+@pytest.mark.parametrize("command", ["slopes", "polygons"])
+def test_negative_degree_exits_two(capsys, command, q, fmt):
+    code, out, err = run(capsys, command, "--scenario", "ngon:3", "--q", q, "--format", fmt)
+    assert code == 2
+    assert out == "" and "nonnegative" in err
+
+
 @pytest.mark.parametrize("spec", ["ngon:3,4", "good_reduction_pn:2,9", "ngon_x_p1:3,1"])
 def test_surplus_scenario_parameters_exit_two(capsys, spec):
     code, out, err = run(capsys, "e2", "--scenario", spec)

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cycle_incidence, independent_rank
+from helpers import (
+    cycle_incidence,
+    duality_check,
+    independent_rank,
+    nerve_cohomology_oracle,
+    page_relations,
+)
 from ssweight.errors import DifferentialNotSquareZero
 from ssweight.scenarios import (
     build,
@@ -16,14 +22,7 @@ from ssweight.scenarios import (
     projective_space_cohomology,
     tetrahedron,
 )
-from ssweight.spectral import (
-    build_e1,
-    compute_e2,
-    duality_check,
-    nerve_cohomology_oracle,
-    page_relations,
-    power,
-)
+from ssweight.spectral import build_e1, compute_e2, power
 
 
 class TestE1:
