@@ -102,8 +102,11 @@ class TestCohomology:
         assert hv.pairing_at(0, 0) == v.pairing_at(0, 0)
 
     def test_ngon_cohomology_matches_second_page(self):
+        # ker d / im d of the tabulated first page, cell by cell against the
+        # second page computed from the page itself
         sc = ngon(3)
-        hv = HodgeLefschetzModule.of(hl_cohomology(hl_from_strata(build_e1(sc))))
+        tabulated = HodgeLefschetzModule.of(hl_from_strata(build_e1(sc)))
+        hv = HodgeLefschetzModule.of(hl_cohomology(tabulated))
         e2 = compute_e2(build_e1(sc))
         for (i, j), d in hv.dims.items():
             assert d == e2.dim(i, sc.n - i + j)
@@ -121,15 +124,17 @@ class TestCohomology:
             assert hh.pairing_at(*key) == hv.pairing_at(*key)
 
     def test_page_quotients_match_generic_cohomology(self):
-        # ker d / im d of the tabulated strata-built module is the oracle for
-        # the second page of the first page it was tabulated from
+        # ker d / im d of the strata-built module copied into tables, and so
+        # read through the table accessors, is the oracle for the second page
+        # computed from the first page itself
         for spec in builtin_specs():
             sc = build(spec)
             if not sc.cycle_generated:
                 continue
             e2 = compute_e2(build_e1(sc))
             from_page = HodgeLefschetzModule.of(e2)
-            generic = HodgeLefschetzModule.of(hl_cohomology(hl_from_strata(build_e1(sc))))
+            tabulated = HodgeLefschetzModule.of(hl_from_strata(build_e1(sc)))
+            generic = HodgeLefschetzModule.of(hl_cohomology(tabulated))
             assert from_page.dims == generic.dims, spec
             assert from_page.n_ops == generic.n_ops, spec
             assert from_page.l_ops == generic.l_ops, spec
