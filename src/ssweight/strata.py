@@ -690,9 +690,21 @@ class StrataComplex:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "StrataComplex":
+        version = doc.get("schema_version", 1)
+        if _int(version, "schema_version") != 1:
+            raise SchemaError(f"schema_version must be 1, not {version}")
+        name = doc.get("name", "unnamed")
+        if not isinstance(name, str):
+            raise SchemaError(f"name must be a string, not {name!r}")
+        components = doc.get("components")
+        if not (
+            isinstance(components, list)
+            and components
+            and all(isinstance(c, str) for c in components)
+        ):
+            raise SchemaError(f"components must be a nonempty list of strings, not {components!r}")
         try:
             n = _int(doc["dimension"], "dimension", 0)
-            components = [str(c) for c in doc["components"]]
             faces = {}
             for fd in doc["faces"]:
                 f = _face(fd["indices"])
@@ -737,7 +749,7 @@ class StrataComplex:
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"malformed strata document: {exc}") from exc
         return StrataComplex(
-            name=doc.get("name", "unnamed"),
+            name=name,
             n=n,
             components=components,
             faces=faces,

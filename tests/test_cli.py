@@ -120,6 +120,12 @@ def _first_face(doc, **changes):
         lambda doc: _first_face(doc, slope_pure="no"),
         lambda doc: _first_face(doc, slope_pure=1),
         lambda doc: _first_face(doc, pairing={"0": [[True]]}),
+        lambda doc: doc.update(components="abc"),
+        lambda doc: doc.update(components={"a": 1, "b": 2, "c": 3}),
+        lambda doc: doc.update(components=[1, 2, 3]),
+        lambda doc: doc.update(name=5),
+        lambda doc: doc.update(name=[1]),
+        lambda doc: doc.update(schema_version=True),
     ],
     ids=[
         "float-dimension",
@@ -130,11 +136,18 @@ def _first_face(doc, **changes):
         "string-slope-pure",
         "int-slope-pure",
         "bool-matrix-entry",
+        "string-components",
+        "object-components",
+        "int-components",
+        "int-name",
+        "list-name",
+        "bool-schema-version",
     ],
 )
 def test_schema_types_are_enforced(capsys, tmp_path, change):
-    # a float or a bool where the schema says integer, or a non-boolean
-    # slope_pure, is a schema error rather than a truncated or coerced value
+    # a float or a bool where the schema says integer, a non-boolean
+    # slope_pure, or a components list or name that is not made of strings
+    # is a schema error rather than a truncated or coerced value
     _assert_schema_error(capsys, tmp_path, change)
 
 
@@ -163,6 +176,9 @@ def _face_at(doc, indices):
         ),
         lambda doc: _face_at(doc, [1, 2]).update(cohomology={"0": -1}),
         lambda doc: doc.update(dimension=-1),
+        lambda doc: doc.update(components=[]),
+        lambda doc: doc.update(schema_version=99),
+        lambda doc: doc.update(schema_version=0),
     ],
     ids=[
         "decimal-entry",
@@ -172,12 +188,27 @@ def _face_at(doc, indices):
         "underscore-entry",
         "negative-cohomology-dim",
         "negative-dimension",
+        "empty-components",
+        "schema-version-99",
+        "schema-version-0",
     ],
 )
 def test_schema_values_are_enforced(capsys, tmp_path, change):
     # a rational string outside the schema's pattern ^-?[0-9]+(/[0-9]+)?$,
-    # or a negative dimension, is a schema error, not a value or a verdict
+    # a negative dimension, no components or a schema_version other than
+    # the constant 1 is a schema error, not a value or a verdict
     _assert_schema_error(capsys, tmp_path, change)
+
+
+def test_schema_version_may_be_omitted(capsys, tmp_path):
+    # the schema does not require schema_version; a document without it is
+    # read as version 1
+    _, text, _ = run(capsys, "scenario", "ngon:3")
+    doc = json.loads(text)
+    del doc["schema_version"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "validate", "--input", str(path)) == (0, "valid: all structural checks passed\n", "")
 
 
 def _rekey(obj, key):
