@@ -6,11 +6,16 @@ fails, 2 on usage or input errors.  Output is deterministic byte for byte
 for identical inputs and flags; JSON is emitted with sorted keys and a
 ``schema_version`` field.  ``check`` builds the second page once and runs
 the selected suites on it in a fixed order.
+
+``main(argv)`` returns the exit code rather than exiting, so it can be
+called repeatedly in one process; the parser is built once per process, on
+the first call, and parses every later ``argv``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -304,7 +309,14 @@ def _cmd_scenario(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared after.
+
+    ``parse_args`` leaves the parser as it was, so one parser serves every
+    ``main`` call in a process; help and usage text are formatted when they
+    are printed.
+    """
     parser = argparse.ArgumentParser(
         prog="ssweight",
         description=(

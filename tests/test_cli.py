@@ -1,7 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ssweight
+import ssweight.cli as cli
 from ssweight.cli import main
 
 
@@ -407,3 +414,44 @@ class TestSharedPage:
         assert code == 0 and "0 failed" in out
         assert "hl_cohomology_fixpoint" in out and "log_hl_h1_ell0" in out
         assert calls == {"build_e1": 1, "compute_e2": 1}
+
+
+class TestSharedParser:
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        # after the first command of a process, no command builds a parser
+        assert run(capsys, "validate", "--scenario", "ngon:3")[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (
+            ["validate", "--scenario", "ngon:3"],
+            ["check", "--all", "--scenario", "ngon:3"],
+            ["e2", "--scenario", "ngon:3", "--format", "json"],
+            ["check", "--scenario", "ngon:3"],
+        ):
+            run(capsys, *argv)
+        assert built == []
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_leaks_between_commands(self, capsys):
+        # usage errors, help and a handler error in the same process leave the
+        # next command's output as it is in a process of its own
+        assert run(capsys, "frobnicate")[0] == 2
+        assert run(capsys, "--help")[0] == 0
+        assert run(capsys, "check", "--scenario", "ngon:3")[0] == 2
+        code, out, err = run(capsys, "check", "--all", "--scenario", "ngon:3")
+        src = str(Path(ssweight.__file__).resolve().parents[1])
+        alone = subprocess.run(
+            [sys.executable, "-m", "ssweight.cli", "check", "--all", "--scenario", "ngon:3"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)
+        assert code == 0 and "0 failed" in out
