@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ``parse_args`` leaves the parser as it was, so one parser serves every
     ``main`` call in a process; help and usage text are formatted when they
-    are printed.
+    are printed.  A caller that adds to the returned parser changes it for
+    ``main`` as well.
     """
     parser = argparse.ArgumentParser(
         prog="ssweight",
