@@ -1,12 +1,30 @@
 """Byte-for-byte pins of the CLI on inputs where a check fails.
 
-Each document is a builtin with every pairing matrix of face ``{1}``
-negated.  The pairings stay perfect and graded-symmetric, so the document
-still validates, but the primitive forms of the first page are no longer
-definite: ``check --all`` and ``check --ito`` exit 1 with ``hl_positivity``
-failures.  ``validate``, ``e2`` and ``report`` exit 0 on these documents,
-since none of them runs a positivity check.  The table holds the SHA-256 of
-stdout and the exit code, in text and JSON, like ``test_golden_outputs``.
+Each document is a builtin with some matrices of some faces negated; every
+one still validates, but fails at least one check suite:
+
+* ``ngon:5`` and ``ngon_x_p1:3``, every pairing of face ``{1}`` negated:
+  the pairings stay perfect and graded-symmetric, but the primitive forms of
+  the first page are no longer definite, so ``check --all`` and
+  ``check --ito`` exit 1 with ``hl_positivity`` failures.  ``--hl``,
+  ``--wm``, ``--h1``, ``validate``, ``e2`` and ``report`` exit 0.
+* ``ngon:4/lefschetz-sign``, the Lefschetz maps of faces ``{1}`` and
+  ``{2}`` negated: ``L: E2^{0,0} -> E2^{0,2}`` is zero, so ``check --hl``
+  fails ``log_hard_lefschetz[b=0,q=0,r=1]``, ``check --h1`` fails
+  ``h0_pairing_on_ker_rho[k=1]``, ``check --ito`` fails ``hl_positivity``
+  at ``V`` and ``H(V)`` and ``hl_iso_L`` at ``H(V)``, and ``report`` exits
+  1.  ``check --wm`` exits 0.
+* ``ngon:4/point-sign``, the pairings of the double points ``{1,2}`` and
+  ``{1,4}`` negated: ``check --wm`` fails ``weight_monodromy[r=1,w=1]``,
+  ``check --h1`` fails five checks, among them ``h0_pairing_on_im_rho[k=2]``
+  (its null vector is written in the basis of im rho(1, 0)),
+  ``ker_tau_meets_im_rho_trivially`` and ``wm_h1_iso`` (a kernel vector),
+  and ``check --ito`` fails ``hl_positivity`` and ``hl_iso_N``.  ``check
+  --hl`` and ``report`` exit 0.
+
+So every suite flag has at least one pinned failure, with its locations and
+witness vectors.  The table holds the SHA-256 of stdout and the exit code,
+in text and JSON, like ``test_golden_outputs``.
 """
 
 import hashlib
@@ -15,13 +33,28 @@ from fractions import Fraction
 
 import pytest
 
-from ssweight import scenarios
+from ssweight import checks, scenarios
 from ssweight.cli import main
 
-SOURCES = ("ngon:5", "ngon_x_p1:3")
-COMMANDS = ("validate", "e2", "check --all", "check --ito", "report")
+# document -> (builtin, faces, the matrices negated on each of those faces)
+DOCUMENTS = {
+    "ngon:5": ("ngon:5", [[1]], "pairing"),
+    "ngon_x_p1:3": ("ngon_x_p1:3", [[1]], "pairing"),
+    "ngon:4/lefschetz-sign": ("ngon:4", [[1], [2]], "lefschetz"),
+    "ngon:4/point-sign": ("ngon:4", [[1, 2], [1, 4]], "pairing"),
+}
+COMMANDS = (
+    "validate",
+    "e2",
+    "check --all",
+    "check --hl",
+    "check --wm",
+    "check --h1",
+    "check --ito",
+    "report",
+)
 
-# (source, command, format) -> (sha256 of stdout, exit code)
+# (document, command, format) -> (sha256 of stdout, exit code)
 GOLDEN = {
     ("ngon:5", "validate", "text"):
         ("b9f2bb9ab1a380a32fe2c88bb01d7771dd46bd8c31845c3c81f98bd69edbdb2f", 0),
@@ -35,6 +68,18 @@ GOLDEN = {
         ("bf21d8cb3c0908fb1978ea49e6d65f35a3302413e2faf0e0820ef748c00beebc", 1),
     ("ngon:5", "check --all", "json"):
         ("3df3268b86938dbb1be43f7a349742b83aef47818d8e9882c2028783f88086d8", 1),
+    ("ngon:5", "check --hl", "text"):
+        ("5c5eedcfc81b1153266606d3136bb878558a34391b727e3c24baca32073b3cb5", 0),
+    ("ngon:5", "check --hl", "json"):
+        ("8c4bbec20ae6c048d743da5c30af5d82be19a953f884945d271176357f856257", 0),
+    ("ngon:5", "check --wm", "text"):
+        ("aa3abb596b09a66f29cb776f906751812ddec85fd230cea2bca1031107e1fcd4", 0),
+    ("ngon:5", "check --wm", "json"):
+        ("c51d6f8c8dcf84bf92fc52186b417890f03b974fd081077ff69fc9ee88e2afee", 0),
+    ("ngon:5", "check --h1", "text"):
+        ("0614dc2fd7b66a67e74d7726ac47fee354267ee34a1740d0a1bad7e3544f2499", 0),
+    ("ngon:5", "check --h1", "json"):
+        ("825630b219401280c9197a1b6d3415b8cfea14531b965e3d5830671c5ad05c54", 0),
     ("ngon:5", "check --ito", "text"):
         ("9581c2875198fca045ab4422d6c984e0b3407e9148e84506028b8252ea41a115", 1),
     ("ngon:5", "check --ito", "json"):
@@ -55,6 +100,18 @@ GOLDEN = {
         ("9ff90ea89712399bb148f43ddf24fc6f5afd05b4036802a8b7486ac89643406a", 1),
     ("ngon_x_p1:3", "check --all", "json"):
         ("867158cca45c890b3140a58bdad439a3e05c9bc476041aec92e70b805c5b481f", 1),
+    ("ngon_x_p1:3", "check --hl", "text"):
+        ("b3e04a68e84295b61fd2e00d540983d18170436bebbafc07cace24ad868790a5", 0),
+    ("ngon_x_p1:3", "check --hl", "json"):
+        ("8b5d7991a7dc81dc4bfec778af78bc58c546dd5bfb14b60171f1d99bfe8e4dfa", 0),
+    ("ngon_x_p1:3", "check --wm", "text"):
+        ("997cc80b635c83b883adb8ff52447caaea9eebaa9b54aed16d0b85e129feccac", 0),
+    ("ngon_x_p1:3", "check --wm", "json"):
+        ("4948c8b2022f35ecefd0662287dfdf430105ea14e6203bf31dd0f424074fbcf8", 0),
+    ("ngon_x_p1:3", "check --h1", "text"):
+        ("0614dc2fd7b66a67e74d7726ac47fee354267ee34a1740d0a1bad7e3544f2499", 0),
+    ("ngon_x_p1:3", "check --h1", "json"):
+        ("236fe9d1f4739757146a27e0f932aac1c80f1e96d6509a06eac9708ec7330a10", 0),
     ("ngon_x_p1:3", "check --ito", "text"):
         ("db36bf0f935683dccc73dc8c36612ab9b36812404b0fbc27bd70308a227297e1", 1),
     ("ngon_x_p1:3", "check --ito", "json"):
@@ -63,22 +120,113 @@ GOLDEN = {
         ("6cedc055e69cd1c168de6546795e2aa4d87a8b3af6ae4eb301247ca61a663efa", 0),
     ("ngon_x_p1:3", "report", "json"):
         ("a9a824433ae1a1c3c5beb07cc99fa4d092d4700b8f04abb69722b24e640fa80d", 0),
+    ("ngon:4/lefschetz-sign", "validate", "text"):
+        ("b9f2bb9ab1a380a32fe2c88bb01d7771dd46bd8c31845c3c81f98bd69edbdb2f", 0),
+    ("ngon:4/lefschetz-sign", "validate", "json"):
+        ("3f6d9768ec4abc972f45ebec1ffd28c018f2057817f1ae00da0c93dfd3ffa407", 0),
+    ("ngon:4/lefschetz-sign", "e2", "text"):
+        ("52821f2bfdffc85fbfbd1203612ed8ea8c5d20083b0af4cd4ee9147fa9831165", 0),
+    ("ngon:4/lefschetz-sign", "e2", "json"):
+        ("dad65e31b029b89ea3f3a9a1bf12bb9adaaf3669325ffe6c7ccb21152fd6517f", 0),
+    ("ngon:4/lefschetz-sign", "check --all", "text"):
+        ("6a12eebbed19176b7f9464e6b0ab681a15ec142d301c8f316131c48ad6ae7700", 1),
+    ("ngon:4/lefschetz-sign", "check --all", "json"):
+        ("1099cc83a65307f6075b095a5443d5523c106a0872716f0c8d797e6ce8c4f495", 1),
+    ("ngon:4/lefschetz-sign", "check --hl", "text"):
+        ("b48cd81b1deea4a3d3754e0db2cbdea0e66115e2dda67177e08a1b412215386a", 1),
+    ("ngon:4/lefschetz-sign", "check --hl", "json"):
+        ("e66ad081bde60d2e2ad0b815771eec38197adb9330023326f89551d12393a976", 1),
+    ("ngon:4/lefschetz-sign", "check --wm", "text"):
+        ("aa3abb596b09a66f29cb776f906751812ddec85fd230cea2bca1031107e1fcd4", 0),
+    ("ngon:4/lefschetz-sign", "check --wm", "json"):
+        ("b75155cbdc1693cde0a5b0d653897395f58360f80c06a5c11d5c93f7c97534d2", 0),
+    ("ngon:4/lefschetz-sign", "check --h1", "text"):
+        ("968a907502b0752528e612ccec80c603a6ef490d6a4feb479d0628910ef01257", 1),
+    ("ngon:4/lefschetz-sign", "check --h1", "json"):
+        ("a88325d9d68a131cbdff48fa9c39871e65c7762c00613ece571778996b875070", 1),
+    ("ngon:4/lefschetz-sign", "check --ito", "text"):
+        ("7e5a8b302d5e6ad19119d4bc5866f90037dbaf630b7389098e28db25ed634f9f", 1),
+    ("ngon:4/lefschetz-sign", "check --ito", "json"):
+        ("9fee7a6bf9e8477da53d2072ab603139fad8b584c45137910c6a965cdf8f2ae8", 1),
+    ("ngon:4/lefschetz-sign", "report", "text"):
+        ("88124cd2bfe209e3d7b052858607ef32df1e6b8898b3ea54942804414d5b3497", 1),
+    ("ngon:4/lefschetz-sign", "report", "json"):
+        ("b25179f33b11612d75eaab8d7cbf582be8714c613d82d9512d0833f5b8b34077", 1),
+    ("ngon:4/point-sign", "validate", "text"):
+        ("b9f2bb9ab1a380a32fe2c88bb01d7771dd46bd8c31845c3c81f98bd69edbdb2f", 0),
+    ("ngon:4/point-sign", "validate", "json"):
+        ("3f6d9768ec4abc972f45ebec1ffd28c018f2057817f1ae00da0c93dfd3ffa407", 0),
+    ("ngon:4/point-sign", "e2", "text"):
+        ("52821f2bfdffc85fbfbd1203612ed8ea8c5d20083b0af4cd4ee9147fa9831165", 0),
+    ("ngon:4/point-sign", "e2", "json"):
+        ("dad65e31b029b89ea3f3a9a1bf12bb9adaaf3669325ffe6c7ccb21152fd6517f", 0),
+    ("ngon:4/point-sign", "check --all", "text"):
+        ("f2988506661140f4ccc8700cf6de171a0a7bcfd5272e77976b00c4f5e57f6dfe", 1),
+    ("ngon:4/point-sign", "check --all", "json"):
+        ("aa9d19ce7be9cbdf0bb542c7c39de35fbec0aa4aff474867e44dd4497dd55b9c", 1),
+    ("ngon:4/point-sign", "check --hl", "text"):
+        ("5c5eedcfc81b1153266606d3136bb878558a34391b727e3c24baca32073b3cb5", 0),
+    ("ngon:4/point-sign", "check --hl", "json"):
+        ("6e43904fb4a26e6a09a5251778f15139ee9f1f7576b3ea7631abeb4e651b8f1f", 0),
+    ("ngon:4/point-sign", "check --wm", "text"):
+        ("77c39551cbd1e550f6670403a8d9995cceefa9ae906d40326e699a59bf046243", 1),
+    ("ngon:4/point-sign", "check --wm", "json"):
+        ("040a18f414e8b33f21eaf76ecf629e8e426ecdc37a998ff871c4c2b54713b662", 1),
+    ("ngon:4/point-sign", "check --h1", "text"):
+        ("9cea0144fa0b7619d8c1835581d1e9aa11321da5f24233ec732fd79f1bcd1cba", 1),
+    ("ngon:4/point-sign", "check --h1", "json"):
+        ("707185dad7c916eb4363cccb76407a1dc49244e77236cc5c173c454e72187958", 1),
+    ("ngon:4/point-sign", "check --ito", "text"):
+        ("2bfc6766496fe380eaedea07a03acbe122792c77c304c80c2d827e2cb4371ea3", 1),
+    ("ngon:4/point-sign", "check --ito", "json"):
+        ("574bbb7ad9e787b707a86d6e2a5cc41a74ea6b6967a0c3b1d618cf82938d2846", 1),
+    ("ngon:4/point-sign", "report", "text"):
+        ("c0aedbcaf5eabb4202a17c6405a0d183d98d5d51a42ea371260eccec2fe251c9", 0),
+    ("ngon:4/point-sign", "report", "json"):
+        ("ee258fddd0c9eeae9ee10e9a22ca4032e7d29d53622985d0ce38df94acd7cf65", 0),
 }
 
+# (document, command) -> the failing results, for every failing check command
 FAILURES = {
+    ("ngon:4/lefschetz-sign", "check --hl"): ["log_hard_lefschetz[b=0,q=0,r=1]"],
+    ("ngon:4/lefschetz-sign", "check --h1"): ["h0_pairing_on_ker_rho[k=1]"],
+    ("ngon:4/lefschetz-sign", "check --ito"): [
+        "hl_positivity[i=0,j=1,stage=V]",
+        "hl_iso_L[i=0,j=1,stage=H(V)]",
+        "hl_positivity[i=0,j=1,stage=H(V)]",
+    ],
+    ("ngon:4/point-sign", "check --wm"): ["weight_monodromy[r=1,w=1]"],
+    ("ngon:4/point-sign", "check --h1"): [
+        "h0_pairing_on_im_rho[k=2]",
+        "im_tau_rho_is_orthocomplement[k=1,q=2]",
+        "ker_tau_meets_im_rho_trivially[k=2,q=0]",
+        "ker_rho_meets_im_tau_in_im_tau_rho[k=1,q=2]",
+        "wm_h1_iso[r=1,w=1]",
+    ],
+    ("ngon:4/point-sign", "check --ito"): [
+        "hl_positivity[i=1,j=0,stage=V]",
+        "hl_iso_N[i=1,j=0,stage=H(V)]",
+        "hl_positivity[i=1,j=0,stage=H(V)]",
+    ],
+}
+
+POSITIVITY_FAILURES = {
     "ngon:5": ["hl_positivity[i=0,j=1,stage=V]"],
     "ngon_x_p1:3": ["hl_positivity[i=0,j=0,stage=V]", "hl_positivity[i=0,j=2,stage=V]"],
 }
 
 
-def negated_document(spec: str) -> dict:
-    """The builtin ``spec`` with every pairing matrix of face {1} negated."""
+def negated_document(name: str) -> dict:
+    """The builtin of ``DOCUMENTS[name]`` with the named matrices of the
+    named faces negated."""
+    spec, faces, key = DOCUMENTS[name]
     doc = scenarios.build(scenarios.parse_spec(spec)).to_json_dict()
-    face = next(f for f in doc["faces"] if f["indices"] == [1])
-    face["pairing"] = {
-        m: [[str(-Fraction(x)) for x in row] for row in rows]
-        for m, rows in face["pairing"].items()
-    }
+    for face in doc["faces"]:
+        if face["indices"] in faces:
+            face[key] = {
+                m: [[str(-Fraction(x)) for x in row] for row in rows]
+                for m, rows in face[key].items()
+            }
     return doc
 
 
@@ -86,30 +234,63 @@ def negated_document(spec: str) -> dict:
 def documents(tmp_path_factory):
     root = tmp_path_factory.mktemp("negated")
     paths = {}
-    for spec in SOURCES:
-        path = root / (spec.replace(":", "-") + ".json")
-        path.write_text(json.dumps(negated_document(spec)), encoding="utf-8")
-        paths[spec] = str(path)
+    for name in DOCUMENTS:
+        path = root / (name.replace(":", "-").replace("/", "-") + ".json")
+        path.write_text(json.dumps(negated_document(name)), encoding="utf-8")
+        paths[name] = str(path)
     return paths
+
+
+def _digest(capsys, path, command, fmt):
+    code = main([*command.split(" "), "--input", path, "--format", fmt])
+    out = capsys.readouterr().out
+    return hashlib.sha256(out.encode()).hexdigest(), code
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("spec", SOURCES)
+@pytest.mark.parametrize("spec", DOCUMENTS)
 def test_output_digest(capsys, documents, spec, command, fmt):
-    code = main([*command.split(" "), "--input", documents[spec], "--format", fmt])
-    out = capsys.readouterr().out
-    assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN[spec, command, fmt]
+    assert _digest(capsys, documents[spec], command, fmt) == GOLDEN[spec, command, fmt]
 
 
-@pytest.mark.parametrize("spec", SOURCES)
-def test_only_positivity_fails(capsys, documents, spec):
-    code = main(["check", "--all", "--input", documents[spec], "--format", "json"])
+def _failed(capsys, path, command):
+    code = main([*command.split(" "), "--input", path, "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
-    failed = [
+    return code, [
         f"{c['name']}[{','.join(f'{k}={v}' for k, v in sorted(c['location'].items()))}]"
         for c in payload["checks"]
         if c["status"] == "fail"
     ]
-    assert code == 1
-    assert failed == FAILURES[spec]
+
+
+@pytest.mark.parametrize("spec", POSITIVITY_FAILURES)
+def test_only_positivity_fails(capsys, documents, spec):
+    assert _failed(capsys, documents[spec], "check --all") == (1, POSITIVITY_FAILURES[spec])
+
+
+@pytest.mark.parametrize("spec", ["ngon:4/lefschetz-sign", "ngon:4/point-sign"])
+@pytest.mark.parametrize("command", ["check --hl", "check --wm", "check --h1", "check --ito"])
+def test_suite_failures(capsys, documents, spec, command):
+    expected = FAILURES.get((spec, command), [])
+    assert _failed(capsys, documents[spec], command) == (1 if expected else 0, expected)
+
+
+def test_point_sign_null_vector_is_in_im_rho_coordinates(capsys, documents):
+    # im rho(1, 0) has rank 3 inside H^0 of the four double points of ngon:4
+    main(["check", "--h1", "--input", documents["ngon:4/point-sign"], "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    result = next(c for c in payload["checks"] if c["name"] == "h0_pairing_on_im_rho")
+    assert result["witness"]["null_vector"] == ["1", "2", "1"]
+
+
+def test_pins_see_the_witness_vectors(capsys, documents, monkeypatch):
+    # a kernel witness scaled by 2 still certifies the failure, but it is
+    # another output, so the table must not accept it; text output names
+    # failures without their witnesses, so the JSON pin is the one that moves
+    key = ("ngon:4/point-sign", "check --h1", "json")
+    path = documents["ngon:4/point-sign"]
+    assert _digest(capsys, path, "check --h1", "json") == GOLDEN[key]
+    witness = checks.kernel_witness
+    monkeypatch.setattr(checks, "kernel_witness", lambda m: [2 * x for x in witness(m)])
+    assert _digest(capsys, path, "check --h1", "json") != GOLDEN[key]
