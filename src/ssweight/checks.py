@@ -11,7 +11,6 @@ pass with a "vacuous" note, matching mathematical convention.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameters
@@ -264,42 +263,31 @@ def _restricted_gram(gram: RatMatrix, basis: RatMatrix) -> RatMatrix:
 def check_h1_suite(e2: E2Page) -> list[CheckResult]:
     """Degree-one lemma chain: pairing lemmas, the weight-monodromy
     isomorphism on weight-two classes, and the three Lefschetz-power maps
-    between the corner cells of the second page."""
+    between the corner cells of the second page.
+
+    H^0 of level k is the first-page cell (k-1, 0) alone, with ``d1 = rho``
+    into and out of it, so ``ker rho(k, 0)`` and ``im rho(k-1, 0)`` are read
+    from ``e2.quotient(k-1, 0)``, which at k = 2 is ``wm_h1_iso``'s target.
+    Its source stays ``ker tau(2,0) ∩ ker rho(2,0)``: the page's kernel at
+    (-1, 2) has another basis, which would move a failing witness.  No cell
+    holds the tau-side subspaces (E1^{0,2} mixes H^2 of level 1 with H^0 of
+    level 3), so they are formed here."""
     sc = e2.e1.sc
     n = sc.n
     if n < 1:
         raise InvalidParameters("degree-one suite needs dimension >= 1")
     results: list[CheckResult] = []
 
-    # kernel and image of rho on H^0 of a level, each formed once
-    @functools.cache
-    def ker_rho(k: int) -> Subspace:
-        return kernel(sc.rho(k, 0))
-
-    @functools.cache
-    def im_rho(k: int) -> Subspace:
-        return image(sc.rho(k, 0))
-
     # pairing on im(rho) and ker(rho) inside H^0 of every level
     for k in range(1, sc.max_level + 1):
         if sc.level_dim(k, 0) == 0:
             continue
         gram = _twisted_gram(sc, k, 0)
-        if k >= 2:
-            results.append(
-                nondegeneracy_check(
-                    "h0_pairing_on_im_rho",
-                    {"k": k},
-                    _restricted_gram(gram, im_rho(k - 1).basis),
-                )
-            )
-        results.append(
-            nondegeneracy_check(
-                "h0_pairing_on_ker_rho",
-                {"k": k},
-                _restricted_gram(gram, ker_rho(k).basis),
-            )
-        )
+        h0 = e2.quotient(k - 1, 0)
+        spaces = [("h0_pairing_on_im_rho", h0.denominator)] if k >= 2 else []
+        spaces.append(("h0_pairing_on_ker_rho", h0.numerator))
+        for name, space in spaces:
+            results.append(nondegeneracy_check(name, {"k": k}, _restricted_gram(gram, space.basis)))
 
     # pairing on im(tau) ∩ primitive H^2 of the component level
     tau20 = sc.tau(2, 0)
@@ -338,8 +326,9 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
         "im_tau_rho_is_orthocomplement", {"k": 1, "q": 2}, im_tau_rho, complement
     ))
 
-    # ker(tau) ∩ im(rho) = 0 in H^0 of the double level
-    meet2 = ker_tau20.intersection(im_rho(1))
+    # ker(tau) ∩ im(rho) = 0 in H^0 of the double level, the cell (1, 0)
+    h0_double = e2.quotient(1, 0)
+    meet2 = ker_tau20.intersection(h0_double.denominator)
     if meet2.dim == 0:
         results.append(
             CheckResult("ker_tau_meets_im_rho_trivially", {"k": 2, "q": 0}, "pass")
@@ -364,14 +353,13 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
 
     # weight-monodromy on weight-two degree-one classes: the identity of
     # H^0(level 2) induces ker(tau)∩ker(rho) ~ ker(rho)/im(rho)
-    amb = sc.level_dim(2, 0)
-    source = QuotientSpace(amb, ker_tau20.intersection(ker_rho(2)), Subspace.zero(amb))
-    target = QuotientSpace(amb, ker_rho(2), im_rho(1))
+    amb = h0_double.ambient_dim
+    source = QuotientSpace(amb, ker_tau20.intersection(h0_double.numerator), Subspace.zero(amb))
     results.append(
         bijectivity_check(
             "wm_h1_iso",
             {"r": 1, "w": 1},
-            induced_map(RatMatrix.identity(amb), source, target),
+            induced_map(RatMatrix.identity(amb), source, h0_double),
         )
     )
 

@@ -239,7 +239,7 @@ def hl_suite(e2: E2Page) -> list[CheckResult]:
         CheckResult(
             "hl_cohomology_fixpoint",
             {},
-            "pass" if _same_complex(E2Page(e2), e2) else "fail",
+            "pass" if _same_complex(hl_cohomology(e2), e2) else "fail",
             witness={"dims": str(dims)},
         )
     )

@@ -40,6 +40,7 @@ from .errors import DifferentialNotSquareZero, InducedPairingIllDefined
 from .linalg import (
     QuotientSpace,
     RatMatrix,
+    Subspace,
     assemble_blocks,
     image,
     induced_map,
@@ -158,6 +159,10 @@ def build_e1(sc: StrataComplex) -> E1Page:
     return E1Page(sc)
 
 
+# the quotient at a cell without first-page summands
+_NO_CELL = QuotientSpace(0, Subspace.zero(0), Subspace.zero(0))
+
+
 class E2Page:
     """Cellwise homology ``ker d1 / im d1`` of a bigraded complex, with the
     induced N, L and pairing.
@@ -174,8 +179,7 @@ class E2Page:
         self.n = e1.n
         self._quotients: dict[tuple[int, int], QuotientSpace] = {}
         # induced maps by ("n", "l" or "p", a, b), computed on first use and
-        # shared by every suite that reads the page; two threads that compute
-        # the same entry store equal matrices, so no lock is needed
+        # shared by every suite that reads the page
         self._induced: dict[tuple[str, int, int], RatMatrix] = {}
         for (a, b) in e1.support():
             din = e1.d1(a - 1, b)
@@ -194,6 +198,11 @@ class E2Page:
 
     def support(self):
         return sorted(key for key, q in self._quotients.items() if q.dim)
+
+    def quotient(self, a: int, b: int) -> QuotientSpace:
+        """``ker d1 / im d1`` at the cell (a, b), inside that cell of ``e1``;
+        the zero quotient of Q^0 off ``e1.support()``."""
+        return self._quotients.get((a, b), _NO_CELL)
 
     def d1(self, a: int, b: int) -> RatMatrix:
         return RatMatrix.zeros(self.dim(a + 1, b), self.dim(a, b))

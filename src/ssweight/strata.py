@@ -693,15 +693,13 @@ class StrataComplex:
         version = doc.get("schema_version", 1)
         if _int(version, "schema_version") != 1:
             raise SchemaError(f"schema_version must be 1, not {version}")
-        name = doc.get("name", "unnamed")
+        if "name" not in doc:
+            raise SchemaError("name is required")
+        name = doc["name"]
         if not isinstance(name, str):
             raise SchemaError(f"name must be a string, not {name!r}")
         components = doc.get("components")
-        if not (
-            isinstance(components, list)
-            and components
-            and all(isinstance(c, str) for c in components)
-        ):
+        if not (_is_string_list(components) and components):
             raise SchemaError(f"components must be a nonempty list of strings, not {components!r}")
         try:
             n = _int(doc["dimension"], "dimension", 0)
@@ -722,6 +720,9 @@ class StrataComplex:
                     m: _matrix_load(mat)
                     for m, mat in _degree_items(fd.get("lefschetz", {}), "lefschetz")
                 }
+                labels = dict(_degree_items(fd.get("labels", {}), "labels"))
+                if not all(map(_is_string_list, labels.values())):
+                    raise SchemaError(f"labels must be lists of strings, not {labels!r}")
                 slope_pure = fd.get("slope_pure", False)
                 if not isinstance(slope_pure, bool):
                     raise SchemaError(f"slope_pure must be a boolean, not {slope_pure!r}")
@@ -731,10 +732,7 @@ class StrataComplex:
                     pairing=pairing,
                     lefschetz=lefschetz,
                     slope_pure=slope_pure,
-                    labels={
-                        m: [str(x) for x in names]
-                        for m, names in _degree_items(fd.get("labels", {}), "labels")
-                    },
+                    labels={m: list(names) for m, names in labels.items()},
                 )
             restrictions = {}
             for rd in doc.get("restrictions", []):
@@ -765,6 +763,10 @@ class StrataComplex:
         if not isinstance(doc, dict):
             raise SchemaError("top-level JSON value must be an object")
         return StrataComplex.from_json_dict(doc)
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def _degree_items(value, what: str):

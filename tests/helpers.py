@@ -8,6 +8,8 @@
   built by hand.
 * A generator of random valid configurations (graph curves, cellular
   components, and products).
+* ``SIGN_MUTANTS``: builtins with some matrices of some faces negated, which
+  still validate but fail checks.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 from ssweight.checks import CheckResult, relation_checks
 from ssweight.linalg import RatMatrix
+from ssweight import scenarios
 from ssweight.scenarios import (
     cellular_cohomology,
     elliptic_curve_cohomology,
@@ -274,3 +277,26 @@ def random_valid_complex(rng: random.Random) -> StrataComplex:
     else:
         factor = cellular_cohomology(random_cell_vector(rng, rng.randint(1, 2)))
     return base.product_with_factor(factor)
+
+
+# document -> (builtin, faces, the matrices negated on each of those faces)
+SIGN_MUTANTS = {
+    "ngon:5": ("ngon:5", [[1]], "pairing"),
+    "ngon_x_p1:3": ("ngon_x_p1:3", [[1]], "pairing"),
+    "ngon:4/lefschetz-sign": ("ngon:4", [[1], [2]], "lefschetz"),
+    "ngon:4/point-sign": ("ngon:4", [[1, 2], [1, 4]], "pairing"),
+}
+
+
+def sign_mutant(name: str) -> dict:
+    """The builtin of ``SIGN_MUTANTS[name]`` with the named matrices of the
+    named faces negated, as a JSON document."""
+    spec, faces, key = SIGN_MUTANTS[name]
+    doc = scenarios.build(scenarios.parse_spec(spec)).to_json_dict()
+    for face in doc["faces"]:
+        if face["indices"] in faces:
+            face[key] = {
+                m: [[str(-Fraction(x)) for x in row] for row in rows]
+                for m, rows in face[key].items()
+            }
+    return doc

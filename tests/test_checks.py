@@ -5,8 +5,10 @@ import pytest
 from helpers import HodgeLefschetzModule, graph_curve
 from ssweight.errors import InvalidParameters, SsweightError
 from ssweight.hodge_lefschetz import check_hl_axioms
-from ssweight.linalg import RatMatrix
+from ssweight.linalg import QuotientSpace, RatMatrix
 from ssweight.scenarios import (
+    build,
+    builtin_specs,
     elliptic_stratum,
     good_reduction_pn,
     ngon,
@@ -120,6 +122,19 @@ class TestH1Suite:
         vec = [Fraction(x) for x in wit["null_vector"]]
         assert any(x != 0 for x in vec)
         assert all(x == 0 for x in gram.apply(vec))
+
+    @pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.label())
+    def test_one_quotient_beyond_the_page(self, monkeypatch, spec):
+        # ker rho / im rho of H^0 of the double level is the page's quotient
+        # at (1, 0); only wm_h1_iso's source is formed by the suite
+        e2 = page(build(spec))
+        made = []
+        init = QuotientSpace.__init__
+        monkeypatch.setattr(
+            QuotientSpace, "__init__", lambda q, *args: made.append(q) or init(q, *args)
+        )
+        check_h1_suite(e2)
+        assert len(made) == 1
 
     def test_dimension_zero_rejected(self):
         zero_dim = graph_curve([], 1)

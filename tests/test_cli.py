@@ -133,6 +133,8 @@ def _first_face(doc, **changes):
         lambda doc: doc.update(name=5),
         lambda doc: doc.update(name=[1]),
         lambda doc: doc.update(schema_version=True),
+        lambda doc: _face_at(doc, [1]).update(labels={"0": [1]}),
+        lambda doc: _face_at(doc, [1]).update(labels={"0": "ab"}),
     ],
     ids=[
         "float-dimension",
@@ -149,12 +151,14 @@ def _first_face(doc, **changes):
         "int-name",
         "list-name",
         "bool-schema-version",
+        "int-label",
+        "string-labels",
     ],
 )
 def test_schema_types_are_enforced(capsys, tmp_path, change):
     # a float or a bool where the schema says integer, a non-boolean
-    # slope_pure, or a components list or name that is not made of strings
-    # is a schema error rather than a truncated or coerced value
+    # slope_pure, or a components list, name or labels list that is not made
+    # of strings is a schema error rather than a truncated or coerced value
     _assert_schema_error(capsys, tmp_path, change)
 
 
@@ -186,6 +190,7 @@ def _face_at(doc, indices):
         lambda doc: doc.update(components=[]),
         lambda doc: doc.update(schema_version=99),
         lambda doc: doc.update(schema_version=0),
+        lambda doc: doc.pop("name"),
     ],
     ids=[
         "decimal-entry",
@@ -198,12 +203,13 @@ def _face_at(doc, indices):
         "empty-components",
         "schema-version-99",
         "schema-version-0",
+        "missing-name",
     ],
 )
 def test_schema_values_are_enforced(capsys, tmp_path, change):
     # a rational string outside the schema's pattern ^-?[0-9]+(/[0-9]+)?$,
-    # a negative dimension, no components or a schema_version other than
-    # the constant 1 is a schema error, not a value or a verdict
+    # a negative dimension, no components, no name or a schema_version
+    # other than the constant 1 is a schema error, not a value or a verdict
     _assert_schema_error(capsys, tmp_path, change)
 
 

@@ -1,7 +1,8 @@
 """Byte-for-byte pins of the CLI on inputs where a check fails.
 
-Each document is a builtin with some matrices of some faces negated; every
-one still validates, but fails at least one check suite:
+Each document is a builtin with some matrices of some faces negated
+(``helpers.SIGN_MUTANTS``); every one still validates, but fails at least
+one check suite:
 
 * ``ngon:5`` and ``ngon_x_p1:3``, every pairing of face ``{1}`` negated:
   the pairings stay perfect and graded-symmetric, but the primitive forms of
@@ -29,20 +30,13 @@ in text and JSON, like ``test_golden_outputs``.
 
 import hashlib
 import json
-from fractions import Fraction
 
 import pytest
 
-from ssweight import checks, scenarios
+from helpers import SIGN_MUTANTS, sign_mutant
+from ssweight import checks
 from ssweight.cli import main
 
-# document -> (builtin, faces, the matrices negated on each of those faces)
-DOCUMENTS = {
-    "ngon:5": ("ngon:5", [[1]], "pairing"),
-    "ngon_x_p1:3": ("ngon_x_p1:3", [[1]], "pairing"),
-    "ngon:4/lefschetz-sign": ("ngon:4", [[1], [2]], "lefschetz"),
-    "ngon:4/point-sign": ("ngon:4", [[1, 2], [1, 4]], "pairing"),
-}
 COMMANDS = (
     "validate",
     "e2",
@@ -216,27 +210,13 @@ POSITIVITY_FAILURES = {
 }
 
 
-def negated_document(name: str) -> dict:
-    """The builtin of ``DOCUMENTS[name]`` with the named matrices of the
-    named faces negated."""
-    spec, faces, key = DOCUMENTS[name]
-    doc = scenarios.build(scenarios.parse_spec(spec)).to_json_dict()
-    for face in doc["faces"]:
-        if face["indices"] in faces:
-            face[key] = {
-                m: [[str(-Fraction(x)) for x in row] for row in rows]
-                for m, rows in face[key].items()
-            }
-    return doc
-
-
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
     root = tmp_path_factory.mktemp("negated")
     paths = {}
-    for name in DOCUMENTS:
+    for name in SIGN_MUTANTS:
         path = root / (name.replace(":", "-").replace("/", "-") + ".json")
-        path.write_text(json.dumps(negated_document(name)), encoding="utf-8")
+        path.write_text(json.dumps(sign_mutant(name)), encoding="utf-8")
         paths[name] = str(path)
     return paths
 
@@ -249,7 +229,7 @@ def _digest(capsys, path, command, fmt):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("spec", DOCUMENTS)
+@pytest.mark.parametrize("spec", SIGN_MUTANTS)
 def test_output_digest(capsys, documents, spec, command, fmt):
     assert _digest(capsys, documents[spec], command, fmt) == GOLDEN[spec, command, fmt]
 

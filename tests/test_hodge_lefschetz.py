@@ -169,6 +169,17 @@ class TestSuite:
             stages = {c.location.get("stage") for c in results}
             assert {"V", "H(V)"} <= stages
 
+    def test_fixpoint_goes_through_hl_cohomology(self, monkeypatch):
+        # H(H(V)) is taken by the one cohomology entry point, once
+        taken = []
+        cohomology = hodge_lefschetz.hl_cohomology
+        monkeypatch.setattr(
+            hodge_lefschetz, "hl_cohomology", lambda v: taken.append(v) or cohomology(v)
+        )
+        e2 = compute_e2(build_e1(ngon(5)))
+        hl_suite(e2)
+        assert taken == [e2]
+
     def test_fixpoint_fails_when_cohomology_differs(self, monkeypatch):
         # a second cohomology whose L differs by a sign on one cell is not the
         # page itself; the witness still lists the dimensions of the page

@@ -10,10 +10,13 @@ from helpers import (
     independent_rank,
     nerve_cohomology_oracle,
     page_relations,
+    sign_mutant,
 )
 from ssweight.errors import DifferentialNotSquareZero
+from ssweight.linalg import image, kernel
 from ssweight.scenarios import (
     build,
+    builtin_specs,
     cellular_cohomology,
     elliptic_stratum,
     good_reduction_pn,
@@ -23,6 +26,7 @@ from ssweight.scenarios import (
     tetrahedron,
 )
 from ssweight.spectral import build_e1, compute_e2, power
+from ssweight.strata import StrataComplex
 
 
 class TestE1:
@@ -184,6 +188,33 @@ class TestE2:
                     (-1) ** a * e2.dim(a, b) for (a, bb) in e2.support() if bb == b
                 )
                 assert chi1 == chi2
+
+
+class TestQuotient:
+    SOURCES = [*builtin_specs(), "ngon:4/lefschetz-sign", "ngon:4/point-sign"]
+
+    @pytest.mark.parametrize(
+        "source", SOURCES, ids=lambda s: s if isinstance(s, str) else s.label()
+    )
+    def test_h0_cells_are_ker_rho_over_im_rho(self, source):
+        # H^0 of level k is the first-page cell (k-1, 0) alone, with d1 = rho
+        # into and out of it, so the page's quotient there holds the very
+        # bases that kernel and image of rho give
+        if isinstance(source, str):
+            sc = StrataComplex.from_json_dict(sign_mutant(source))
+        else:
+            sc = build(source)
+        e2 = compute_e2(build_e1(sc))
+        for k in range(1, sc.max_level + 1):
+            q = e2.quotient(k - 1, 0)
+            assert q.numerator.basis == kernel(sc.rho(k, 0)).basis
+            if k >= 2:
+                assert q.denominator.basis == image(sc.rho(k - 1, 0)).basis
+
+    @pytest.mark.parametrize("sc, cell", [(good_reduction_pn(1), (1, 0)), (ngon(3), (2, 0))])
+    def test_off_the_support_is_the_zero_quotient(self, sc, cell):
+        q = compute_e2(build_e1(sc)).quotient(*cell)
+        assert (q.dim, q.ambient_dim) == (0, 0)
 
 
 class TestDuality:
