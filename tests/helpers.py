@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ssweight import scenarios
 from ssweight.checks import CheckResult, relation_checks
 from ssweight.linalg import RatMatrix
-from ssweight import scenarios
 from ssweight.scenarios import (
     cellular_cohomology,
     elliptic_curve_cohomology,
