@@ -5,17 +5,21 @@ one ``{column: int}`` dict of nonzero numerators per row, so no operation
 ever visits a zero, and one ``int`` denominator for the whole matrix, kept
 in lowest terms (it is coprime to the numerators taken together), so equal
 matrices have equal storage.  Products are integer sparse products over the
-product of the denominators, reduced once.  Ranks, reduced row echelon
-forms, and through them kernels, column spaces, solves, inverses and
-quotient constructions all run one fraction-free elimination on the integer
-rows as stored: each row operation is an integer combination of two rows
-followed by division by the row's content gcd, so entries stay small; a
-reduced echelon form keeps the lcm of its pivots as its denominator.
-Signatures run a fraction-free symmetric elimination on the same integer
-rows.  ``Fraction`` appears only where single entries leave a matrix
-(``row``, ``col``, ``row_items``, ``entries``, ``apply``); ``to_strings``
-formats the schema strings straight from the integers.  No floating point
-anywhere.
+product of the denominators, reduced once.  Ranks, pivot columns, reduced
+row echelon forms, and through them kernels, column spaces, solves,
+inverses and quotient constructions all run one fraction-free elimination
+on the integer rows as stored: each row operation is an integer combination
+of two rows followed by division by the row's content gcd, so entries stay
+small.  Its forward pass keeps the pivot rows in a column index, one per
+pivot column, and clears each entering row only at columns that have one,
+so its cost follows the row operations, not the shape; ranks, column spaces
+and quotients read its pivots alone.  The reduced form adds one
+back-substitution from the last pivot row up and keeps the lcm of its pivots
+as its denominator.  Signatures run a fraction-free symmetric elimination on
+the same integer rows.  ``Fraction`` appears only where single entries leave
+a matrix (``row``, ``col``, ``row_items``, ``entries``, ``apply``);
+``to_strings`` formats the schema strings straight from the integers.  No
+floating point anywhere.
 
 Conventions: a linear map V -> W is a matrix with ``rows = dim W`` and
 ``cols = dim V`` acting on column vectors; a subspace is stored as a matrix
@@ -108,6 +112,29 @@ def _reduced(rows: int, cols: int, den: int, data) -> "RatMatrix":
         data = [{j: x // g for j, x in row.items()} for row in data]
         den //= g
     return _make(rows, cols, den, data)
+
+
+def _cleared(row: dict, c: int, q: dict) -> dict:
+    """A new row: ``row`` cleared at column ``c`` against the pivot row
+    ``q``, that is ``(p/g) row - (a/g) q`` (``p`` the pivot, ``a`` the entry,
+    ``g = gcd(p, a)``), or ``row - (a/p) q`` when ``p`` divides ``a``, over
+    its content gcd; only nonzero entries are visited."""
+    p, a = q[c], row[c]
+    if a % p:
+        g = gcd(p, a)
+        s, t = p // g, a // g
+        out = {j: s * x for j, x in row.items()}
+    else:
+        t = a // p
+        out = dict(row)
+    for j, y in q.items():
+        v = out.get(j, 0) - t * y
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
 def _submatrix(m: "RatMatrix", rows: range, cols: range) -> "RatMatrix":
@@ -317,71 +344,64 @@ class RatMatrix:
     # -- elimination -------------------------------------------------------
 
     def _eliminate(self, reduce: bool):
-        """Fraction-free elimination on copies of the integer rows (the common
+        """Fraction-free elimination of the integer rows (the common
         denominator scales every row alike, so it changes no pivot).
 
-        Returns ``(rows, pivots)``: row ``i < len(pivots)`` has its leading
-        entry in column ``pivots[i]`` and every later row is empty.  The pivot
-        of each column is the topmost remaining row with a nonzero entry
-        there; columns no remaining row reaches are skipped, so the next pivot
-        column is the smallest leading column of a remaining row.  Clearing
-        column ``c`` of row ``i`` against pivot row ``r`` replaces it by
-        ``(p/g) row_i - (a/g) row_r`` (``p`` the pivot, ``a`` the entry,
-        ``g = gcd(p, a)``) divided by its content gcd; only the nonzero
-        entries of the two rows are visited.  With ``reduce`` the column is
-        cleared above the pivot as well, which leaves the reduced row echelon
-        form up to one scalar per row.
+        Returns ``(rows, pivots)``: the pivot columns in increasing order, and
+        for each the row whose leading entry is there.  The forward pass keeps
+        the rows found so far in a column index, one pivot row per pivot
+        column.  Each entering row is cleared at its leading column against
+        that column's pivot row until it leads in a column that has none, and
+        there it becomes the pivot row (or it vanishes).  Clearing only adds
+        columns right of the cleared one, so a row's leading column only
+        grows.  Rows enter in decreasing lexicographic order of their column
+        lists: one that leads further right, or at an equal lead has its next
+        entry further right, enters first, so a row cleared against it jumps
+        furthest.  (Entered as stored, the rows of a stacked pair of bases,
+        each with an entry in column 0 and one further right, would each be
+        cleared at every earlier pivot column.)
+        Pivots and the reduced form do not depend on the order.
+
+        With ``reduce``, one back-substitution follows: from the last pivot
+        row up, each row is cleared at every pivot column it meets against
+        the rows below it, which are reduced already.  A reduced row brings
+        no pivot column but its own, so each entry is cleared once, and the
+        rows are the reduced row echelon form up to one scalar per row.  No
+        row of the matrix is mutated.
         """
-        m = [dict(row) for row in self._data]
-        nrows = len(m)
-        lead = [min(row) if row else None for row in m]
-        pivots = []
-        for r in range(nrows):
-            c = None
-            for i in range(r, nrows):
-                li = lead[i]
-                if li is not None and (c is None or li < c):
-                    c, p = li, i
-            if c is None:
-                break
-            m[r], m[p] = m[p], m[r]
-            lead[r], lead[p] = lead[p], lead[r]
-            piv_items = list(m[r].items())
-            piv = m[r][c]
-            for i in range(0 if reduce else r + 1, nrows):
-                row = m[i]
-                a = row.get(c)
-                if a is None or i == r:
-                    continue
-                g = gcd(piv, a)
-                s, t = piv // g, a // g
-                if s != 1:
-                    for j in row:
-                        row[j] *= s
-                for j, y in piv_items:
-                    v = row.get(j, 0) - t * y
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-                g = gcd(*row.values())
-                if g > 1:
-                    row = m[i] = {j: x // g for j, x in row.items()}
-                if i > r:
-                    lead[i] = min(row) if row else None
-            pivots.append(c)
-        return m, pivots
+        pivot = {}
+        for row in sorted(self._data, key=sorted, reverse=True):
+            while row:
+                c = min(row)
+                q = pivot.get(c)
+                if q is None:
+                    pivot[c] = row
+                    break
+                row = _cleared(row, c, q)
+        cols = sorted(pivot)
+        if reduce:
+            for c in reversed(cols):
+                row = pivot[c]
+                for j in [j for j in row if j != c and j in pivot]:
+                    row = _cleared(row, j, pivot[j])
+                pivot[c] = row
+        return [pivot[c] for c in cols], cols
+
+    def pivots(self) -> list:
+        """Pivot columns of the forward elimination alone: the columns that
+        are not in the span of the columns before them."""
+        return self._eliminate(reduce=False)[1]
 
     def rank(self) -> int:
-        """Rank over Q: the pivot count of the forward elimination."""
-        return len(self._eliminate(reduce=False)[1])
+        """Rank over Q: the number of pivot columns."""
+        return len(self.pivots())
 
     def rref(self):
         """Reduced row echelon form over Q.
 
-        Returns ``(rref_matrix, pivot_columns)``; deterministic (topmost row
-        with a nonzero entry becomes the pivot, and the form is unique).  The
-        form is each eliminated row over its pivot, all over the lcm of the
+        Returns ``(rref_matrix, pivot_columns)``; the form is unique, so it
+        does not depend on the order of elimination.  It is each row of the
+        back-substituted elimination over its pivot, all over the lcm of the
         absolute pivots.
         """
         m, pivots = self._eliminate(reduce=True)
@@ -407,8 +427,7 @@ class RatMatrix:
 
     def column_space_basis(self) -> "RatMatrix":
         """Pivot columns of the matrix: a basis of the column span."""
-        _, pivots = self.rref()
-        return self.take_columns(pivots)
+        return self.take_columns(self.pivots())
 
     def solve(self, rhs: "RatMatrix"):
         """Solve ``self @ X = rhs``; returns one solution or None.
@@ -590,7 +609,7 @@ class QuotientSpace:
         # the independent denominator columns are the first d pivots, and
         # there are numerator.dim pivots iff the denominator lies inside
         d = denominator.dim
-        _, pivots = denominator.basis.hstack(numerator.basis).rref()
+        pivots = denominator.basis.hstack(numerator.basis).pivots()
         if len(pivots) != numerator.dim:
             raise NotWellDefined("denominator is not contained in numerator")
         self.ambient_dim = ambient_dim

@@ -38,10 +38,13 @@ class ScenarioSpec:
     params: dict = field(default_factory=dict)
 
     def label(self) -> str:
+        """The CLI syntax of this spec, which ``parse_spec`` reads back."""
         if not self.params:
             return self.kind
-        inner = ",".join(str(v) for _, v in sorted(self.params.items()))
-        return f"{self.kind}:{inner}"
+        values = []
+        for _, v in sorted(self.params.items()):
+            values.extend(v if isinstance(v, tuple) else (v,))
+        return f"{self.kind}:{','.join(map(str, values))}"
 
 
 KINDS = (

@@ -6,7 +6,11 @@ with denominators up to 7, and with some rows forced to be rational
 combinations of earlier rows, so that rank deficiency is common.  The
 symmetric inputs of the signature test are ``A + A^T``, the same with its
 diagonal set to zero, and ``B^T D B`` for such ``A`` and ``B`` and a diagonal
-``D``, so that zero diagonals and low ranks are common too.  The quotient
+``D``, so that zero diagonals and low ranks are common too.  Structured
+cases up to 257 rows, where fill-in and the order of elimination matter,
+are cycle incidences, long bidiagonal chains in both row orders, a cycle
+with a dense last column, a dense first column in both row orders, zero
+rows and columns, and tall and wide shapes.  The quotient
 tests draw flags ``denominator ⊂ numerator`` (sometimes not nested), and
 maps and pairings that are drawn at random or built in bases adapted to the
 flags so that they descend; sympy's ranks decide which is which.  Every
@@ -15,6 +19,7 @@ entries loaded afresh, so that equal values always have equal storage.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,6 +41,7 @@ from ssweight.linalg import (
 from ssweight.strata import _matrix_json
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 MAX_DIM = 8
 
@@ -79,9 +85,13 @@ def square_matrices(draw):
 
 
 def to_sympy(m: RatMatrix):
-    return sympy.Matrix(
-        m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for row in m.entries for x in row]
-    )
+    """``m`` as a dense sympy matrix, built from its nonzero entries."""
+    nonzero = {(i, j): sympy_rational(x) for i in range(m.rows) for j, x in m.row_items(i)}
+    return sympy.Matrix(sympy.SparseMatrix(m.rows, m.cols, nonzero))
+
+
+def sympy_rational(x: Fraction):
+    return sympy.Rational(x.numerator, x.denominator)
 
 
 def from_sympy(s) -> list:
@@ -120,6 +130,12 @@ def test_rref_matches_sympy(m):
     assert pivots == list(expected_pivots)
     assert R.to_lists() == from_sympy(expected)
     assert all(type(x) is Fraction for row in R.entries for x in row)
+
+
+@given(matrices())
+@settings(max_examples=200, deadline=None)
+def test_pivots_are_the_rref_pivots(m):
+    assert m.pivots() == m.rref()[1]
 
 
 @given(matrices())
@@ -209,6 +225,146 @@ def test_signature_matches_descartes(m):
     inertia = signature(m)
     assert inertia == descartes_inertia(m)
     assert inertia[0] + inertia[1] == to_sympy(m).rank()
+
+
+# -- structured cases: long chains, cycles and fill-in ----------------------------
+
+
+def from_entries(rows: int, cols: int, entries: dict) -> RatMatrix:
+    """The matrix with ``entries[(i, j)]`` at ``(i, j)`` and zeros elsewhere."""
+    grid = [[Fraction(0)] * cols for _ in range(rows)]
+    for (i, j), x in entries.items():
+        grid[i][j] += x
+    return RatMatrix(rows, cols, grid)
+
+
+def cycle(n: int) -> RatMatrix:
+    """Incidence of the n-cycle, edges by vertices: row i is e_i - e_{i+1 mod n}."""
+    entries = {}
+    for i in range(n):
+        entries[(i, i)] = Fraction(1)
+        entries[(i, (i + 1) % n)] = Fraction(-1)
+    return from_entries(n, n, entries)
+
+
+def weight(i: int) -> Fraction:
+    """A nonzero rational that varies with ``i``."""
+    return Fraction((-1) ** i * (i % 7 + 1), i % 5 + 1)
+
+
+def bidiagonal(n: int, reverse: bool = False) -> RatMatrix:
+    """n x (n + 1): row i has weight(i) at column i and weight(i + 3) at
+    column i + 1; ``reverse`` lists the rows last first."""
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    entries = {}
+    for r, i in enumerate(order):
+        entries[(r, i)] = weight(i)
+        entries[(r, i + 1)] = weight(i + 3)
+    return from_entries(n, n + 1, entries)
+
+
+def dense_last_column(n: int) -> RatMatrix:
+    """The n-cycle's incidence with a column of nonzero entries appended:
+    every row clears into the last column, which fills in on every step."""
+    c = cycle(n)
+    entries = {(i, j): x for i in range(n) for j, x in c.row_items(i)}
+    entries.update({(i, n): weight(i) for i in range(n)})
+    return from_entries(n, n + 1, entries)
+
+
+def fan(n: int, reverse: bool = False) -> RatMatrix:
+    """n x (n + 1): row k has weight(k) at column 0 and 1 at column k + 1, as
+    a stacked pair of bases has; ``reverse`` lists the rows last first."""
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    entries = {}
+    for r, k in enumerate(order):
+        entries[(r, 0)] = weight(k)
+        entries[(r, k + 1)] = Fraction(1)
+    return from_entries(n, n + 1, entries)
+
+
+def padded(m: RatMatrix, zero_rows, zero_cols) -> RatMatrix:
+    """``m`` with zero rows and zero columns put in at the given positions of
+    the result."""
+    rows = [i for i in range(m.rows + len(zero_rows)) if i not in zero_rows]
+    cols = [j for j in range(m.cols + len(zero_cols)) if j not in zero_cols]
+    entries = {(rows[i], cols[j]): x for i in range(m.rows) for j, x in m.row_items(i)}
+    return from_entries(m.rows + len(zero_rows), m.cols + len(zero_cols), entries)
+
+
+def sparse_random(rows: int, cols: int, seed: int) -> RatMatrix:
+    """A seeded sparse matrix with every third row a combination of two earlier ones."""
+    rng = random.Random(seed)
+    grid = [
+        [weight(rng.randrange(35)) if rng.random() < 0.3 else Fraction(0) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    for k in range(2, rows, 3):
+        a, b = rng.randrange(k), rng.randrange(k)
+        grid[k] = [weight(k) * x + weight(k + 1) * y for x, y in zip(grid[a], grid[b])]
+    return RatMatrix(rows, cols, grid)
+
+
+STRUCTURED = {
+    **{f"cycle:{n}": (lambda n=n: cycle(n)) for n in (3, 64, 257)},
+    **{f"cycle:{n}^T": (lambda n=n: cycle(n).transpose()) for n in (3, 64, 257)},
+    "bidiagonal:200": lambda: bidiagonal(200),
+    "bidiagonal:200^T": lambda: bidiagonal(200).transpose(),
+    "bidiagonal:200 reversed": lambda: bidiagonal(200, reverse=True),
+    "dense-last-column:120": lambda: dense_last_column(120),
+    "dense-last-column:120^T": lambda: dense_last_column(120).transpose(),
+    "dense-first-column:200": lambda: fan(200),
+    "dense-first-column:200 reversed": lambda: fan(200, reverse=True),
+    "zero rows and columns": lambda: padded(cycle(64), {0, 9, 33, 66}, {0, 5, 40, 67}),
+    "zero:4x6": lambda: RatMatrix.zeros(4, 6),
+    "zero:0x5": lambda: RatMatrix.zeros(0, 5),
+    "zero:5x0": lambda: RatMatrix.zeros(5, 0),
+    "tall:60x7": lambda: sparse_random(60, 7, 1),
+    "wide:7x60": lambda: sparse_random(7, 60, 2),
+    "wide:12x40 with zero rows": lambda: padded(sparse_random(9, 40, 3), {0, 4, 11}, set()),
+}
+
+
+@pytest.fixture(params=sorted(STRUCTURED), scope="module")
+def structured(request):
+    m = STRUCTURED[request.param]()
+    return m, to_sympy(m)
+
+
+def test_structured_rank_pivots_and_rref_match_sympy(structured):
+    m, s = structured
+    expected, expected_pivots = s.rref()
+    assert m.rank() == DomainMatrix.from_Matrix(s).rank() == len(expected_pivots)
+    assert m.pivots() == list(expected_pivots)
+    R, pivots = m.rref()
+    assert pivots == list(expected_pivots)
+    assert canonical(R).to_lists() == from_sympy(expected)
+
+
+def test_structured_kernel_basis_matches_sympy(structured):
+    m, s = structured
+    # both put 1 at one free column and 0 at the others of each basis vector
+    expected = s.nullspace()
+    K = canonical(m.kernel_basis())
+    assert (K.rows, K.cols) == (m.cols, len(expected))
+    if expected:
+        assert K.to_lists() == from_sympy(sympy.Matrix.hstack(*expected))
+
+
+def test_structured_solve_matches_sympy(structured):
+    m, s = structured
+    x = RatMatrix(m.cols, 2, [[weight(j), weight(j + 1) if j % 3 else 0] for j in range(m.cols)])
+    rhs = m @ x
+    sol = m.solve(rhs)
+    assert sol is not None and m @ sol == rhs
+    # sympy's solution with every free parameter 0 is the one with 0 on every
+    # free column, as ``solve`` gives
+    expected, params = s.gauss_jordan_solve(to_sympy(rhs))
+    assert canonical(sol).to_lists() == from_sympy(expected.subs({p: 0 for p in params}))
+    # a nonzero vector orthogonal to the image is not in it
+    left = s.T.nullspace()
+    if left:
+        assert m.solve(RatMatrix(m.rows, 1, from_sympy(left[0]))) is None
 
 
 # -- quotients -------------------------------------------------------------------
@@ -332,10 +488,6 @@ def test_induced_pairing_matches_sympy(left_flag, right_flag, kind, data):
 
 
 # -- structure, canonical form and the schema boundary -------------------------------
-
-
-def sympy_rational(x: Fraction):
-    return sympy.Rational(x.numerator, x.denominator)
 
 
 @given(st.data())

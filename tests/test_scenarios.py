@@ -68,6 +68,10 @@ class TestParse:
             "cellular", {"cells": (1, 2, 1)}
         )
 
+    @pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.label())
+    def test_label_reads_back(self, spec):
+        assert parse_spec(spec.label()) == spec
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameters):
             parse_spec("banana")
