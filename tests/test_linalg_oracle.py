@@ -10,10 +10,10 @@ diagonal set to zero, and ``B^T D B`` for such ``A`` and ``B`` and a diagonal
 cases up to 257 rows, where fill-in and the order of elimination matter,
 are cycle incidences, long bidiagonal chains in both row orders, a cycle
 with a dense last column, a dense first column in both row orders, zero
-rows and columns, and tall and wide shapes.  The quotient
-tests draw flags ``denominator ⊂ numerator`` (sometimes not nested), and
-maps and pairings that are drawn at random or built in bases adapted to the
-flags so that they descend; sympy's ranks decide which is which.  Every
+rows and columns, and tall and wide shapes.  The quotient tests draw flags
+``denominator ⊂ numerator`` (sometimes not nested), and maps and pairings
+that are drawn at random or built in bases adapted to the flags so that
+they descend; sympy's ranks decide which is which.  Every
 result that is compared is also checked to equal, and hash like, the same
 entries loaded afresh, so that equal values always have equal storage.
 """
@@ -234,7 +234,7 @@ def from_entries(rows: int, cols: int, entries: dict) -> RatMatrix:
     """The matrix with ``entries[(i, j)]`` at ``(i, j)`` and zeros elsewhere."""
     grid = [[Fraction(0)] * cols for _ in range(rows)]
     for (i, j), x in entries.items():
-        grid[i][j] += x
+        grid[i][j] = x
     return RatMatrix(rows, cols, grid)
 
 
