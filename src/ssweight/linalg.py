@@ -17,9 +17,9 @@ and quotients read its pivots alone.  The reduced form adds one
 back-substitution from the last pivot row up and keeps the lcm of its pivots
 as its denominator.  Signatures run a fraction-free symmetric elimination on
 the same integer rows.  ``Fraction`` appears only where single entries leave
-a matrix (``row``, ``col``, ``row_items``, ``entries``, ``apply``);
-``to_strings`` formats the schema strings straight from the integers.  No
-floating point anywhere.
+a matrix (``row``, ``col``, ``row_items``, ``entries``, ``apply``); entries
+enter in one pass that keeps only the nonzeros, and ``to_strings`` formats
+the schema strings straight from the integers.  No floating point anywhere.
 
 Conventions: a linear map V -> W is a matrix with ``rows = dim W`` and
 ``cols = dim V`` acting on column vectors; a subspace is stored as a matrix
@@ -150,22 +150,36 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "_den", "_data")
 
     def __init__(self, rows: int, cols: int, entries):
-        parsed = []
+        # one pass over the entries: each row's numerators go straight into
+        # its dict, and only the entries with a denominator are revisited
+        data, fractions = [], []
         for row in entries:
-            row = [_parse(x) for x in row]
-            if len(row) != cols:
+            out, j = {}, -1
+            for j, x in enumerate(row):
+                n, d = _parse(x)
+                if n:
+                    out[j] = n
+                    if d != 1:
+                        fractions.append((out, j, d))
+            if j + 1 != cols:
                 raise ValueError(f"entry grid does not match shape {rows}x{cols}")
-            parsed.append([(j, n, d) for j, (n, d) in enumerate(row) if n])
-        if len(parsed) != rows:
+            data.append(out)
+        if len(data) != rows:
             raise ValueError(f"entry grid does not match shape {rows}x{cols}")
         # the lcm of denominators in lowest terms is coprime to the scaled
         # numerators: an entry whose denominator has a prime's top power
         # keeps a numerator that the prime does not divide
-        den = lcm(*[d for row in parsed for _, _, d in row])
+        den = lcm(*[d for _, _, d in fractions])
+        if den != 1:
+            for out in data:
+                for j in out:
+                    out[j] *= den
+            for out, j, d in fractions:
+                out[j] //= d
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "_den", den)
-        _set(self, "_data", tuple({j: n * (den // d) for j, n, d in row} for row in parsed))
+        _set(self, "_data", tuple(data))
 
     def __setattr__(self, *_):
         raise AttributeError("RatMatrix is immutable")
@@ -174,7 +188,9 @@ class RatMatrix:
 
     @staticmethod
     def from_rows(rows) -> "RatMatrix":
-        rows = [list(r) for r in rows]
+        """The matrix of a list of equally long rows; the rows are read, not copied."""
+        if not isinstance(rows, list):
+            rows = list(rows)
         ncols = len(rows[0]) if rows else 0
         return RatMatrix(len(rows), ncols, rows)
 
@@ -333,12 +349,17 @@ class RatMatrix:
         return _make(self.rows, self.cols + other.cols, den, out)
 
     def take_columns(self, idx) -> "RatMatrix":
+        """The columns ``idx``, in that order and with repeats; only each
+        row's nonzeros are visited, through one column-to-positions map."""
         idx = list(idx)
+        pos: dict[int, list[int]] = {}
+        for p, j in enumerate(idx):
+            pos.setdefault(j, []).append(p)
         return _reduced(
             self.rows,
             len(idx),
             self._den,
-            [{p: r[j] for p, j in enumerate(idx) if j in r} for r in self._data],
+            [{p: x for j, x in r.items() if j in pos for p in pos[j]} for r in self._data],
         )
 
     # -- elimination -------------------------------------------------------

@@ -27,6 +27,19 @@ Three families of maps live on this data:
 Pairing matrices are stored per degree ``m`` as the matrix of
 ``H^m x H^{2d-m} -> Q`` where ``d`` is the stratum dimension; the complement
 is filled in automatically using graded symmetry ``<y,x> = (-1)^{|x||y|}<x,y>``.
+
+A document repeats a few strata many times (an ``N``-gon has two), so the
+loader interns them: face entries of one size with one canonical JSON text
+(sorted keys, ``indices`` left out) share one ``StratumCohomology``, and
+restrictions with one canonical ``maps`` text share one dict of matrices.
+Canonical text, not Python equality, keys them, since ``1``, ``1.0`` and
+``true`` are equal in Python but are not one document value.  ``validate``
+checks each distinct stratum of each dimension, and each distinct
+``(source stratum, target stratum, maps)``, once, and reports the verdicts
+again at every face or restriction that shares it, in the order of faces.
+The complex memoises ``rho``, ``tau`` and the level pairings and Lefschetz
+maps, so the relation checks, the first page and the suites share one
+assembly of each.
 """
 
 from __future__ import annotations
@@ -39,8 +52,13 @@ from .errors import InvalidParameters, MissingRestriction, SchemaError
 from .linalg import RatMatrix, assemble_blocks, format_rat, kernel_witness, kron
 
 Face = tuple[int, ...]
+_set = object.__setattr__
+# the maps of a restriction the document does not give; never mutated
+_NO_MAPS: dict[int, RatMatrix] = {}
 # the degree keys of docs/strata_schema.json
 _DEGREE = re.compile(r"0|[1-9][0-9]*")
+# the encoder of ``_canonical``: ``json.dumps(value, sort_keys=True)``
+_CANONICAL = json.JSONEncoder(sort_keys=True)
 
 
 def _int(x, what: str, minimum=None) -> int:
@@ -64,9 +82,11 @@ def _face_str(indices: Face) -> str:
     return "{" + ",".join(str(i) for i in indices) + "}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class StratumCohomology:
-    """Graded cohomology of one stratum (or of a product factor).
+    """Graded cohomology of one stratum (or of a product factor); never
+    changed after construction, since the loader gives faces with one
+    canonical entry one shared instance.
 
     dims: degree -> dimension (only nonzero degrees stored).
     pairing: degree m -> matrix of H^m x H^{2*dim-m} -> Q.
@@ -83,15 +103,16 @@ class StratumCohomology:
     labels: dict[int, list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.dims = {int(m): int(d) for m, d in self.dims.items() if int(d) != 0}
-        self.pairing = {int(m): p for m, p in self.pairing.items()}
-        self.lefschetz = {int(m): p for m, p in self.lefschetz.items()}
+        pairing = {int(m): p for m, p in self.pairing.items()}
         # fill complementary pairings by graded symmetry
-        for m in sorted(self.pairing):
+        for m in sorted(pairing):
             mc = 2 * self.dim - m
-            if mc not in self.pairing:
+            if mc not in pairing:
                 sign = -1 if m % 2 else 1
-                self.pairing[mc] = self.pairing[m].transpose().scale(sign)
+                pairing[mc] = pairing[m].transpose().scale(sign)
+        _set(self, "dims", {int(m): int(d) for m, d in self.dims.items() if int(d) != 0})
+        _set(self, "pairing", pairing)
+        _set(self, "lefschetz", {int(m): p for m, p in self.lefschetz.items()})
 
     def dim_in(self, m: int) -> int:
         return self.dims.get(m, 0)
@@ -105,8 +126,8 @@ class StratumCohomology:
         return RatMatrix.zeros(self.dim_in(m + 2), self.dim_in(m))
 
     def lefschetz_shaped(self, m: int) -> bool:
-        L = self.lefschetz_matrix(m)
-        return (L.rows, L.cols) == (self.dim_in(m + 2), self.dim_in(m))
+        L = self.lefschetz.get(m)
+        return L is None or (L.rows, L.cols) == (self.dim_in(m + 2), self.dim_in(m))
 
     def label_list(self, m: int) -> list[str]:
         if m in self.labels:
@@ -170,17 +191,26 @@ class StrataComplex:
     """Nerve plus per-stratum cohomological data; immutable after loading."""
 
     def __init__(self, name, n, components, faces, restrictions):
+        self._init(
+            name,
+            n,
+            components,
+            {_face(f): coh for f, coh in faces.items()},
+            {
+                (_face(a), _face(b)): {int(m): mat for m, mat in maps.items()}
+                for (a, b), maps in restrictions.items()
+            },
+        )
+
+    def _init(self, name, n, components, faces, restrictions):
+        """The constructor on faces and restriction maps keyed as stored:
+        sorted face tuples and int degrees."""
         self.name = str(name)
         self.n = int(n)
         self.components = list(components)
-        self.faces: dict[Face, StratumCohomology] = {
-            _face(f): coh for f, coh in faces.items()
-        }
-        self.restrictions: dict[tuple[Face, Face], dict[int, RatMatrix]] = {
-            (_face(a), _face(b)): {int(m): mat for m, mat in maps.items()}
-            for (a, b), maps in restrictions.items()
-        }
-        # rho and tau by ("rho" or "tau", k, m), built on first use
+        self.faces: dict[Face, StratumCohomology] = faces
+        self.restrictions: dict[tuple[Face, Face], dict[int, RatMatrix]] = restrictions
+        # rho, tau, pairing and lefschetz by (family, k, m), built on first use
         self._maps: dict[tuple[str, int, int], RatMatrix] = {}
         self._level_cache: dict[int, GradedSpace] = {}
 
@@ -221,13 +251,13 @@ class StrataComplex:
 
     def _summands(self, k: int, m: int) -> list[tuple[Face, int]]:
         """The ``(face, dim)`` summands of H^m(level k); none outside the
-        levels ``1..max_level``."""
-        if k < 1 or k > self.max_level:
+        levels ``1..max_level``, whose cached spaces are empty."""
+        if k < 1:
             return []
         return self.level(k).summands.get(m, [])
 
     def level_dim(self, k: int, m: int) -> int:
-        if k < 1 or k > self.max_level:
+        if k < 1:
             return 0
         return self.level(k).dim_in(m)
 
@@ -235,14 +265,24 @@ class StrataComplex:
 
     def level_pairing(self, k: int, m: int) -> RatMatrix:
         """Poincare pairing H^m(level k) x H^{m'}(level k), block-diagonal."""
-        rows = self._summands(k, m)
-        blocks = {(f, f): self.faces[f].pairing[m] for f, _ in rows if m in self.faces[f].pairing}
-        return assemble_blocks(rows, self._summands(k, 2 * (self.n + 1 - k) - m), blocks)
+        key = ("pairing", k, m)
+        if key not in self._maps:
+            rows = self._summands(k, m)
+            blocks = {
+                (f, f): self.faces[f].pairing[m] for f, _ in rows if m in self.faces[f].pairing
+            }
+            self._maps[key] = assemble_blocks(
+                rows, self._summands(k, 2 * (self.n + 1 - k) - m), blocks
+            )
+        return self._maps[key]
 
     def level_lefschetz(self, k: int, m: int) -> RatMatrix:
-        cols = self._summands(k, m)
-        blocks = {(f, f): self.faces[f].lefschetz_matrix(m) for f, _ in cols}
-        return assemble_blocks(self._summands(k, m + 2), cols, blocks)
+        key = ("lefschetz", k, m)
+        if key not in self._maps:
+            cols = self._summands(k, m)
+            blocks = {(f, f): self.faces[f].lefschetz_matrix(m) for f, _ in cols}
+            self._maps[key] = assemble_blocks(self._summands(k, m + 2), cols, blocks)
+        return self._maps[key]
 
     def lefschetz_power(self, k: int, m: int, power: int) -> RatMatrix:
         out = RatMatrix.identity(self.level_dim(k, m))
@@ -354,95 +394,14 @@ class StrataComplex:
                 )
 
     def _check_strata(self, v):
+        # faces that share one stratum of one dimension share its verdicts
+        seen: dict[tuple[int, int], list] = {}
         for f in sorted(self.faces):
-            coh = self.faces[f]
-            d = self.face_dim(f)
-            loc = f"face {_face_str(f)}"
-            if coh.dim != d:
-                v.append(
-                    Violation(
-                        "face-dim",
-                        loc,
-                        f"stratum carries dim {coh.dim}, nerve forces {d}",
-                    )
-                )
-                continue
-            for m in coh.degrees():
-                if m < 0 or m > 2 * d:
-                    v.append(Violation("face-degrees", loc, f"degree {m} outside [0, {2*d}]"))
-            if coh.slope_pure and any(m % 2 for m in coh.degrees()):
-                v.append(
-                    Violation("slope-pure-odd", loc, "slope_pure stratum has odd cohomology")
-                )
-            for m in coh.degrees():
-                mc = 2 * d - m
-                if coh.dim_in(mc) != coh.dim_in(m):
-                    v.append(
-                        Violation(
-                            "pairing-not-perfect",
-                            loc,
-                            f"dim H^{m} = {coh.dim_in(m)} != dim H^{mc} = {coh.dim_in(mc)}",
-                        )
-                    )
-                    continue
-                p = coh.pairing.get(m)
-                if p is None:
-                    v.append(Violation("pairing-shape", loc, f"pairing missing in degree {m}"))
-                    continue
-                if p.rows != coh.dim_in(m) or p.cols != coh.dim_in(mc):
-                    v.append(Violation("pairing-shape", loc, f"pairing shape wrong in degree {m}"))
-                    continue
-                if p.rank() != p.rows:
-                    vec = kernel_witness(p.transpose())
-                    v.append(
-                        Violation(
-                            "pairing-not-perfect",
-                            loc,
-                            f"pairing not perfect at degree {m}",
-                            witness={"kernel_vector": [format_rat(x) for x in vec]},
-                        )
-                    )
-                # m and mc have the same parity, so (m, mc) and (mc, m) state
-                # the same condition: compare each pair once
-                sign = -1 if m % 2 else 1
-                q = coh.pairing.get(mc)
-                if m <= mc and q is not None and q != p.transpose().scale(sign):
-                    v.append(
-                        Violation(
-                            "pairing-symmetry",
-                            loc,
-                            f"pairings at degrees {m},{mc} violate graded symmetry",
-                        )
-                    )
-            for m in sorted(coh.lefschetz):
-                if not coh.lefschetz_shaped(m):
-                    v.append(Violation("lefschetz-shape", loc, f"lefschetz shape wrong at degree {m}"))
-            # self-adjointness <Lx, y> = <x, Ly>
-            for m in coh.degrees():
-                mc, y_deg = 2 * d - m, 2 * d - m - 2
-                if coh.dim_in(m + 2) and coh.dim_in(y_deg):
-                    lm, ly = coh.lefschetz_matrix(m), coh.lefschetz_matrix(y_deg)
-                    p_up = coh.pairing.get(
-                        m + 2, RatMatrix.zeros(coh.dim_in(m + 2), coh.dim_in(y_deg))
-                    )
-                    p = coh.pairing.get(m, RatMatrix.zeros(coh.dim_in(m), coh.dim_in(mc)))
-                    # a misshapen operand is already reported above as a shape
-                    # or perfectness violation, and its products may be undefined
-                    if not (
-                        coh.lefschetz_shaped(m)
-                        and coh.lefschetz_shaped(y_deg)
-                        and (p_up.rows, p_up.cols) == (coh.dim_in(m + 2), coh.dim_in(y_deg))
-                        and (p.rows, p.cols) == (coh.dim_in(m), coh.dim_in(mc))
-                    ):
-                        continue
-                    if lm.transpose() @ p_up != p @ ly:
-                        v.append(
-                            Violation(
-                                "lefschetz-adjoint",
-                                loc,
-                                f"<Lx,y> != <x,Ly> between degrees {m} and {y_deg}",
-                            )
-                        )
+            coh, d = self.faces[f], self.face_dim(f)
+            key = (id(coh), d)
+            if key not in seen:
+                seen[key] = _stratum_violations(coh, d)
+            _emit(v, f"face {_face_str(f)}", seen[key])
 
     def _check_restrictions(self, v):
         # a restriction runs from a face to a face with one more index;
@@ -457,6 +416,8 @@ class StrataComplex:
                 continue
             loc = f"restriction {_face_str(sub)} -> {_face_str(f)}"
             v.append(Violation("restriction-unknown-face", loc, message))
+        # restrictions that share their strata and their maps share verdicts
+        seen: dict[tuple[int, int, int], list] = {}
         for f in sorted(self.faces):
             if len(f) < 2:
                 continue
@@ -464,47 +425,12 @@ class StrataComplex:
                 sub = f[:a] + f[a + 1 :]
                 if sub not in self.faces:
                     continue
-                loc = f"restriction {_face_str(sub)} -> {_face_str(f)}"
                 src, dst = self.faces[sub], self.faces[f]
-                maps = self.restrictions.get((sub, f), {})
-                for m in src.degrees():
-                    if dst.dim_in(m) == 0:
-                        continue
-                    r = maps.get(m)
-                    if r is None:
-                        v.append(
-                            Violation("missing-restriction", loc, f"no matrix in degree {m}")
-                        )
-                        continue
-                    if r.rows != dst.dim_in(m) or r.cols != src.dim_in(m):
-                        v.append(Violation("restriction-shape", loc, f"bad shape in degree {m}"))
-                        continue
-                    # commute with lefschetz where the target degree survives;
-                    # a misshapen Lefschetz map is reported as lefschetz-shape
-                    if dst.dim_in(m + 2) and dst.lefschetz_shaped(m) and src.lefschetz_shaped(m):
-                        left = dst.lefschetz_matrix(m) @ r
-                        right_r = maps.get(m + 2)
-                        if src.dim_in(m + 2) == 0:
-                            right = RatMatrix.zeros(dst.dim_in(m + 2), src.dim_in(m))
-                        elif right_r is None:
-                            v.append(
-                                Violation(
-                                    "missing-restriction", loc, f"no matrix in degree {m+2}"
-                                )
-                            )
-                            continue
-                        elif right_r.cols != src.dim_in(m + 2):
-                            continue  # reported as restriction-shape in degree m + 2
-                        else:
-                            right = right_r @ src.lefschetz_matrix(m)
-                        if left != right:
-                            v.append(
-                                Violation(
-                                    "restriction-lefschetz",
-                                    loc,
-                                    f"restriction does not commute with lefschetz at degree {m}",
-                                )
-                            )
+                maps = self.restrictions.get((sub, f), _NO_MAPS)
+                key = (id(src), id(dst), id(maps))
+                if key not in seen:
+                    seen[key] = _restriction_violations(src, dst, maps)
+                _emit(v, f"restriction {_face_str(sub)} -> {_face_str(f)}", seen[key])
 
     def _check_relations(self, v):
         degrees = sorted({m for f in self.faces for m in self.faces[f].degrees()})
@@ -690,6 +616,8 @@ class StrataComplex:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "StrataComplex":
+        """The complex of a document as ``json.loads`` returns it; a value
+        JSON cannot hold (a ``Fraction``, say) is a schema error."""
         version = doc.get("schema_version", 1)
         if _int(version, "schema_version") != 1:
             raise SchemaError(f"schema_version must be 1, not {version}")
@@ -703,37 +631,20 @@ class StrataComplex:
             raise SchemaError(f"components must be a nonempty list of strings, not {components!r}")
         try:
             n = _int(doc["dimension"], "dimension", 0)
+            # entries of one face size with one canonical JSON are one
+            # stratum, and equal restriction maps one dict of matrices:
+            # each is parsed once and shared
+            strata: dict[tuple[int, str], StratumCohomology] = {}
             faces = {}
             for fd in doc["faces"]:
                 f = _face(fd["indices"])
                 if f in faces:
                     raise SchemaError(f"face {_face_str(f)} is listed twice")
-                dims = {
-                    m: _int(d, f"the dimension of H^{m}", 0)
-                    for m, d in _degree_items(fd["cohomology"], "cohomology")
-                }
-                pairing = {
-                    m: _matrix_load(mat)
-                    for m, mat in _degree_items(fd.get("pairing", {}), "pairing")
-                }
-                lefschetz = {
-                    m: _matrix_load(mat)
-                    for m, mat in _degree_items(fd.get("lefschetz", {}), "lefschetz")
-                }
-                labels = dict(_degree_items(fd.get("labels", {}), "labels"))
-                if not all(map(_is_string_list, labels.values())):
-                    raise SchemaError(f"labels must be lists of strings, not {labels!r}")
-                slope_pure = fd.get("slope_pure", False)
-                if not isinstance(slope_pure, bool):
-                    raise SchemaError(f"slope_pure must be a boolean, not {slope_pure!r}")
-                faces[f] = StratumCohomology(
-                    dim=n + 1 - len(f),
-                    dims=dims,
-                    pairing=pairing,
-                    lefschetz=lefschetz,
-                    slope_pure=slope_pure,
-                    labels={m: list(names) for m, names in labels.items()},
-                )
+                entry = (len(f), _canonical({k: x for k, x in fd.items() if k != "indices"}))
+                if entry not in strata:
+                    strata[entry] = _stratum_load(fd, n + 1 - len(f))
+                faces[f] = strata[entry]
+            loaded: dict[str, dict[int, RatMatrix]] = {}
             restrictions = {}
             for rd in doc.get("restrictions", []):
                 key = (_face(rd["from"]), _face(rd["to"]))
@@ -741,18 +652,16 @@ class StrataComplex:
                     raise SchemaError(
                         f"restriction {_face_str(key[0])} -> {_face_str(key[1])} is listed twice"
                     )
-                restrictions[key] = {
-                    m: _matrix_load(mat) for m, mat in _degree_items(rd.get("maps", {}), "maps")
-                }
+                maps = rd.get("maps", {})
+                text = _canonical(maps)
+                if text not in loaded:
+                    loaded[text] = {m: _matrix_load(mat) for m, mat in _degree_items(maps, "maps")}
+                restrictions[key] = loaded[text]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"malformed strata document: {exc}") from exc
-        return StrataComplex(
-            name=name,
-            n=n,
-            components=components,
-            faces=faces,
-            restrictions=restrictions,
-        )
+        sc = StrataComplex.__new__(StrataComplex)
+        sc._init(name, n, components, faces, restrictions)
+        return sc
 
     @staticmethod
     def loads(text: str) -> "StrataComplex":
@@ -763,6 +672,161 @@ class StrataComplex:
         if not isinstance(doc, dict):
             raise SchemaError("top-level JSON value must be an object")
         return StrataComplex.from_json_dict(doc)
+
+
+def _emit(v, loc: str, found):
+    """Append the ``(code, message, witness)`` verdicts ``found`` at ``loc``."""
+    v.extend(Violation(code, loc, message, witness) for code, message, witness in found)
+
+
+def _stratum_violations(coh: StratumCohomology, d: int) -> list:
+    """The ``(code, message, witness)`` verdicts on one stratum that the
+    nerve gives dimension ``d``, in order."""
+    out = []
+    if coh.dim != d:
+        return [("face-dim", f"stratum carries dim {coh.dim}, nerve forces {d}", None)]
+    for m in coh.degrees():
+        if m < 0 or m > 2 * d:
+            out.append(("face-degrees", f"degree {m} outside [0, {2*d}]", None))
+    if coh.slope_pure and any(m % 2 for m in coh.degrees()):
+        out.append(("slope-pure-odd", "slope_pure stratum has odd cohomology", None))
+    for m in coh.degrees():
+        mc = 2 * d - m
+        if coh.dim_in(mc) != coh.dim_in(m):
+            out.append(
+                (
+                    "pairing-not-perfect",
+                    f"dim H^{m} = {coh.dim_in(m)} != dim H^{mc} = {coh.dim_in(mc)}",
+                    None,
+                )
+            )
+            continue
+        p = coh.pairing.get(m)
+        if p is None:
+            out.append(("pairing-shape", f"pairing missing in degree {m}", None))
+            continue
+        if p.rows != coh.dim_in(m) or p.cols != coh.dim_in(mc):
+            out.append(("pairing-shape", f"pairing shape wrong in degree {m}", None))
+            continue
+        if p.rank() != p.rows:
+            vec = kernel_witness(p.transpose())
+            out.append(
+                (
+                    "pairing-not-perfect",
+                    f"pairing not perfect at degree {m}",
+                    {"kernel_vector": [format_rat(x) for x in vec]},
+                )
+            )
+        # m and mc have the same parity, so (m, mc) and (mc, m) state
+        # the same condition: compare each pair once
+        sign = -1 if m % 2 else 1
+        q = coh.pairing.get(mc)
+        if m <= mc and q is not None and q != p.transpose().scale(sign):
+            out.append(
+                ("pairing-symmetry", f"pairings at degrees {m},{mc} violate graded symmetry", None)
+            )
+    for m in sorted(coh.lefschetz):
+        if not coh.lefschetz_shaped(m):
+            out.append(("lefschetz-shape", f"lefschetz shape wrong at degree {m}", None))
+    # self-adjointness <Lx, y> = <x, Ly>
+    for m in coh.degrees():
+        mc, y_deg = 2 * d - m, 2 * d - m - 2
+        if not (coh.dim_in(m + 2) and coh.dim_in(y_deg)):
+            continue
+        # a missing pairing reads as zero, built only here
+        p_up, p = coh.pairing.get(m + 2), coh.pairing.get(m)
+        if p_up is None:
+            p_up = RatMatrix.zeros(coh.dim_in(m + 2), coh.dim_in(y_deg))
+        if p is None:
+            p = RatMatrix.zeros(coh.dim_in(m), coh.dim_in(mc))
+        # a misshapen operand is already reported above as a shape or
+        # perfectness violation, and its products may be undefined
+        if not (
+            coh.lefschetz_shaped(m)
+            and coh.lefschetz_shaped(y_deg)
+            and (p_up.rows, p_up.cols) == (coh.dim_in(m + 2), coh.dim_in(y_deg))
+            and (p.rows, p.cols) == (coh.dim_in(m), coh.dim_in(mc))
+        ):
+            continue
+        if coh.lefschetz_matrix(m).transpose() @ p_up != p @ coh.lefschetz_matrix(y_deg):
+            out.append(
+                ("lefschetz-adjoint", f"<Lx,y> != <x,Ly> between degrees {m} and {y_deg}", None)
+            )
+    return out
+
+
+def _restriction_violations(
+    src: StratumCohomology, dst: StratumCohomology, maps: dict[int, RatMatrix]
+) -> list:
+    """The ``(code, message, witness)`` verdicts on the restriction ``maps``
+    from stratum ``src`` to its facet's stratum ``dst``, in order."""
+    out = []
+    for m in src.degrees():
+        if dst.dim_in(m) == 0:
+            continue
+        r = maps.get(m)
+        if r is None:
+            out.append(("missing-restriction", f"no matrix in degree {m}", None))
+            continue
+        if r.rows != dst.dim_in(m) or r.cols != src.dim_in(m):
+            out.append(("restriction-shape", f"bad shape in degree {m}", None))
+            continue
+        # commute with lefschetz where the target degree survives;
+        # a misshapen Lefschetz map is reported as lefschetz-shape
+        if not (dst.dim_in(m + 2) and dst.lefschetz_shaped(m) and src.lefschetz_shaped(m)):
+            continue
+        left = dst.lefschetz_matrix(m) @ r
+        right_r = maps.get(m + 2)
+        if src.dim_in(m + 2) == 0:
+            right = RatMatrix.zeros(dst.dim_in(m + 2), src.dim_in(m))
+        elif right_r is None:
+            out.append(("missing-restriction", f"no matrix in degree {m+2}", None))
+            continue
+        elif right_r.cols != src.dim_in(m + 2):
+            continue  # reported as restriction-shape in degree m + 2
+        else:
+            right = right_r @ src.lefschetz_matrix(m)
+        if left != right:
+            out.append(
+                (
+                    "restriction-lefschetz",
+                    f"restriction does not commute with lefschetz at degree {m}",
+                    None,
+                )
+            )
+    return out
+
+
+def _canonical(value) -> str:
+    """The canonical JSON text of a document value: equal texts are equal
+    values, and ``1``, ``1.0``, ``true`` and ``"1"`` all differ."""
+    return _CANONICAL.encode(value)
+
+
+def _stratum_load(fd: dict, dim: int) -> StratumCohomology:
+    """The stratum of one face entry, of dimension ``dim``."""
+    dims = {
+        m: _int(d, f"the dimension of H^{m}", 0)
+        for m, d in _degree_items(fd["cohomology"], "cohomology")
+    }
+    pairing = {m: _matrix_load(mat) for m, mat in _degree_items(fd.get("pairing", {}), "pairing")}
+    lefschetz = {
+        m: _matrix_load(mat) for m, mat in _degree_items(fd.get("lefschetz", {}), "lefschetz")
+    }
+    labels = dict(_degree_items(fd.get("labels", {}), "labels"))
+    if not all(map(_is_string_list, labels.values())):
+        raise SchemaError(f"labels must be lists of strings, not {labels!r}")
+    slope_pure = fd.get("slope_pure", False)
+    if not isinstance(slope_pure, bool):
+        raise SchemaError(f"slope_pure must be a boolean, not {slope_pure!r}")
+    return StratumCohomology(
+        dim=dim,
+        dims=dims,
+        pairing=pairing,
+        lefschetz=lefschetz,
+        slope_pure=slope_pure,
+        labels={m: list(names) for m, names in labels.items()},
+    )
 
 
 def _is_string_list(value) -> bool:

@@ -351,6 +351,16 @@ def test_structured_kernel_basis_matches_sympy(structured):
         assert K.to_lists() == from_sympy(sympy.Matrix.hstack(*expected))
 
 
+def test_structured_column_space_basis_matches_sympy(structured):
+    m, s = structured
+    # both keep the pivot columns of the matrix itself (sympy's own
+    # ``columnspace`` takes minutes on the 257-cycle)
+    pivots = list(DomainMatrix.from_Matrix(s).rref()[1])
+    B = canonical(m.column_space_basis())
+    assert (B.rows, B.cols) == (m.rows, len(pivots))
+    assert B.to_lists() == from_sympy(s.extract(list(range(m.rows)), pivots))
+
+
 def test_structured_solve_matches_sympy(structured):
     m, s = structured
     x = RatMatrix(m.cols, 2, [[weight(j), weight(j + 1) if j % 3 else 0] for j in range(m.cols)])
