@@ -4,11 +4,9 @@ weight-monodromy / degree-one check suites, bigraded Hodge-Lefschetz module
 axioms, and Newton/Hodge polygon calculus."""
 
 from .linalg import (
-    Rat,
     RatMatrix,
     Subspace,
     QuotientSpace,
-    rank,
     kernel,
     image,
     induced_map,
@@ -40,9 +38,6 @@ from .polygons import (
     check_slope_symmetry,
     t_N,
     t_H,
-    newton_polygon,
-    hodge_polygon,
-    hodge_polygon_from_jumps,
     check_admissibility_necessary,
     check_linear_relation,
     hodge_from_ordinary,
@@ -51,11 +46,9 @@ from .polygons import (
 from .scenarios import ScenarioSpec, build, builtin_specs, parse_spec
 
 __all__ = [
-    "Rat",
     "RatMatrix",
     "Subspace",
     "QuotientSpace",
-    "rank",
     "kernel",
     "image",
     "induced_map",
@@ -86,9 +79,6 @@ __all__ = [
     "check_slope_symmetry",
     "t_N",
     "t_H",
-    "newton_polygon",
-    "hodge_polygon",
-    "hodge_polygon_from_jumps",
     "check_admissibility_necessary",
     "check_linear_relation",
     "hodge_from_ordinary",

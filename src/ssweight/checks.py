@@ -18,7 +18,6 @@ from .linalg import (
     QuotientSpace,
     RatMatrix,
     Subspace,
-    format_rat,
     image,
     induced_map,
     kernel,
@@ -56,7 +55,7 @@ class CheckResult:
 
 
 def _vector_json(vec):
-    return [format_rat(x) for x in vec]
+    return [str(x) for x in vec]
 
 
 def bijectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResult:
@@ -136,9 +135,7 @@ def nondegeneracy_check(name: str, location: dict, gram: RatMatrix) -> CheckResu
     )
 
 
-def relation_checks(
-    cx, names: dict, where, everywhere: dict, note: str = ""
-) -> list[CheckResult]:
+def relation_checks(cx, names: dict, where, everywhere: dict) -> list[CheckResult]:
     """``d^2 = 0`` and the commutation of ``N``, ``L`` and ``d`` with each
     other on every cell of a page or module.
 
@@ -158,7 +155,7 @@ def relation_checks(
         }
         for key, name in names.items():
             if not values[key].is_zero():
-                results.append(CheckResult(name, where(a, b), "fail", note=note))
+                results.append(CheckResult(name, where(a, b), "fail"))
     failed = {r.name for r in results}
     for name in names.values():
         if name not in failed:

@@ -212,15 +212,13 @@ def _cmd_polygons(args) -> int:
             raise SsweightError(f"filtration jumps must be integers: {args.jumps!r}")
         jumps = [int(x) for x in jumps]
         module = polygons.PhiNModule(slopes=slopes, filtration_jumps=tuple(jumps))
-        newton = polygons.newton_polygon(slopes)
-        hodge = polygons.hodge_polygon_from_jumps(jumps)
         adm = polygons.check_admissibility_necessary(module)
         payload = {
             "schema_version": 1,
-            "t_N": str(polygons.t_N(module)),
-            "t_H": str(polygons.t_H(module)),
-            "newton_polygon": newton.to_json(),
-            "hodge_polygon": hodge.to_json(),
+            "t_N": adm.witness["t_N"],
+            "t_H": adm.witness["t_H"],
+            "newton_polygon": adm.witness["newton"],
+            "hodge_polygon": adm.witness["hodge"],
             "admissibility_necessary": adm.to_dict(),
         }
         if args.format == "json":
@@ -233,9 +231,9 @@ def _cmd_polygons(args) -> int:
                         f"t_N = {payload['t_N']}, t_H = {payload['t_H']}",
                         f"admissibility (necessary): {adm.status}",
                         "newton polygon:",
-                        newton.ascii_sketch(),
+                        polygons.Polygon.from_slopes(slopes.entries).ascii_sketch(),
                         "hodge polygon:",
-                        hodge.ascii_sketch(),
+                        polygons.Polygon.from_slopes(jumps).ascii_sketch(),
                     ]
                 ),
             )
@@ -251,14 +249,14 @@ def _cmd_polygons(args) -> int:
     results = []
     for q in qs:
         sl = polygons.slopes_from_e2(e2, q)
-        newton = polygons.newton_polygon(sl)
+        newton = polygons.Polygon.from_slopes(sl.entries)
         entry = {"q": q, "slopes": sl.to_json(), "newton_polygon": newton.to_json()}
         try:
             hv = polygons.hodge_from_ordinary(sl)
             module = polygons.PhiNModule(slopes=sl, filtration_jumps=hv.jumps())
             adm = polygons.check_admissibility_necessary(module)
             results.append(adm)
-            entry["hodge_polygon"] = polygons.hodge_polygon(hv).to_json()
+            entry["hodge_polygon"] = adm.witness["hodge"]
             entry["admissibility_necessary"] = adm.status
         except polygons.NonIntegralSlopes:
             entry["hodge_polygon"] = None

@@ -37,7 +37,6 @@ from math import gcd, lcm
 
 from .errors import NotSymmetric, NotWellDefined
 
-Rat = Fraction
 _ZERO = Fraction(0)
 # the rational strings of docs/strata_schema.json
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -72,13 +71,8 @@ def rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(*_parse(x))
 
 
-def format_rat(x: Fraction) -> str:
-    """Serialize as 'a' or 'a/b' (b > 0, reduced)."""
-    return str(x)
-
-
 def _format(n: int, d: int) -> str:
-    """``format_rat(Fraction(n, d))`` without building the Fraction."""
+    """``str(Fraction(n, d))`` without building the Fraction."""
     g = gcd(n, d)
     n, d = n // g, d // g
     return str(n) if d == 1 else f"{n}/{d}"
@@ -259,9 +253,6 @@ class RatMatrix:
 
     def is_zero(self) -> bool:
         return not any(self._data)
-
-    def to_lists(self):
-        return [self.row(i) for i in range(self.rows)]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -529,10 +520,6 @@ def _offsets(summands):
     return pos, off
 
 
-def rank(m: RatMatrix) -> int:
-    return m.rank()
-
-
 def kernel_witness(matrix: RatMatrix) -> list:
     """First kernel basis vector of ``matrix``, verified nonzero and in the kernel.
 
@@ -572,10 +559,6 @@ class Subspace:
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, RatMatrix.zeros(ambient_dim, 0))
-
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RatMatrix.identity(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -760,8 +743,3 @@ def signature(sym: RatMatrix):
                     row[j] = row[j] * ad // c
         c = ad
     return n_plus, n_minus, n - n_plus - n_minus
-
-
-def is_definite(sym: RatMatrix) -> bool:
-    p, m, z = signature(sym)
-    return z == 0 and (p == 0 or m == 0)

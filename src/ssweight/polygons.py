@@ -68,9 +68,6 @@ class HodgeVector:
         if any(v < 0 for v in self.values):
             raise InvalidParameters("Hodge numbers are nonnegative")
 
-    def h(self, i: int) -> int:
-        return self.values[i] if 0 <= i <= self.q else 0
-
     def jumps(self) -> tuple[int, ...]:
         out = []
         for i, v in enumerate(self.values):
@@ -122,10 +119,6 @@ class Polygon:
         return Polygon(tuple(verts))
 
     @property
-    def endpoint(self):
-        return self.vertices[-1]
-
-    @property
     def width(self) -> Fraction:
         return self.vertices[-1][0]
 
@@ -151,8 +144,9 @@ class Polygon:
     def to_json(self):
         return [[str(x), str(y)] for x, y in self.vertices]
 
-    def ascii_sketch(self, width: int = 41, height: int = 12) -> str:
-        """Plain-text sketch of the chain, origin bottom-left."""
+    def ascii_sketch(self) -> str:
+        """Plain-text sketch of the chain, origin bottom-left, 41 by 12 characters."""
+        width, height = 41, 12
         xs = [x for x, _ in self.vertices]
         ys = [y for _, y in self.vertices]
         xmax = max(xs) or Fraction(1)
@@ -226,23 +220,11 @@ def t_H(m: PhiNModule) -> Fraction:
     return sum((Fraction(j) for j in m.filtration_jumps), Fraction(0))
 
 
-def newton_polygon(sl: SlopeMultiset) -> Polygon:
-    return Polygon.from_slopes(sl.entries)
-
-
-def hodge_polygon(h: HodgeVector) -> Polygon:
-    return Polygon.from_slopes(h.jumps())
-
-
-def hodge_polygon_from_jumps(jumps) -> Polygon:
-    return Polygon.from_slopes(jumps)
-
-
 def check_admissibility_necessary(m: PhiNModule) -> CheckResult:
     """Necessary conditions only: endpoint equality and polygon dominance."""
     tn, th = t_N(m), t_H(m)
-    newton = newton_polygon(m.slopes)
-    hodge = hodge_polygon_from_jumps(m.filtration_jumps)
+    newton = Polygon.from_slopes(m.slopes.entries)
+    hodge = Polygon.from_slopes(m.filtration_jumps)
     problems = []
     if tn != th:
         problems.append(f"t_N = {tn} differs from t_H = {th}")
@@ -398,10 +380,10 @@ def hodge_symmetry_report(sc: StrataComplex) -> Report:
         report.results.append(adm)
         entry["admissibility"] = {
             "status": adm.status,
-            "t_N": str(t_N(module)),
-            "t_H": str(t_H(module)),
-            "newton_polygon": newton_polygon(sl).to_json(),
-            "hodge_polygon": hodge_polygon(hv).to_json(),
+            "t_N": adm.witness["t_N"],
+            "t_H": adm.witness["t_H"],
+            "newton_polygon": adm.witness["newton"],
+            "hodge_polygon": adm.witness["hodge"],
             "licensed_by": "weak admissibility endpoint equality",
         }
         lin = check_linear_relation(hv)

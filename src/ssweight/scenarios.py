@@ -21,6 +21,10 @@ cohomology is hand-derived from standard geometry:
   codimension-k cells; the Lefschetz structure is the direct sum of weight
   filtration strings, one per primitive class, with intersection signs
   (-1)^s on the string born in degree 2s.
+
+Like the loader, every builder makes one stratum object per distinct
+stratum and one maps dict per distinct restriction, and shares them among
+faces, so ``validate`` checks each once.
 """
 
 from __future__ import annotations
@@ -232,16 +236,15 @@ def good_reduction_pn(n: int) -> StrataComplex:
 def ngon(N: int) -> StrataComplex:
     if N < 3:
         raise InvalidParameters("ngon needs N >= 3")
-    faces = {}
+    line, point = projective_space_cohomology(1), point_cohomology(1)
+    unit = {0: RatMatrix.identity(1)}
+    faces = {(i,): line for i in range(1, N + 1)}
     restrictions = {}
     for i in range(1, N + 1):
-        faces[(i,)] = projective_space_cohomology(1)
-    for i in range(1, N + 1):
-        j = i % N + 1
-        edge = tuple(sorted((i, j)))
-        faces[edge] = point_cohomology(1)
+        edge = tuple(sorted((i, i % N + 1)))
+        faces[edge] = point
         for v in edge:
-            restrictions[((v,), edge)] = {0: RatMatrix.identity(1)}
+            restrictions[((v,), edge)] = unit
     return StrataComplex(
         name=f"ngon:{N}",
         n=1,
@@ -253,7 +256,7 @@ def ngon(N: int) -> StrataComplex:
 
 def elliptic_stratum() -> StrataComplex:
     two_points = point_cohomology(2)
-    ones = RatMatrix.from_rows([[1], [1]])
+    ones = {0: RatMatrix.from_rows([[1], [1]])}
     return StrataComplex(
         name="elliptic_stratum",
         n=1,
@@ -264,41 +267,44 @@ def elliptic_stratum() -> StrataComplex:
             (1, 2): two_points,
         },
         restrictions={
-            ((1,), (1, 2)): {0: ones},
-            ((2,), (1, 2)): {0: ones},
+            ((1,), (1, 2)): ones,
+            ((2,), (1, 2)): ones,
         },
     )
 
 
 def tetrahedron() -> StrataComplex:
     verts = (1, 2, 3, 4)
-    faces = {}
     restrictions = {}
 
     def others(i):
         return [j for j in verts if j != i]
 
-    # component surfaces: plane blown up in six points, anticanonical polarization
-    for i in verts:
-        ex = others(i)  # three double curves through this component
-        h2 = 1 + 2 * len(ex)
-        pairing2 = RatMatrix.from_rows(
-            [[(1 if r == 0 else -1) if r == c else 0 for c in range(h2)] for r in range(h2)]
-        )
-        anticanonical = [[3]] + [[-1]] * (h2 - 1)
-        l0 = RatMatrix.from_rows(anticanonical)  # H^0 -> H^2
-        l2 = RatMatrix.from_rows([[3] + [1] * (h2 - 1)])  # H^2 -> H^4
-        faces[(i,)] = StratumCohomology(
-            dim=2,
-            dims={0: 1, 2: h2, 4: 1},
-            pairing={0: RatMatrix.identity(1), 2: pairing2},
-            lefschetz={0: l0, 2: l2},
-            slope_pure=True,
-        )
+    unit = RatMatrix.identity(1)
+    # every component is one surface: the plane blown up in six points, two
+    # on each of its three double curves, with the anticanonical polarization
+    h2 = 7
+    surface = StratumCohomology(
+        dim=2,
+        dims={0: 1, 2: h2, 4: 1},
+        pairing={
+            0: unit,
+            2: RatMatrix.from_rows(
+                [[(1 if r == 0 else -1) if r == c else 0 for c in range(h2)] for r in range(h2)]
+            ),
+        },
+        lefschetz={
+            0: RatMatrix.from_rows([[3]] + [[-1]] * (h2 - 1)),  # H^0 -> H^2
+            2: RatMatrix.from_rows([[3] + [1] * (h2 - 1)]),  # H^2 -> H^4
+        },
+        slope_pure=True,
+    )
+    faces = {(i,): surface for i in verts}
     # double curves and triple points
+    line, point = projective_space_cohomology(1), point_cohomology(1)
     for a in range(4):
         for b in range(a + 1, 4):
-            faces[(verts[a], verts[b])] = projective_space_cohomology(1)
+            faces[(verts[a], verts[b])] = line
     triples = [
         (verts[a], verts[b], verts[c])
         for a in range(4)
@@ -306,7 +312,7 @@ def tetrahedron() -> StrataComplex:
         for c in range(b + 1, 4)
     ]
     for t in triples:
-        faces[t] = point_cohomology(1)
+        faces[t] = point
 
     # restrictions component -> double curve: degree 0 is the unit; degree 2
     # is intersection with the strict transform l - e_{j,1} - e_{j,2}
@@ -319,15 +325,12 @@ def tetrahedron() -> StrataComplex:
             pos = ex.index(j)
             row[1 + 2 * pos] = 1
             row[2 + 2 * pos] = 1
-            restrictions[((i,), edge)] = {
-                0: RatMatrix.identity(1),
-                2: RatMatrix.from_rows([row]),
-            }
+            restrictions[((i,), edge)] = {0: unit, 2: RatMatrix.from_rows([row])}
     # double curve -> triple point: unit in degree 0
+    to_point = {0: unit}
     for t in triples:
         for a in range(3):
-            sub = t[:a] + t[a + 1 :]
-            restrictions[(sub, t)] = {0: RatMatrix.identity(1)}
+            restrictions[(t[:a] + t[a + 1 :], t)] = to_point
 
     return StrataComplex(
         name="tetrahedron",

@@ -4,7 +4,7 @@ The first page of a configuration of dimension ``n`` has cells
 
     E1^{a,b} = (+)_{k >= max(a,0)} H^{2(a-k)+b}( level 2k-a+1 )
 
-for ``0 <= a+b <= 2n``; a summand is recorded as ``(k, level, degree)``.
+for ``0 <= a+b <= 2n``; a cell is the list of its summands ``(k, level, degree, dim)``.
 The differential ``d1 = rho + tau`` raises ``a`` by one: ``rho`` sends
 summand ``k`` to summand ``k+1`` (level up), ``tau`` keeps ``k`` (level down,
 degree up two).  ``N`` sends summand ``k`` identically to summand ``k+1`` of
@@ -56,29 +56,17 @@ class Summand:
     level: int
     degree: int
     dim: int
-    twist: int  # a - k; slope bookkeeping only
-
-
-@dataclass
-class Cell:
-    a: int
-    b: int
-    summands: list[Summand]
-
-    @property
-    def dim(self) -> int:
-        return sum(s.dim for s in self.summands)
 
 
 class E1Page:
-    """Sparse map ``(a, b) -> Cell`` plus the operators and the pairing as
-    block maps."""
+    """Sparse map from ``(a, b)`` to the cell's summand list, plus the
+    operators and the pairing as block maps."""
 
     def __init__(self, sc: StrataComplex):
         self.sc = sc
         self.n = sc.n
         self.cycle_generated = sc.cycle_generated
-        self.cells: dict[tuple[int, int], Cell] = {}
+        self.cells: dict[tuple[int, int], list[Summand]] = {}
         # operators by (name, a, b), built on first use: the second page asks
         # for each d1 twice, and the checks for every operator again
         self._ops: dict[tuple[str, int, int], RatMatrix] = {}
@@ -89,15 +77,13 @@ class E1Page:
                 for k in range(lvl):
                     a = 2 * k + 1 - lvl
                     b = m + 2 * (lvl - k - 1)
-                    self.cells.setdefault((a, b), Cell(a, b, [])).summands.append(
-                        Summand(k, lvl, m, gs.dims[m], a - k)
-                    )
+                    self.cells.setdefault((a, b), []).append(Summand(k, lvl, m, gs.dims[m]))
 
-    def cell(self, a: int, b: int) -> Cell:
-        return self.cells.get((a, b), Cell(a, b, []))
+    def cell(self, a: int, b: int) -> list[Summand]:
+        return self.cells.get((a, b), [])
 
     def dim(self, a: int, b: int) -> int:
-        return self.cell(a, b).dim
+        return sum(s.dim for s in self.cell(a, b))
 
     def support(self):
         return sorted(self.cells)
@@ -110,9 +96,9 @@ class E1Page:
         ``dst`` that the summand ``s`` of ``src`` may reach."""
         key = (name, a, b)
         if key not in self._ops:
-            src = self.cell(*src).summands
+            src = self.cell(*src)
             self._ops[key] = assemble_blocks(
-                [(s.k, s.dim) for s in self.cell(*dst).summands],
+                [(s.k, s.dim) for s in self.cell(*dst)],
                 [(s.k, s.dim) for s in src],
                 {(k, s.k): m for s in src for k, m in block_for(s)},
             )

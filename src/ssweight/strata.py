@@ -49,7 +49,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameters, MissingRestriction, SchemaError
-from .linalg import RatMatrix, assemble_blocks, format_rat, kernel_witness, kron
+from .linalg import RatMatrix, assemble_blocks, kernel_witness, kron
 
 Face = tuple[int, ...]
 _set = object.__setattr__
@@ -129,18 +129,11 @@ class StratumCohomology:
         L = self.lefschetz.get(m)
         return L is None or (L.rows, L.cols) == (self.dim_in(m + 2), self.dim_in(m))
 
-    def label_list(self, m: int) -> list[str]:
-        if m in self.labels:
-            return list(self.labels[m])
-        return [f"H{m}[{i}]" for i in range(self.dim_in(m))]
-
 
 @dataclass
 class GradedSpace:
     """Direct sum of the degree-``m`` cohomology over the faces of one level."""
 
-    level: int
-    faces: list[Face]
     dims: dict[int, int]
     summands: dict[int, list[tuple[Face, int]]]  # m -> [(face, dim)], dim != 0
 
@@ -191,15 +184,15 @@ class StrataComplex:
     """Nerve plus per-stratum cohomological data; immutable after loading."""
 
     def __init__(self, name, n, components, faces, restrictions):
+        # one copy per distinct maps dict, so restrictions that share their
+        # maps still share them
+        copies = {id(maps): {int(m): x for m, x in maps.items()} for maps in restrictions.values()}
         self._init(
             name,
             n,
             components,
             {_face(f): coh for f, coh in faces.items()},
-            {
-                (_face(a), _face(b)): {int(m): mat for m, mat in maps.items()}
-                for (a, b), maps in restrictions.items()
-            },
+            {(_face(a), _face(b)): copies[id(maps)] for (a, b), maps in restrictions.items()},
         )
 
     def _init(self, name, n, components, faces, restrictions):
@@ -245,9 +238,8 @@ class StrataComplex:
             if total:
                 dims[m] = total
                 summands[m] = table
-        gs = GradedSpace(k, faces, dims, summands)
-        self._level_cache[k] = gs
-        return gs
+        self._level_cache[k] = GradedSpace(dims, summands)
+        return self._level_cache[k]
 
     def _summands(self, k: int, m: int) -> list[tuple[Face, int]]:
         """The ``(face, dim)`` summands of H^m(level k); none outside the
@@ -543,23 +535,30 @@ class StrataComplex:
                 slope_pure=coh.slope_pure and factor_pure,
             )
 
-        new_faces = {f: tensor_stratum(coh) for f, coh in self.faces.items()}
+        # each distinct stratum, and each distinct restriction between two
+        # strata, is tensored once, so the product shares what this shares
+        tensored = {id(coh): tensor_stratum(coh) for coh in self.faces.values()}
+        new_faces = {f: tensored[id(coh)] for f, coh in self.faces.items()}
         new_restrictions = {}
-        for (a, b) in self.restrictions:
+        done: dict[tuple[int, int, int], dict[int, RatMatrix]] = {}
+        for (a, b), maps in self.restrictions.items():
             src, dst = self.faces[a], self.faces[b]
-            out = new_restrictions[(a, b)] = {}
-            for m in sorted(
-                {m1 + m2 for m1 in src.degrees() if dst.dim_in(m1) for m2 in factor.degrees()}
-            ):
-                here = summands(m, src)
-                blocks = {
-                    (key, key): kron(
-                        self.restriction_matrix(a, b, key[0]),
-                        RatMatrix.identity(factor.dim_in(key[1])),
-                    )
-                    for key, _ in here
-                }
-                out[m] = assemble_blocks(summands(m, dst), here, blocks)
+            shared = (id(src), id(dst), id(maps))
+            if shared not in done:
+                out = done[shared] = {}
+                for m in sorted(
+                    {m1 + m2 for m1 in src.degrees() if dst.dim_in(m1) for m2 in factor.degrees()}
+                ):
+                    here = summands(m, src)
+                    blocks = {
+                        (key, key): kron(
+                            self.restriction_matrix(a, b, key[0]),
+                            RatMatrix.identity(factor.dim_in(key[1])),
+                        )
+                        for key, _ in here
+                    }
+                    out[m] = assemble_blocks(summands(m, dst), here, blocks)
+            new_restrictions[(a, b)] = done[shared]
         return StrataComplex(
             name=f"{self.name} x factor",
             n=self.n + factor.dim,
@@ -578,13 +577,11 @@ class StrataComplex:
                 "indices": list(f),
                 "cohomology": {str(m): coh.dim_in(m) for m in coh.degrees()},
                 "pairing": {
-                    str(m): _matrix_json(coh.pairing[m])
+                    str(m): coh.pairing[m].to_strings()
                     for m in sorted(coh.pairing)
                     if coh.dim_in(m)
                 },
-                "lefschetz": {
-                    str(m): _matrix_json(L) for m, L in sorted(coh.lefschetz.items())
-                },
+                "lefschetz": {str(m): L.to_strings() for m, L in sorted(coh.lefschetz.items())},
                 "slope_pure": coh.slope_pure,
             }
             if coh.labels:
@@ -599,7 +596,7 @@ class StrataComplex:
                 {
                     "from": list(a),
                     "to": list(b),
-                    "maps": {str(m): _matrix_json(mat) for m, mat in sorted(maps.items())},
+                    "maps": {str(m): mat.to_strings() for m, mat in sorted(maps.items())},
                 }
             )
         return {
@@ -657,7 +654,8 @@ class StrataComplex:
                 if text not in loaded:
                     loaded[text] = {m: _matrix_load(mat) for m, mat in _degree_items(maps, "maps")}
                 restrictions[key] = loaded[text]
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
+            # RecursionError: a value nested too deeply to encode canonically
             raise SchemaError(f"malformed strata document: {exc}") from exc
         sc = StrataComplex.__new__(StrataComplex)
         sc._init(name, n, components, faces, restrictions)
@@ -669,6 +667,8 @@ class StrataComplex:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"input is not JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise SchemaError(f"input is nested too deeply: {exc}") from exc
         if not isinstance(doc, dict):
             raise SchemaError("top-level JSON value must be an object")
         return StrataComplex.from_json_dict(doc)
@@ -714,7 +714,7 @@ def _stratum_violations(coh: StratumCohomology, d: int) -> list:
                 (
                     "pairing-not-perfect",
                     f"pairing not perfect at degree {m}",
-                    {"kernel_vector": [format_rat(x) for x in vec]},
+                    {"kernel_vector": [str(x) for x in vec]},
                 )
             )
         # m and mc have the same parity, so (m, mc) and (mc, m) state
@@ -844,10 +844,6 @@ def _degree_items(value, what: str):
         if not (isinstance(key, str) and _DEGREE.fullmatch(key)):
             raise SchemaError(f"{what} key {key!r} is not a degree 0, 1, 2, ...")
         yield int(key), x
-
-
-def _matrix_json(m: RatMatrix):
-    return m.to_strings()
 
 
 def _matrix_load(rows) -> RatMatrix:

@@ -10,12 +10,13 @@
   components, and products).
 * ``SIGN_MUTANTS``: builtins with some matrices of some faces negated, which
   still validate but fail checks.
+* ``swap_face``: break one face of a builtin whose faces share strata.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from ssweight import scenarios
@@ -28,6 +29,14 @@ from ssweight.scenarios import (
     projective_space_cohomology,
 )
 from ssweight.strata import StrataComplex, StratumCohomology
+
+
+def swap_face(sc, face, **updates):
+    """Give ``face`` of ``sc`` a copy of its stratum with each named dict
+    field updated, ``{**old, **new}``.  A builtin's faces share strata, so a
+    change in place would change every face that shares it."""
+    coh = sc.faces[face]
+    sc.faces[face] = replace(coh, **{k: {**getattr(coh, k), **v} for k, v in updates.items()})
 
 
 def independent_rank(rows) -> int:
@@ -91,7 +100,7 @@ def page_relations(e1):
         "ld": "L_commutes_d1",
         "nl": "N_commutes_L",
     }
-    return relation_checks(e1, names, lambda a, b: {"a": a, "b": b}, {}, "relation violated")
+    return relation_checks(e1, names, lambda a, b: {"a": a, "b": b}, {})
 
 
 def duality_check(e2):

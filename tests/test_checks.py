@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import HodgeLefschetzModule, graph_curve
+from helpers import HodgeLefschetzModule, graph_curve, swap_face
 from ssweight.errors import InvalidParameters, SsweightError
 from ssweight.hodge_lefschetz import check_hl_axioms
 from ssweight.linalg import QuotientSpace, RatMatrix
@@ -213,8 +213,7 @@ class TestWitnessVerification:
 
     def test_validator_pairing_kernel_vector_verified(self, monkeypatch):
         sc = ngon(3)
-        sc.faces[(1,)].pairing[0] = RatMatrix.zeros(1, 1)
-        sc.faces[(1,)].pairing[2] = RatMatrix.zeros(1, 1)
+        swap_face(sc, (1,), pairing={0: RatMatrix.zeros(1, 1), 2: RatMatrix.zeros(1, 1)})
         self._zero_kernel_vector(monkeypatch)
         with pytest.raises(RuntimeError):
             sc.validate()

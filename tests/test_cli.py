@@ -9,7 +9,9 @@ import pytest
 
 import ssweight
 import ssweight.cli as cli
+from helpers import SIGN_MUTANTS, sign_mutant
 from ssweight.cli import main
+from ssweight.scenarios import builtin_specs
 
 
 def run(capsys, *argv):
@@ -224,6 +226,24 @@ def test_schema_version_may_be_omitted(capsys, tmp_path):
     assert run(capsys, "validate", "--input", str(path)) == (0, "valid: all structural checks passed\n", "")
 
 
+@pytest.mark.parametrize(
+    "target",
+    [lambda doc: doc["restrictions"][0]["maps"], lambda doc: _face_at(doc, [1])["pairing"]],
+    ids=["restriction-matrix", "face-pairing"],
+)
+def test_deep_nesting_exits_two(capsys, tmp_path, target):
+    # json.loads gives up on nesting past the interpreter's recursion limit;
+    # the document is an input error, reported without a traceback
+    _, text, _ = run(capsys, "scenario", "ngon:3")
+    doc = json.loads(text)
+    target(doc)["0"] = "deep"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace('"deep"', "[" * 5000 + "]" * 5000))
+    code, out, err = run(capsys, "validate", "--input", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def _rekey(obj, key):
     """Move the degree-0 entry of ``obj`` to ``key``."""
     obj[key] = obj.pop("0")
@@ -381,6 +401,32 @@ class TestJsonOutput:
         doc = json.loads(out)
         assert doc["schema_version"] == 1
         assert len(doc["components"]) == 2
+
+
+@pytest.mark.parametrize("source", [s.label() for s in builtin_specs()] + list(SIGN_MUTANTS))
+def test_report_admissibility_is_the_check_witness(capsys, tmp_path, source):
+    # each degree's admissibility entry in the report gives the totals and
+    # polygons of that degree's weak_admissibility_necessary witness
+    if source in SIGN_MUTANTS:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(sign_mutant(source)))
+        argv = ["--input", str(path)]
+    else:
+        argv = ["--scenario", source]
+    _, out, _ = run(capsys, "report", "--format", "json", *argv)
+    payload = json.loads(out)
+    witnesses = {
+        r["location"]["q"]: r["witness"]
+        for r in payload["results"]
+        if r["name"] == "weak_admissibility_necessary"
+    }
+    entries = {d["q"]: d["admissibility"] for d in payload["data"]["degrees"] if "admissibility" in d}
+    assert entries.keys() == witnesses.keys()
+    assert entries or not payload["data"]["cycle_generated"]
+    for q, adm in entries.items():
+        w = witnesses[q]
+        assert (adm["t_N"], adm["t_H"]) == (w["t_N"], w["t_H"])
+        assert (adm["newton_polygon"], adm["hodge_polygon"]) == (w["newton"], w["hodge"])
 
 
 class TestDeterminism:

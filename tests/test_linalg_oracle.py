@@ -32,13 +32,11 @@ from ssweight.linalg import (
     RatMatrix,
     Subspace,
     assemble_blocks,
-    format_rat,
     induced_map,
     induced_pairing,
     kron,
     signature,
 )
-from ssweight.strata import _matrix_json
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -94,8 +92,11 @@ def sympy_rational(x: Fraction):
     return sympy.Rational(x.numerator, x.denominator)
 
 
-def from_sympy(s) -> list:
-    return [[Fraction(int(s[i, j].p), int(s[i, j].q)) for j in range(s.cols)] for i in range(s.rows)]
+def from_sympy(s) -> tuple:
+    """Dense rows of ``s`` as a tuple of tuples, the form of ``RatMatrix.entries``."""
+    return tuple(
+        tuple(Fraction(int(s[i, j].p), int(s[i, j].q)) for j in range(s.cols)) for i in range(s.rows)
+    )
 
 
 def canonical(m: RatMatrix) -> RatMatrix:
@@ -111,7 +112,7 @@ def test_product_matches_sympy(ab):
     a, b = ab
     prod = canonical(a @ b)
     assert (prod.rows, prod.cols) == (a.rows, b.cols)
-    assert prod.to_lists() == from_sympy(to_sympy(a) * to_sympy(b))
+    assert prod.entries == from_sympy(to_sympy(a) * to_sympy(b))
     assert all(type(x) is Fraction for row in prod.entries for x in row)
 
 
@@ -128,7 +129,7 @@ def test_rref_matches_sympy(m):
     canonical(R)
     expected, expected_pivots = to_sympy(m).rref()
     assert pivots == list(expected_pivots)
-    assert R.to_lists() == from_sympy(expected)
+    assert R.entries == from_sympy(expected)
     assert all(type(x) is Fraction for row in R.entries for x in row)
 
 
@@ -177,7 +178,7 @@ def test_inverse_round_trip(m):
             m.inverse()
         return
     inv = canonical(m.inverse())
-    assert inv.to_lists() == from_sympy(to_sympy(m).inv())
+    assert inv.entries == from_sympy(to_sympy(m).inv())
     assert m @ inv == RatMatrix.identity(n)
     assert inv @ m == RatMatrix.identity(n)
 
@@ -338,7 +339,7 @@ def test_structured_rank_pivots_and_rref_match_sympy(structured):
     assert m.pivots() == list(expected_pivots)
     R, pivots = m.rref()
     assert pivots == list(expected_pivots)
-    assert canonical(R).to_lists() == from_sympy(expected)
+    assert canonical(R).entries == from_sympy(expected)
 
 
 def test_structured_kernel_basis_matches_sympy(structured):
@@ -348,7 +349,7 @@ def test_structured_kernel_basis_matches_sympy(structured):
     K = canonical(m.kernel_basis())
     assert (K.rows, K.cols) == (m.cols, len(expected))
     if expected:
-        assert K.to_lists() == from_sympy(sympy.Matrix.hstack(*expected))
+        assert K.entries == from_sympy(sympy.Matrix.hstack(*expected))
 
 
 def test_structured_column_space_basis_matches_sympy(structured):
@@ -358,7 +359,7 @@ def test_structured_column_space_basis_matches_sympy(structured):
     pivots = list(DomainMatrix.from_Matrix(s).rref()[1])
     B = canonical(m.column_space_basis())
     assert (B.rows, B.cols) == (m.rows, len(pivots))
-    assert B.to_lists() == from_sympy(s.extract(list(range(m.rows)), pivots))
+    assert B.entries == from_sympy(s.extract(list(range(m.rows)), pivots))
 
 
 def test_structured_solve_matches_sympy(structured):
@@ -370,7 +371,7 @@ def test_structured_solve_matches_sympy(structured):
     # sympy's solution with every free parameter 0 is the one with 0 on every
     # free column, as ``solve`` gives
     expected, params = s.gauss_jordan_solve(to_sympy(rhs))
-    assert canonical(sol).to_lists() == from_sympy(expected.subs({p: 0 for p in params}))
+    assert canonical(sol).entries == from_sympy(expected.subs({p: 0 for p in params}))
     # a nonzero vector orthogonal to the image is not in it
     left = s.T.nullspace()
     if left:
@@ -476,7 +477,7 @@ def test_induced_pairing_matches_sympy(left_flag, right_flag, kind, data):
         # meets the right denominator ("right"), or both
         dl, dr = left.denominator.dim, right.denominator.dim
         kl, kr = left.numerator.dim, right.numerator.dim
-        g = p.to_lists()
+        g = [list(row) for row in p.entries]
         for i, row in enumerate(g):
             for j in range(len(row)):
                 if (kind != "right" and i < dl and j < kr) or (kind != "left" and j < dr and i < kl):
@@ -494,7 +495,7 @@ def test_induced_pairing_matches_sympy(left_flag, right_flag, kind, data):
     assert (gram is not None) == descends
     if gram is not None:
         expected = to_sympy(left.lift).T * to_sympy(p) * to_sympy(right.lift)
-        assert gram.to_lists() == from_sympy(expected)
+        assert gram.entries == from_sympy(expected)
 
 
 # -- structure, canonical form and the schema boundary -------------------------------
@@ -518,7 +519,7 @@ def test_structural_operations_match_sympy(data):
         (a.hstack(right), sa.row_join(to_sympy(right))),
         (a.take_columns(idx), sa.extract(list(range(r)), idx)),
     ]:
-        assert canonical(got).to_lists() == from_sympy(expected)
+        assert canonical(got).entries == from_sympy(expected)
 
 
 @given(st.data())
@@ -526,7 +527,7 @@ def test_structural_operations_match_sympy(data):
 def test_kron_matches_sympy(data):
     a, b = (data.draw(matrices(*(data.draw(st.integers(1, 4)) for _ in range(2)))) for _ in range(2))
     got = canonical(kron(a, b))
-    assert got.to_lists() == from_sympy(sympy.kronecker_product(to_sympy(a), to_sympy(b)))
+    assert got.entries == from_sympy(sympy.kronecker_product(to_sympy(a), to_sympy(b)))
 
 
 @given(st.data())
@@ -549,7 +550,7 @@ def test_assemble_blocks_matches_sympy(data):
         if i < len(rows) and m.rows and m.cols:
             r0, c0 = sum(d for _, d in rows[:i]), sum(d for _, d in cols[:j])
             expected[r0 : r0 + m.rows, c0 : c0 + m.cols] = to_sympy(m)
-    assert got.to_lists() == from_sympy(expected)
+    assert got.entries == from_sympy(expected)
 
 
 @given(matrices(), entries.filter(bool))
@@ -578,15 +579,15 @@ def test_kept_columns_sharing_a_factor_are_reduced():
     ]:
         kept, fresh = a.take_columns(idx), RatMatrix.from_rows(rows)
         assert kept == fresh and hash(kept) == hash(fresh)
-        assert _matrix_json(kept) == rows
+        assert kept.to_strings() == rows
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_boundary_round_trips(data):
     m = data.draw(matrices(rows=data.draw(st.integers(1, MAX_DIM))))
-    strings = _matrix_json(m)
-    assert strings == [[format_rat(x) for x in row] for row in m.entries]
+    strings = m.to_strings()
+    assert strings == [[str(x) for x in row] for row in m.entries]
     assert RatMatrix.from_rows(strings) == m
     dense = [[0] * m.cols for _ in range(m.rows)]
     for i in range(m.rows):

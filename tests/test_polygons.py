@@ -18,10 +18,7 @@ from ssweight.polygons import (
     check_linear_relation,
     check_slope_symmetry,
     hodge_from_ordinary,
-    hodge_polygon,
-    hodge_polygon_from_jumps,
     hodge_symmetry_report,
-    newton_polygon,
     slopes_from_e2,
     t_H,
     t_N,
@@ -99,16 +96,16 @@ class TestTotals:
 
 class TestPolygonConstruction:
     def test_tate(self):
-        p = newton_polygon(SlopeMultiset.of(1, [0, 1]))
+        p = Polygon.from_slopes(SlopeMultiset.of(1, [0, 1]).entries)
         assert p.to_json() == [["0", "0"], ["1", "0"], ["2", "1"]]
 
     def test_k3_hodge(self):
         h = HodgeVector(2, (1, 20, 1))
-        p = hodge_polygon(h)
+        p = Polygon.from_slopes(h.jumps())
         assert p.to_json() == [["0", "0"], ["1", "0"], ["21", "20"], ["22", "22"]]
 
     def test_supersingular(self):
-        p = newton_polygon(SlopeMultiset.of(1, ["1/2", "1/2"]))
+        p = Polygon.from_slopes(SlopeMultiset.of(1, ["1/2", "1/2"]).entries)
         assert p.to_json() == [["0", "0"], ["2", "1"]]
 
     def test_rejects_nonconvex(self):
@@ -117,8 +114,8 @@ class TestPolygonConstruction:
 
     def test_endpoint_heights_are_totals(self):
         m = PhiNModule(SlopeMultiset.of(2, [0, 1, 1, 2]), (0, 1, 1, 2))
-        assert newton_polygon(m.slopes).endpoint[1] == t_N(m)
-        assert hodge_polygon_from_jumps(m.filtration_jumps).endpoint[1] == t_H(m)
+        assert Polygon.from_slopes(m.slopes.entries).vertices[-1][1] == t_N(m)
+        assert Polygon.from_slopes(m.filtration_jumps).vertices[-1][1] == t_H(m)
 
 
 class TestAdmissibility:

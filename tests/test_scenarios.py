@@ -48,6 +48,15 @@ class TestBuilders:
         assert len(sc.faces_at(2)) == 6
         assert len(sc.faces_at(3)) == 4
 
+    @pytest.mark.parametrize("spec", ["ngon:640", "ngon_x_p1:640", "tetrahedron"])
+    def test_builders_share_strata(self, spec):
+        # one stratum object per distinct stratum, and one maps dict per
+        # distinct restriction, as the loader interns them
+        sc = build(parse_spec(spec))
+        assert len({id(coh) for coh in sc.faces.values()}) == (3 if spec == "tetrahedron" else 2)
+        distinct_maps = len({id(maps) for maps in sc.restrictions.values()})
+        assert distinct_maps == (13 if spec == "tetrahedron" else 1)
+
     def test_ngon_e2_independent_of_n(self):
         # quantified N-independence of the second page
         for N in range(3, 9):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import independent_rank
+from helpers import independent_rank, swap_face
 from ssweight.errors import MissingRestriction, SchemaError
 from ssweight.linalg import RatMatrix
 from ssweight.scenarios import (
@@ -25,8 +25,7 @@ class TestValidate:
 
     def test_zeroed_pairing_reported(self):
         sc = ngon(3)
-        sc.faces[(1,)].pairing[0] = RatMatrix.zeros(1, 1)
-        sc.faces[(1,)].pairing[2] = RatMatrix.zeros(1, 1)
+        swap_face(sc, (1,), pairing={0: RatMatrix.zeros(1, 1), 2: RatMatrix.zeros(1, 1)})
         report = sc.validate()
         assert not report.ok
         assert any(
@@ -36,7 +35,7 @@ class TestValidate:
 
     def test_broken_pairing_symmetry_reported_once(self):
         sc = ngon(3)
-        sc.faces[(1,)].pairing[0] = RatMatrix.from_rows([[2]])
+        swap_face(sc, (1,), pairing={0: RatMatrix.from_rows([[2]])})
         report = sc.validate()
         symmetry = [v for v in report.violations if v.code == "pairing-symmetry"]
         assert [v.location for v in symmetry] == ["face {1}"]
@@ -76,8 +75,7 @@ class TestValidate:
 
     def test_slope_pure_with_odd_cohomology_reported(self):
         sc = ngon(3)
-        sc.faces[(1,)].dims[1] = 2
-        sc.faces[(1,)].pairing[1] = RatMatrix.from_rows([[0, 1], [-1, 0]])
+        swap_face(sc, (1,), dims={1: 2}, pairing={1: RatMatrix.from_rows([[0, 1], [-1, 0]])})
         report = sc.validate()
         assert any(v.code == "slope-pure-odd" for v in report.violations)
 
@@ -101,7 +99,7 @@ class TestRhoTau:
         # every edge row has one +1 and one -1
         for row in m.entries:
             assert sorted(row) == [-1, 0, 1]
-        assert m.rank() == independent_rank(m.to_lists()) == 2
+        assert m.rank() == independent_rank(m.entries) == 2
 
     def test_rho_single_component_empty(self):
         m = good_reduction_pn(2).rho(1, 0)
@@ -221,6 +219,17 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="listed twice"):
             StrataComplex.loads(json.dumps(doc))
 
+    def test_too_deep_to_encode_is_schema_error(self):
+        # the canonical text of a face entry nested past the recursion limit
+        # cannot be encoded; that is an input error, not a crash
+        deep = []
+        for _ in range(5000):
+            deep = [deep]
+        doc = self._ngon_doc()
+        doc["faces"][0]["pairing"]["0"] = deep
+        with pytest.raises(SchemaError, match="recursion"):
+            StrataComplex.from_json_dict(doc)
+
     def test_cohomology_list_is_schema_error(self):
         doc = self._ngon_doc()
         doc["faces"][0]["cohomology"] = [1, 1]
@@ -236,14 +245,14 @@ class TestSerialization:
 
     def test_misshapen_pairing_skips_lefschetz_adjoint_product(self):
         sc = good_reduction_pn(2)
-        sc.faces[(1,)].pairing[2] = RatMatrix.zeros(2, 2)
+        swap_face(sc, (1,), pairing={2: RatMatrix.zeros(2, 2)})
         report = sc.validate()
         assert [v.code for v in report.violations] == ["pairing-shape"]
 
     @pytest.mark.parametrize("face", [(1,), (1, 2)])
     def test_misshapen_lefschetz_skips_restriction_product(self, face):
         sc = tetrahedron()
-        sc.faces[face].lefschetz[0] = RatMatrix.zeros(3, 3)
+        swap_face(sc, face, lefschetz={0: RatMatrix.zeros(3, 3)})
         report = sc.validate()
         assert [v.code for v in report.violations] == ["lefschetz-shape"]
 
@@ -259,8 +268,6 @@ class TestSerialization:
         sc = StrataComplex("labelled", 1, ["Y1"], {(1,): coh}, {})
         back = StrataComplex.loads(sc.dumps())
         assert back.faces[(1,)].labels == {0: ["unit"], 2: ["pt"]}
-        assert back.faces[(1,)].label_list(2) == ["pt"]
-        assert back.faces[(1,)].label_list(0) == ["unit"]
 
 
 class TestDisjointComponents:
