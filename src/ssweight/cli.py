@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from pathlib import Path
@@ -26,7 +25,7 @@ from .checks import CheckResult, check_h1_suite, check_log_hl_all, check_wm
 from .errors import SsweightError
 from .linalg import rat
 from .spectral import build_e1, compute_e2
-from .strata import StrataComplex
+from .strata import StrataComplex, json_text
 
 SCHEMA_POINTER = "see docs/strata_schema.json for the input format"
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -42,7 +41,7 @@ def _emit(args, text: str):
 
 
 def _emit_json(args, payload) -> None:
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True))
+    _emit(args, json_text(payload))
 
 
 def _load_complex(args) -> StrataComplex:

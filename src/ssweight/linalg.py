@@ -8,36 +8,46 @@ matrices have equal storage.  Products are integer sparse products over the
 product of the denominators, reduced once.  Ranks, pivot columns, reduced
 row echelon forms, and through them kernels, column spaces, solves,
 inverses and quotient constructions all run one fraction-free elimination
-on the integer rows as stored: each row operation is an integer combination
-of two rows followed by division by the row's content gcd, so entries stay
-small.  Its forward pass keeps the pivot rows in a column index, one per
-pivot column, and clears each entering row only at columns that have one,
-so its cost follows the row operations, not the shape; ranks, column spaces
-and quotients read its pivots alone.  The reduced form adds one
-back-substitution from the last pivot row up and keeps the lcm of its pivots
-as its denominator.  Signatures run a fraction-free symmetric elimination on
-the same integer rows.  ``Fraction`` appears only where single entries leave
-a matrix (``row``, ``col``, ``row_items``, ``entries``, ``apply``); entries
-enter in one pass that keeps only the nonzeros, and ``to_strings`` formats
-the schema strings straight from the integers.  No floating point anywhere.
+on the integer rows as stored.  Its forward pass keeps the pivot rows in a
+column index, one per pivot column; each entering row is copied once,
+cleared in place by integer combinations with the pivot rows at the columns
+that have one, found through a heap of its columns, and divided by its
+content gcd once, when it becomes a pivot row.  So its cost follows the row
+operations, not the shape, and ranks, column spaces and quotients read its
+pivots alone.  The reduced form adds one back-substitution from the last
+pivot row up and keeps the lcm of its pivots as its denominator.
+Signatures run a fraction-free symmetric elimination on the same integer
+rows.  ``Fraction`` appears only where single entries leave a matrix
+(``row``, ``col``, ``row_items``, ``entries``, ``apply``); entries enter in
+one pass that keeps only the nonzeros, and ``to_strings`` formats the
+schema strings straight from the integers.  No floating point anywhere.
 
 Conventions: a linear map V -> W is a matrix with ``rows = dim W`` and
 ``cols = dim V`` acting on column vectors; a subspace is stored as a matrix
-whose columns are an independent spanning set; a quotient keeps one basis
-``[denominator | lift]`` of its numerator, from one elimination, and an
-induced map is one solve against the target's, a pairing one product.
+whose columns are an independent spanning set.  A quotient keeps one basis
+``[denominator | lift]`` of its numerator and coordinate rows on which that
+basis is invertible.  A quotient of cycles by boundaries is read in the
+coordinates of the kernel basis of one reduced elimination, where its lift
+columns are unit vectors; an induced map is one solve on the target's
+coordinate rows, checked by one product, and a pairing one product.
 """
 
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import NotSymmetric, NotWellDefined
 
 _ZERO = Fraction(0)
+# an input value quoted in an error message, bounded in depth and length
+_quoted = reprlib.Repr().repr
 # the rational strings of docs/strata_schema.json
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -49,7 +59,7 @@ def _parse(x) -> tuple[int, int]:
     if isinstance(x, str):
         match = _RATIONAL.fullmatch(x)
         if not match:
-            raise ValueError(f"{x!r} is not a rational of the form a or a/b")
+            raise ValueError(f"{_quoted(x)} is not a rational of the form a or a/b")
         n = int(match[1])
         if match[2] is None:
             return n, 1
@@ -62,7 +72,7 @@ def _parse(x) -> tuple[int, int]:
         return x, 1
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+    raise TypeError(f"cannot interpret {_quoted(x)} as a rational")
 
 
 def rat(x) -> Fraction:
@@ -108,31 +118,38 @@ def _reduced(rows: int, cols: int, den: int, data) -> "RatMatrix":
     return _make(rows, cols, den, data)
 
 
-def _cleared(row: dict, c: int, q: dict) -> dict:
-    """A new row: ``row`` cleared at column ``c`` against the pivot row
-    ``q``, that is ``(p/g) row - (a/g) q`` (``p`` the pivot, ``a`` the entry,
-    ``g = gcd(p, a)``), or ``row - (a/p) q`` when ``p`` divides ``a``, over
-    its content gcd; only nonzero entries are visited."""
+def _clear(row: dict, c: int, q: dict) -> None:
+    """Clear ``row`` at column ``c`` against the pivot row ``q``, in place:
+    ``row`` becomes ``(p/g) row - (a/g) q`` (``p`` the pivot, ``a`` the
+    entry, ``g = gcd(p, a)``), or ``row - (a/p) q`` when ``p`` divides
+    ``a``.  Its content is left for the caller to divide out once."""
     p, a = q[c], row[c]
     if a % p:
         g = gcd(p, a)
         s, t = p // g, a // g
-        out = {j: s * x for j, x in row.items()}
+        for j in row:
+            row[j] *= s
     else:
         t = a // p
-        out = dict(row)
     for j, y in q.items():
-        v = out.get(j, 0) - t * y
+        v = row.get(j, 0) - t * y
         if v:
-            out[j] = v
+            row[j] = v
         else:
-            del out[j]
-    g = gcd(*out.values())
-    return {j: x // g for j, x in out.items()} if g > 1 else out
+            del row[j]
 
 
-def _submatrix(m: "RatMatrix", rows: range, cols: range) -> "RatMatrix":
-    """The block of ``m`` on a range of rows and a range of columns."""
+def _primitive(row: dict) -> dict:
+    """``row`` divided in place by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return row
+
+
+def _submatrix(m: "RatMatrix", rows, cols: range) -> "RatMatrix":
+    """The block of ``m`` on a sequence of rows and a range of columns."""
     c0 = cols.start
     data = [{j - c0: x for j, x in m._data[i].items() if j in cols} for i in rows]
     return _reduced(len(rows), len(cols), m._den, data)
@@ -362,41 +379,53 @@ class RatMatrix:
         Returns ``(rows, pivots)``: the pivot columns in increasing order, and
         for each the row whose leading entry is there.  The forward pass keeps
         the rows found so far in a column index, one pivot row per pivot
-        column.  Each entering row is cleared at its leading column against
-        that column's pivot row until it leads in a column that has none, and
-        there it becomes the pivot row (or it vanishes).  Clearing only adds
-        columns right of the cleared one, so a row's leading column only
-        grows.  Rows enter in decreasing lexicographic order of their column
-        lists: one that leads further right, or at an equal lead has its next
-        entry further right, enters first, so a row cleared against it jumps
-        furthest.  (Entered as stored, the rows of a stacked pair of bases,
-        each with an entry in column 0 and one further right, would each be
-        cleared at every earlier pivot column.)
-        Pivots and the reduced form do not depend on the order.
+        column.  Each entering row is copied once and cleared in place at its
+        leading column against that column's pivot row until it leads in a
+        column that has none; there its content gcd is divided out and it
+        becomes the pivot row (or it vanishes).  Clearing only adds columns
+        right of the cleared one, so a row's leading column only grows, and
+        a heap of its columns finds the next one without a scan of the row
+        (on a cycle one row hops across every pivot column, gaining an entry
+        per hop).  Rows enter in decreasing lexicographic order of their
+        column lists: one that leads further right, or at an equal lead has
+        its next entry further right, enters first, so a row cleared against
+        it jumps furthest.  (Entered as stored, the rows of a stacked pair of
+        bases, each with an entry in column 0 and one further right, would
+        each be cleared at every earlier pivot column.)  Pivots and the
+        reduced form do not depend on the order, nor on when a row's content
+        is divided out.
 
         With ``reduce``, one back-substitution follows: from the last pivot
-        row up, each row is cleared at every pivot column it meets against
-        the rows below it, which are reduced already.  A reduced row brings
-        no pivot column but its own, so each entry is cleared once, and the
-        rows are the reduced row echelon form up to one scalar per row.  No
-        row of the matrix is mutated.
+        row up, each row is cleared in place at every pivot column it meets
+        against the rows below it, which are reduced already.  A reduced row
+        brings no pivot column but its own, so each entry is cleared once, and
+        the rows are the reduced row echelon form up to one scalar per row.
+        No row of the matrix is mutated.
         """
         pivot = {}
-        for row in sorted(self._data, key=sorted, reverse=True):
-            while row:
-                c = min(row)
+        for heap, src in sorted(((sorted(r), r) for r in self._data if r), key=itemgetter(0), reverse=True):
+            row = dict(src)
+            while heap:
+                c = heappop(heap)
+                if c not in row:
+                    continue  # cancelled by an earlier clearing
                 q = pivot.get(c)
                 if q is None:
-                    pivot[c] = row
+                    pivot[c] = _primitive(row)
                     break
-                row = _cleared(row, c, q)
+                for j in q:
+                    if j not in row:
+                        heappush(heap, j)
+                _clear(row, c, q)
         cols = sorted(pivot)
         if reduce:
             for c in reversed(cols):
                 row = pivot[c]
-                for j in [j for j in row if j != c and j in pivot]:
-                    row = _cleared(row, j, pivot[j])
-                pivot[c] = row
+                meets = [j for j in row if j != c and j in pivot]
+                for j in meets:
+                    _clear(row, j, pivot[j])
+                if meets:
+                    _primitive(row)
         return [pivot[c] for c in cols], cols
 
     def pivots(self) -> list:
@@ -424,18 +453,26 @@ class RatMatrix:
 
     def kernel_basis(self) -> "RatMatrix":
         """Columns form a basis of {v : self @ v = 0}."""
+        return self.reduced_kernel()[0]
+
+    def reduced_kernel(self):
+        """``(K, free, pivots)`` from one reduced elimination: the columns
+        of ``K`` are the kernel basis with ``K[free, :] = I``, one column
+        per free column in ``free``, and ``pivots`` are the pivot columns,
+        which also pick a basis of the column span."""
         R, pivots = self.rref()
         pivset = set(pivots)
-        free = {f: k for k, f in enumerate(c for c in range(self.cols) if c not in pivset)}
-        # coordinate f of basis vector free[f] is 1; coordinate p of basis
-        # vector free[f] is -R[i][f] for the pivot p of row i
+        free = [c for c in range(self.cols) if c not in pivset]
+        at = {f: k for k, f in enumerate(free)}
+        # coordinate f of basis vector at[f] is 1; coordinate p of basis
+        # vector at[f] is -R[i][f] for the pivot p of row i
         den = R._den
         out = [{} for _ in range(self.cols)]
-        for f, k in free.items():
+        for f, k in at.items():
             out[f] = {k: den}
         for row, p in zip(R._data, pivots):
-            out[p] = {free[j]: -x for j, x in row.items() if j != p}
-        return _reduced(self.cols, len(free), den, out)
+            out[p] = {at[j]: -x for j, x in row.items() if j != p}
+        return _reduced(self.cols, len(free), den, out), free, pivots
 
     def column_space_basis(self) -> "RatMatrix":
         """Pivot columns of the matrix: a basis of the column span."""
@@ -604,7 +641,16 @@ class QuotientSpace:
     the denominator: ``lift`` is the numerator columns that extend the
     denominator basis in one pivoted elimination of ``[denominator |
     numerator]``, so equal inputs pick identical representatives.  Its
-    columns are independent, so every quotient coordinate is unique.
+    columns are independent, so every quotient coordinate is unique, and
+    ``coords`` lists rows of the ambient space with ``basis[coords, :]``
+    invertible: a vector of the numerator is ``basis @ x`` for the one
+    ``x`` that its ``coords`` entries determine.
+
+    ``QuotientSpace.of_cycles`` builds the same quotient in the coordinates
+    of a numerator basis with an identity block, as a second page does with
+    ``ker d1 / im d1``: those coordinates are its ``coords``, and its
+    ``numerator`` and ``denominator`` subspaces are built, with their
+    independence checks, when first read.
     """
 
     def __init__(self, ambient_dim: int, numerator: Subspace, denominator: Subspace):
@@ -622,6 +668,48 @@ class QuotientSpace:
         self.lift = numerator.basis.take_columns(p - d for p in pivots[d:])
         self.basis = denominator.basis.hstack(self.lift)
 
+    @classmethod
+    def of_cycles(cls, cycles: RatMatrix, free: list, boundaries: RatMatrix) -> "QuotientSpace":
+        """The quotient of the span of ``cycles`` by that of ``boundaries``,
+        whose columns are independent and lie in it, when ``cycles[free, :]``
+        is the identity (a ``reduced_kernel``).
+
+        A vector ``v`` of the numerator is ``cycles @ v[free]``, so the
+        quotient is read in those coordinates.  The pivoted elimination of
+        ``[boundaries | cycles]`` picks the cycle ``e_j`` exactly when no
+        vector in the span of ``boundaries[free, :]`` has its last nonzero
+        coordinate at ``j``; those coordinates are the pivots of its
+        transpose with the columns reversed, one small elimination.  The
+        lift columns are unit vectors in these coordinates, so ``free``
+        serves as ``coords``.
+        """
+        k = len(free)
+        flipped = [{} for _ in range(boundaries.cols)]
+        for i, f in enumerate(free):
+            for j, x in boundaries._data[f].items():
+                flipped[j][k - 1 - i] = x
+        last = {k - 1 - p for p in _make(boundaries.cols, k, 1, flipped).pivots()}
+        q = object.__new__(cls)
+        q.ambient_dim = cycles.rows
+        q.lift = cycles.take_columns(j for j in range(k) if j not in last)
+        q.basis = boundaries.hstack(q.lift)
+        q.coords = free
+        q._spans = (cycles, boundaries)
+        return q
+
+    @cached_property
+    def coords(self) -> list:
+        """The first independent rows of ``basis``, found when first read."""
+        return self.basis.transpose().pivots()
+
+    @cached_property
+    def numerator(self) -> Subspace:
+        return Subspace(self.ambient_dim, self._spans[0])
+
+    @cached_property
+    def denominator(self) -> Subspace:
+        return Subspace(self.ambient_dim, self._spans[1])
+
     @property
     def dim(self) -> int:
         return self.lift.cols
@@ -632,18 +720,22 @@ class QuotientSpace:
 
 def induced_map(m: RatMatrix, src: QuotientSpace, dst: QuotientSpace) -> RatMatrix:
     """Matrix of the map induced by ``m`` on quotient bases: the lift block
-    of the one solution of ``dst.basis @ X = m @ src.basis``.
+    of the one ``X`` with ``dst.basis @ X = m @ src.basis``, solved on the
+    rows ``dst.coords`` alone and checked by one product.
 
-    Raises ``NotWellDefined`` when there is no solution (``m`` does not
-    carry numerator into numerator) or when an image of a src.denominator
-    column has a nonzero lift coordinate (nor denominator into denominator).
+    Raises ``NotWellDefined`` when ``dst.basis @ X`` misses ``m @ src.basis``
+    (``m`` does not carry numerator into numerator) or when an image of a
+    src.denominator column has a nonzero lift coordinate (nor denominator
+    into denominator).
     """
     if m.cols != src.ambient_dim or m.rows != dst.ambient_dim:
         raise ValueError("matrix shape does not match the ambient spaces")
-    x = dst.basis.solve(m @ src.basis)
-    if x is None:
+    y = m @ src.basis
+    at = dst.coords
+    x = _submatrix(dst.basis, at, range(dst.basis.cols)).solve(_submatrix(y, at, range(y.cols)))
+    if dst.basis @ x != y:
         raise NotWellDefined("map does not preserve numerators")
-    r0, c0 = dst.denominator.dim, src.denominator.dim
+    r0, c0 = dst.basis.cols - dst.dim, src.basis.cols - src.dim
     if any(j < c0 for row in x._data[r0:] for j in row):
         raise NotWellDefined("map does not preserve denominators")
     return _submatrix(x, range(r0, x.rows), range(c0, x.cols))
@@ -654,7 +746,7 @@ def induced_pairing(p: RatMatrix, left: QuotientSpace, right: QuotientSpace):
     ``left``: the lift block of ``left.basis^T p right.basis``, or None when
     a denominator row or column of that product is nonzero."""
     g = left.basis.transpose() @ p @ right.basis
-    r0, c0 = left.denominator.dim, right.denominator.dim
+    r0, c0 = left.basis.cols - left.dim, right.basis.cols - right.dim
     if any(g._data[:r0]) or any(j < c0 for row in g._data for j in row):
         return None
     return _submatrix(g, range(r0, g.rows), range(c0, g.cols))

@@ -42,10 +42,8 @@ from .linalg import (
     RatMatrix,
     Subspace,
     assemble_blocks,
-    image,
     induced_map,
     induced_pairing,
-    kernel,
 )
 from .strata import StrataComplex
 
@@ -154,7 +152,11 @@ class E2Page:
     induced N, L and pairing.
 
     ``e1`` is any complex with the interface of the module docstring: the
-    first page, another ``E2Page``, or a module built by hand.  Cells outside
+    first page, another ``E2Page``, or a module built by hand.  Each cell is
+    a ``QuotientSpace.of_cycles`` in the coordinates of ``ker dout``: one
+    reduced elimination of each ``d1`` gives the kernel basis of its source
+    cell and, through its pivots, the image basis of its target cell, and a
+    cell adds one small elimination that picks its lift.  Cells outside
     ``e1.support()`` have no first-page summands; maps out of or into them
     are zero without an ``induced_map`` call, since its
     well-definedness checks are vacuous there.
@@ -167,12 +169,16 @@ class E2Page:
         # induced maps by ("n", "l" or "p", a, b), computed on first use and
         # shared by every suite that reads the page
         self._induced: dict[tuple[str, int, int], RatMatrix] = {}
+        # the pivots of each cell's dout, which give the next cell's image
+        pivots: dict[tuple[int, int], list] = {}
         for (a, b) in e1.support():
             din = e1.d1(a - 1, b)
             dout = e1.d1(a, b)
             if not (dout @ din).is_zero():
                 raise DifferentialNotSquareZero(f"d1 o d1 != 0 into cell ({a}, {b})")
-            self._quotients[(a, b)] = QuotientSpace(e1.dim(a, b), kernel(dout), image(din))
+            cycles, free, pivots[(a, b)] = dout.reduced_kernel()
+            into = pivots[(a - 1, b)] if (a - 1, b) in pivots else din.pivots()
+            self._quotients[(a, b)] = QuotientSpace.of_cycles(cycles, free, din.take_columns(into))
 
     @property
     def cycle_generated(self) -> bool:

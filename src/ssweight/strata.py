@@ -59,6 +59,8 @@ _NO_MAPS: dict[int, RatMatrix] = {}
 _DEGREE = re.compile(r"0|[1-9][0-9]*")
 # the encoder of ``_canonical``: ``json.dumps(value, sort_keys=True)``
 _CANONICAL = json.JSONEncoder(sort_keys=True)
+# the C string escaper of ``json.dumps``'s default ``ensure_ascii``
+_ESCAPE = json.encoder.encode_basestring_ascii
 
 
 def _int(x, what: str, minimum=None) -> int:
@@ -609,7 +611,7 @@ class StrataComplex:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json_text(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(doc: dict) -> "StrataComplex":
@@ -801,6 +803,59 @@ def _canonical(value) -> str:
     """The canonical JSON text of a document value: equal texts are equal
     values, and ``1``, ``1.0``, ``true`` and ``"1"`` all differ."""
     return _CANONICAL.encode(value)
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, from
+    one recursive writer: with an indent ``json`` falls back to its pure
+    Python encoder, and this writer escapes strings with the C one.  It
+    writes what the program emits: ``None``, bools, ints, strings, lists,
+    tuples and dicts with string keys.  Any other value raises
+    ``TypeError``, as ``json.dumps`` does for the values it rejects; so do
+    floats and other keys, which the program never writes."""
+    out: list[str] = []
+    _write_json(value, out, "\n")
+    return "".join(out)
+
+
+def _write_json(v, out: list, nl: str) -> None:
+    # the type tests run in the order of json.encoder._make_iterencode
+    if isinstance(v, str):
+        out.append(_ESCAPE(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, (list, tuple, dict)):
+        if not v:
+            out.append("{}" if isinstance(v, dict) else "[]")
+            return
+        inner = nl + "  "
+        sep = inner
+        if isinstance(v, dict):
+            out.append("{")
+            for key, x in sorted(v.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                out.append(sep)
+                out.append(_ESCAPE(key))
+                out.append(": ")
+                _write_json(x, out, inner)
+                sep = "," + inner
+            out.append(nl + "}")
+        else:
+            out.append("[")
+            for x in v:
+                out.append(sep)
+                _write_json(x, out, inner)
+                sep = "," + inner
+            out.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _stratum_load(fd: dict, dim: int) -> StratumCohomology:

@@ -244,6 +244,23 @@ def test_deep_nesting_exits_two(capsys, tmp_path, target):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "entry", ["[" * 500 + '"1"' + "]" * 500, '"' + "7" * 5000 + '/x"'], ids=["nested", "long"]
+)
+def test_a_quoted_entry_is_bounded(capsys, tmp_path, entry):
+    # an entry nested 500 lists deep, or a long string, is quoted in the
+    # error shortened, not in full
+    _, text, _ = run(capsys, "scenario", "ngon:3")
+    doc = json.loads(text)
+    _face_at(doc, [1])["pairing"]["0"] = [["deep"]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace('"deep"', entry))
+    code, out, err = run(capsys, "validate", "--input", str(path))
+    assert code == 2 and out == ""
+    first = err.splitlines()[0]
+    assert first.startswith("error: malformed strata document: ") and len(first) < 120
+
+
 def _rekey(obj, key):
     """Move the degree-0 entry of ``obj`` to ``key``."""
     obj[key] = obj.pop("0")

@@ -1,0 +1,110 @@
+"""``json_text`` writes ``json.dumps(value, indent=2, sort_keys=True)`` byte
+for byte.  It is checked on every payload the CLI emits for the golden and
+failing-output tables, on every builtin document, and on drawn JSON values:
+non-ASCII and escape characters, empty containers, bools next to ints and
+big ints.  A value ``json`` rejects raises ``TypeError`` in both, and so do
+floats and keys that are not strings, which the program never writes."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import test_failing_outputs as failing
+import test_golden_outputs as golden
+from helpers import SIGN_MUTANTS, sign_mutant
+from ssweight import cli, strata
+from ssweight.scenarios import build, builtin_specs
+from ssweight.strata import json_text
+
+
+def reference(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.fixture
+def payloads(monkeypatch):
+    """Every value the CLI writes as JSON while the test runs."""
+    seen = []
+
+    def recording(value):
+        seen.append(value)
+        return json_text(value)
+
+    monkeypatch.setattr(cli, "json_text", recording)
+    monkeypatch.setattr(strata, "json_text", recording)
+    return seen
+
+
+# the golden commands that write JSON; an input error (exit 2) writes none
+JSON_COMMANDS = sorted(
+    a for a, (_, code) in golden.GOLDEN.items() if code != 2 and ("json" in a or a.startswith("scenario"))
+)
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS)
+def test_golden_payloads(capsys, payloads, argv):
+    cli.main(argv.split(" "))
+    capsys.readouterr()
+    assert payloads
+    assert all(json_text(p) == reference(p) for p in payloads)
+
+
+@pytest.mark.parametrize("command", failing.COMMANDS)
+@pytest.mark.parametrize("name", SIGN_MUTANTS)
+def test_failing_output_payloads(capsys, tmp_path, payloads, name, command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(sign_mutant(name)), encoding="utf-8")
+    cli.main([*command.split(" "), "--input", str(path), "--format", "json"])
+    capsys.readouterr()
+    assert payloads
+    assert all(json_text(p) == reference(p) for p in payloads)
+
+
+@pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.label())
+def test_documents(spec):
+    sc = build(spec)
+    assert sc.dumps() == reference(sc.to_json_dict())
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**80), max_value=10**80)
+    | st.text()
+    | st.text(alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€😀 '))
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(values)
+@settings(max_examples=300, deadline=None)
+def test_drawn_values(value):
+    assert json_text(value) == reference(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 2), {1, 2}, b"bytes", 1j, object(), [1, {"a": {2}}], {(1, 2): 0}, {"a": 1, 2: 0}],
+    ids=repr,
+)
+def test_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        reference(value)
+    with pytest.raises(TypeError):
+        json_text(value)
+
+
+@pytest.mark.parametrize("value", [0.5, [1, float("nan")], {1: "a"}, {None: 0}], ids=repr)
+def test_rejects_what_the_program_never_writes(value):
+    with pytest.raises(TypeError):
+        json_text(value)

@@ -10,7 +10,10 @@ diagonal set to zero, and ``B^T D B`` for such ``A`` and ``B`` and a diagonal
 cases up to 257 rows, where fill-in and the order of elimination matter,
 are cycle incidences, long bidiagonal chains in both row orders, a cycle
 with a dense last column, a dense first column in both row orders, zero
-rows and columns, and tall and wide shapes.  The quotient tests draw flags
+rows and columns, tall and wide shapes, and dense multi-digit rationals
+whose rows share content.  A long cycle with an identity block beside it,
+where one entering row hops across every pivot column and gains an entry
+per hop, has a test of its own.  The quotient tests draw flags
 ``denominator ⊂ numerator`` (sometimes not nested), and maps and pairings
 that are drawn at random or built in bases adapted to the flags so that
 they descend; sympy's ranks decide which is which.  Every
@@ -284,6 +287,23 @@ def fan(n: int, reverse: bool = False) -> RatMatrix:
     return from_entries(n, n + 1, entries)
 
 
+def dense_rational(rows: int, cols: int, seed: int) -> RatMatrix:
+    """A seeded dense matrix of multi-digit rationals; every third row is a
+    combination of two earlier ones and every fourth a multiple of one, so
+    rows entering the elimination carry content to divide out."""
+    rng = random.Random(seed)
+    big = lambda: Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
+    grid = [[big() for _ in range(cols)] for _ in range(rows)]
+    for k in range(2, rows):
+        if k % 3 == 2:
+            a, b = rng.randrange(k), rng.randrange(k)
+            grid[k] = [big() * x + big() * y for x, y in zip(grid[a], grid[b])]
+        elif k % 4 == 3:
+            c = Fraction(rng.randrange(2, 10**6))
+            grid[k] = [c * x for x in grid[rng.randrange(k)]]
+    return RatMatrix(rows, cols, grid)
+
+
 def padded(m: RatMatrix, zero_rows, zero_cols) -> RatMatrix:
     """``m`` with zero rows and zero columns put in at the given positions of
     the result."""
@@ -314,6 +334,8 @@ STRUCTURED = {
     "bidiagonal:200 reversed": lambda: bidiagonal(200, reverse=True),
     "dense-last-column:120": lambda: dense_last_column(120),
     "dense-last-column:120^T": lambda: dense_last_column(120).transpose(),
+    "dense-rational:14x16": lambda: dense_rational(14, 16, 4),
+    "dense-rational:16x12^T": lambda: dense_rational(16, 12, 5).transpose(),
     "dense-first-column:200": lambda: fan(200),
     "dense-first-column:200 reversed": lambda: fan(200, reverse=True),
     "zero rows and columns": lambda: padded(cycle(64), {0, 9, 33, 66}, {0, 5, 40, 67}),
@@ -376,6 +398,27 @@ def test_structured_solve_matches_sympy(structured):
     left = s.T.nullspace()
     if left:
         assert m.solve(RatMatrix(m.rows, 1, from_sympy(left[0]))) is None
+
+
+def test_cycle_beside_identity_matches_sympy():
+    # the [denominator | numerator] shape of a cycle's quotient: the last
+    # row enters before the first, which is cleared against it at column 0
+    # and then at every later pivot column, each time gaining a column of
+    # the identity
+    n = 257
+    m = cycle(n).hstack(RatMatrix.identity(n))
+    expected, expected_pivots = DomainMatrix.from_Matrix(to_sympy(m)).to_field().rref()
+    assert m.pivots() == list(expected_pivots) == [*range(n - 1), n]
+    R, pivots = m.rref()
+    assert pivots == list(expected_pivots)
+    assert canonical(R).entries == from_sympy(expected.to_Matrix())
+    K = canonical(m.kernel_basis())
+    assert K.entries == from_sympy(sympy.Matrix.hstack(*to_sympy(m).nullspace()))
+    x = RatMatrix(2 * n, 1, [[weight(j)] for j in range(2 * n)])
+    sol = m.solve(m @ x)
+    assert m @ sol == m @ x
+    # 0 on every free column, as sympy's solution with its parameters 0
+    assert all(not sol.row_items(j) for j in set(range(2 * n)) - set(pivots))
 
 
 # -- quotients -------------------------------------------------------------------

@@ -1,0 +1,213 @@
+"""Second-page cells in kernel coordinates against the general quotient.
+
+Each cell of ``E2Page`` is a ``QuotientSpace.of_cycles``, read in the
+coordinates of ``ker dout``.  Here every cell is compared with
+``QuotientSpace(amb, kernel(dout), image(din))``, and every induced ``N``
+and ``L`` map with the lift block of one solve in the whole ambient space,
+as the maps were formed before cells had coordinates.  The pairings are
+compared with the lift block of the product, after checking that the
+denominators pair to zero.  The documents are the builtins, the
+``SIGN_MUTANTS`` and the builtins in the seeded random coordinates of the
+benchmark's basis-changed documents, whose blocks are dense multi-digit
+rationals.
+"""
+
+import importlib.util
+import random
+from pathlib import Path
+
+import pytest
+
+from helpers import SIGN_MUTANTS, sign_mutant
+from ssweight.errors import InducedPairingIllDefined, NotWellDefined
+from ssweight.linalg import QuotientSpace, RatMatrix, Subspace, image, induced_map, kernel
+from ssweight.scenarios import build, builtin_specs, parse_spec
+from ssweight.spectral import E1Page, E2Page
+from ssweight.strata import StrataComplex
+
+INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+
+
+def _load_inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs", INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _complex(source: str) -> StrataComplex:
+    kind, _, name = source.partition(" ")
+    if kind == "builtin":
+        return build(parse_spec(name))
+    if kind == "mutant":
+        return StrataComplex.from_json_dict(sign_mutant(name))
+    doc = build(parse_spec(name)).to_json_dict()
+    return StrataComplex.from_json_dict(_load_inputs().basis_change(doc, random.Random(f"7:{name}")))
+
+
+SOURCES = [
+    *(f"builtin {s.label()}" for s in builtin_specs()),
+    *(f"mutant {name}" for name in SIGN_MUTANTS),
+    *(f"basis-changed {s.label()}" for s in builtin_specs()),
+]
+
+
+def _ambient_lift_block(m: RatMatrix, src: QuotientSpace, dst: QuotientSpace) -> RatMatrix:
+    """The induced map from one solve of ``dst.basis @ X = m @ src.basis``
+    in the whole ambient space of ``dst``."""
+    x = dst.basis.solve(m @ src.basis)
+    if x is None:
+        raise NotWellDefined("map does not preserve numerators")
+    r0, c0 = dst.denominator.dim, src.denominator.dim
+    if any(j < c0 for i in range(r0, x.rows) for j, _ in x.row_items(i)):
+        raise NotWellDefined("map does not preserve denominators")
+    rows = [x.row(i)[c0:] for i in range(r0, x.rows)]
+    return RatMatrix(x.rows - r0, x.cols - c0, rows)
+
+
+def _paired_lift_block(p: RatMatrix, left: QuotientSpace, right: QuotientSpace) -> RatMatrix:
+    if not (left.denominator.basis.transpose() @ p @ right.numerator.basis).is_zero():
+        raise InducedPairingIllDefined("left denominator")
+    if not (left.numerator.basis.transpose() @ p @ right.denominator.basis).is_zero():
+        raise InducedPairingIllDefined("right denominator")
+    return left.lift.transpose() @ p @ right.lift
+
+
+def _outcome(compute):
+    """The matrix ``compute()`` returns, or the class of its error."""
+    try:
+        return compute()
+    except (NotWellDefined, InducedPairingIllDefined) as exc:
+        return type(exc)
+
+
+@pytest.fixture(scope="module", params=SOURCES)
+def pages(request):
+    """The page of a source, and the general quotient of every first-page cell."""
+    e1 = E1Page(_complex(request.param))
+    e2 = E2Page(e1)
+    general = {
+        (a, b): QuotientSpace(e1.dim(a, b), kernel(e1.d1(a, b)), image(e1.d1(a - 1, b)))
+        for (a, b) in e1.support()
+    }
+    return e1, e2, general
+
+
+def test_cells_equal_the_general_quotient(pages):
+    e1, e2, general = pages
+    for cell, g in general.items():
+        q = e2.quotient(*cell)
+        assert (q.ambient_dim, q.dim) == (g.ambient_dim, g.dim)
+        assert q.lift == g.lift
+        assert q.basis == g.basis
+        assert q.numerator.basis == g.numerator.basis
+        assert q.denominator.basis == g.denominator.basis
+
+
+def test_induced_maps_equal_an_ambient_solve(pages):
+    e1, e2, general = pages
+    for (a, b), src in general.items():
+        for op, dst_cell, m in (
+            ("n", (a + 2, b - 2), e1.nmap(a, b)),
+            ("l", (a, b + 2), e1.lmap(a, b)),
+        ):
+            got = _outcome(lambda: e2.induced_n(a, b) if op == "n" else e2.induced_l(a, b))
+            if dst_cell in general:
+                expected = _outcome(lambda: _ambient_lift_block(m, src, general[dst_cell]))
+            else:
+                expected = RatMatrix.zeros(0, src.dim)
+            assert got == expected, (op, a, b)
+
+
+def test_pairings_equal_the_lift_block(pages):
+    e1, e2, general = pages
+    n = e2.n
+    for (a, b), here in general.items():
+        there = general.get((-a, 2 * n - b))
+        got = _outcome(lambda: e2.pairing_at(a, b))
+        if there is None:
+            expected = RatMatrix.zeros(here.dim, 0)
+        else:
+            expected = _outcome(lambda: _paired_lift_block(e1.pairing_at(a, b), here, there))
+        assert got == expected, (a, b)
+
+
+# -- the two failures of an induced map into a page cell ---------------------------
+
+
+@pytest.fixture(scope="module")
+def cell():
+    """The cell (0, 2) of the tetrahedron: numerator 26 of 32 dimensions,
+    denominator 6, quotient 20."""
+    q = E2Page(E1Page(build(parse_spec("tetrahedron")))).quotient(0, 2)
+    assert (q.ambient_dim, q.basis.cols, q.dim) == (32, 26, 20)
+    return q
+
+
+def test_a_map_off_the_numerator_is_not_well_defined(cell):
+    amb = cell.ambient_dim
+    everything = QuotientSpace(amb, Subspace(amb, RatMatrix.identity(amb)), Subspace.zero(amb))
+    with pytest.raises(NotWellDefined, match="numerators"):
+        induced_map(RatMatrix.identity(amb), everything, cell)
+
+
+def test_a_map_off_the_denominator_is_not_well_defined(cell):
+    # a source whose denominator is one lift vector of the target: it lands
+    # in the numerator, but with a nonzero quotient coordinate
+    amb = cell.ambient_dim
+    src = QuotientSpace(amb, cell.numerator, Subspace(amb, cell.lift.take_columns([0])))
+    with pytest.raises(NotWellDefined, match="denominators"):
+        induced_map(RatMatrix.identity(amb), src, cell)
+
+
+def test_the_page_is_its_own_target(cell):
+    # the identity descends from the cell to itself as the identity, with
+    # the cell as source and target alike
+    f = induced_map(RatMatrix.identity(cell.ambient_dim), cell, cell)
+    assert f == RatMatrix.identity(cell.dim)
+
+
+# -- what building a page costs --------------------------------------------------
+
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.label())
+def test_at_most_three_eliminations_per_cell(monkeypatch, spec):
+    e1 = E1Page(build(spec))
+    for (a, b) in e1.support():  # first-page maps are assembled (and tau inverted) first
+        e1.d1(a - 1, b), e1.d1(a, b)
+    eliminations = _count(monkeypatch, RatMatrix, "_eliminate")
+    checks = _count(monkeypatch, Subspace, "__post_init__")
+    E2Page(e1)
+    assert len(eliminations) <= 3 * len(e1.support())
+    assert checks == []
+
+
+@pytest.mark.parametrize("label, eliminations", [("tetrahedron", 21), ("ngon:20", 10)])
+def test_eliminations_of_a_page(monkeypatch, label, eliminations):
+    # one reduced elimination of each d1, one forward pass where a cell's
+    # din has no cell before it, and one small elimination per cell
+    e1 = E1Page(build(parse_spec(label)))
+    for (a, b) in e1.support():
+        e1.d1(a - 1, b), e1.d1(a, b)
+    calls = _count(monkeypatch, RatMatrix, "_eliminate")
+    E2Page(e1)
+    assert len(calls) == eliminations
+
+
+def test_cell_subspaces_are_built_and_checked_when_read(monkeypatch):
+    q = E2Page(E1Page(build(parse_spec("ngon:3")))).quotient(1, 0)
+    checks = _count(monkeypatch, Subspace, "__post_init__")
+    assert q.numerator is q.numerator and q.denominator is q.denominator
+    assert len(checks) == 2
