@@ -22,6 +22,17 @@ rows.  ``Fraction`` appears only where single entries leave a matrix
 one pass that keeps only the nonzeros, and ``to_strings`` formats the
 schema strings straight from the integers.  No floating point anywhere.
 
+Cost model: the matrices are small, so an operation costs about its
+nonzero entries plus a constant, and the constant is kept small.  Results
+are built by one trusted constructor through the slots' own setters; a
+unit denominator is never reduced; ``scale(±1)`` builds no ``Fraction``; a
+product with a zero factor is the zero matrix, and a left row with one
+entry is a multiple of one right row, or that row itself when the entry is
+1.  So a row dict may be shared by several matrices, and no row dict is
+mutated once a matrix holds it: eliminations and signatures copy the rows
+they clear.  Kernels and solves read the reduced rows of the elimination
+directly, without forming the reduced matrix.
+
 Conventions: a linear map V -> W is a matrix with ``rows = dim W`` and
 ``cols = dim V`` acting on column vectors; a subspace is stored as a matrix
 whose columns are an independent spanning set.  A quotient keeps one basis
@@ -88,34 +99,32 @@ def _format(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-_set = object.__setattr__
-
-
 def _make(rows: int, cols: int, den: int, data) -> "RatMatrix":
     """Trusted constructor: ``data`` holds one ``{column: int}`` dict of
     nonzero numerators per row, ``den`` is positive and coprime to them
-    taken together, and no dict in ``data`` is mutated afterwards."""
-    m = object.__new__(RatMatrix)
-    _set(m, "rows", rows)
-    _set(m, "cols", cols)
-    _set(m, "_den", den)
-    _set(m, "_data", tuple(data))
+    taken together, and no dict in ``data`` is mutated afterwards, so a row
+    may be shared by several matrices."""
+    m = _new(RatMatrix)
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_den(m, den)
+    _set_data(m, tuple(data))
     return m
 
 
 def _reduced(rows: int, cols: int, den: int, data) -> "RatMatrix":
     """``_make`` for integer rows over a positive ``den`` that may share a
     factor with every numerator: divides that factor out once."""
+    if den == 1:
+        return _make(rows, cols, 1, data)
     g = den
     for row in data:
-        if g == 1:
-            break
         if row:
             g = gcd(g, *row.values())
-    if g != 1:
-        data = [{j: x // g for j, x in row.items()} for row in data]
-        den //= g
-    return _make(rows, cols, den, data)
+            if g == 1:
+                return _make(rows, cols, den, data)
+    data = [{j: x // g for j, x in row.items()} for row in data]
+    return _make(rows, cols, den // g, data)
 
 
 def _clear(row: dict, c: int, q: dict) -> None:
@@ -187,10 +196,10 @@ class RatMatrix:
                     out[j] *= den
             for out, j, d in fractions:
                 out[j] //= d
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "_den", den)
-        _set(self, "_data", tuple(data))
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_den(self, den)
+        _set_data(self, tuple(data))
 
     def __setattr__(self, *_):
         raise AttributeError("RatMatrix is immutable")
@@ -300,23 +309,32 @@ class RatMatrix:
         return self.scale(-1)
 
     def scale(self, c) -> "RatMatrix":
-        c = rat(c)
-        if c == 1:
+        p, q = _parse(c)
+        if p == q:  # c == 1
             return self
-        if not c:
+        if not p:
             return RatMatrix.zeros(self.rows, self.cols)
-        p = c.numerator
         data = [{j: p * x for j, x in r.items()} for r in self._data]
-        return _reduced(self.rows, self.cols, self._den * c.denominator, data)
+        if p == -1 and q == 1:  # a negation stays in lowest terms
+            return _make(self.rows, self.cols, self._den, data)
+        return _reduced(self.rows, self.cols, self._den * q, data)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
+        if not (any(self._data) and any(other._data)):
+            return RatMatrix.zeros(self.rows, other.cols)
         b = other._data
         out = []
         for row in self._data:
+            if len(row) == 1:
+                # one entry: a multiple of one row of ``other``, or that
+                # row itself, shared, when the entry is 1
+                (k, a), = row.items()
+                out.append(b[k] if a == 1 else {j: a * y for j, y in b[k].items()})
+                continue
             acc = {}
             for k, a in row.items():
                 for j, y in b[k].items():
@@ -460,18 +478,20 @@ class RatMatrix:
         of ``K`` are the kernel basis with ``K[free, :] = I``, one column
         per free column in ``free``, and ``pivots`` are the pivot columns,
         which also pick a basis of the column span."""
-        R, pivots = self.rref()
+        rows, pivots = self._eliminate(reduce=True)
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
         at = {f: k for k, f in enumerate(free)}
         # coordinate f of basis vector at[f] is 1; coordinate p of basis
-        # vector at[f] is -R[i][f] for the pivot p of row i
-        den = R._den
+        # vector at[f] is -row[f] / row[p] for the reduced row of pivot p,
+        # all over the lcm of the absolute pivots
+        den = lcm(*[abs(row[p]) for row, p in zip(rows, pivots)])
         out = [{} for _ in range(self.cols)]
         for f, k in at.items():
             out[f] = {k: den}
-        for row, p in zip(R._data, pivots):
-            out[p] = {at[j]: -x for j, x in row.items() if j != p}
+        for row, p in zip(rows, pivots):
+            s = -(den // row[p])
+            out[p] = {at[j]: s * x for j, x in row.items() if j != p}
         return _reduced(self.cols, len(free), den, out), free, pivots
 
     def column_space_basis(self) -> "RatMatrix":
@@ -485,15 +505,19 @@ class RatMatrix:
         """
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
-        R, pivots = self.hstack(rhs).rref()
+        rows, pivots = self.hstack(rhs)._eliminate(reduce=True)
         n = self.cols
         # a pivot in the rhs block means inconsistency
-        if any(p >= n for p in pivots):
+        if pivots and pivots[-1] >= n:
             return None
+        # row p of the solution is the rhs block of the reduced row of
+        # pivot p over that pivot, all over the lcm of the absolute pivots
+        den = lcm(*[abs(row[p]) for row, p in zip(rows, pivots)])
         sol = [{} for _ in range(n)]
-        for row, p in zip(R._data, pivots):
-            sol[p] = {j - n: x for j, x in row.items() if j >= n}
-        return _reduced(n, rhs.cols, R._den, sol)
+        for row, p in zip(rows, pivots):
+            s = den // row[p]
+            sol[p] = {j - n: s * x for j, x in row.items() if j >= n}
+        return _reduced(n, rhs.cols, den, sol)
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
@@ -505,6 +529,14 @@ class RatMatrix:
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
+
+
+# the slots' own setters, which ``__setattr__`` forbids
+_new = object.__new__
+_set_rows = RatMatrix.rows.__set__
+_set_cols = RatMatrix.cols.__set__
+_set_den = RatMatrix._den.__set__
+_set_data = RatMatrix._data.__set__
 
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -68,6 +68,8 @@ class E1Page:
         # operators by (name, a, b), built on first use: the second page asks
         # for each d1 twice, and the checks for every operator again
         self._ops: dict[tuple[str, int, int], RatMatrix] = {}
+        # N^r and L^r by (op, a, b, r), formed by ``power``
+        self._powers: dict[tuple[str, int, int, int], RatMatrix] = {}
         # levels ascend, so every cell lists its summands by increasing k
         for lvl in range(1, sc.max_level + 1):
             gs = sc.level(lvl)
@@ -88,47 +90,58 @@ class E1Page:
 
     # -- operators ----------------------------------------------------------
 
-    def _block_map(self, name: str, a: int, b: int, src, dst, block_for) -> RatMatrix:
+    def _block_map(self, key, src, dst, block_for) -> RatMatrix:
         """Matrix from the cell ``src`` to the cell ``dst``, keyed by summand
-        ``k``; ``block_for(s)`` yields ``(k, block)`` for the summands ``k`` of
-        ``dst`` that the summand ``s`` of ``src`` may reach."""
-        key = (name, a, b)
-        if key not in self._ops:
-            src = self.cell(*src)
-            self._ops[key] = assemble_blocks(
-                [(s.k, s.dim) for s in self.cell(*dst)],
-                [(s.k, s.dim) for s in src],
-                {(k, s.k): m for s in src for k, m in block_for(s)},
-            )
-        return self._ops[key]
+        ``k`` and memoised under ``key``; ``block_for(s)`` yields ``(k,
+        block)`` for the summands ``k`` of ``dst`` that the summand ``s`` of
+        ``src`` may reach."""
+        src = self.cell(*src)
+        m = self._ops[key] = assemble_blocks(
+            [(s.k, s.dim) for s in self.cell(*dst)],
+            [(s.k, s.dim) for s in src],
+            {(k, s.k): block for s in src for k, block in block_for(s)},
+        )
+        return m
 
     def d1(self, a: int, b: int) -> RatMatrix:
         """Differential E1^{a,b} -> E1^{a+1,b}."""
+        m = self._ops.get(("d1", a, b))
+        if m is not None:
+            return m
 
         def block_for(s: Summand):
             yield s.k + 1, self.sc.rho(s.level, s.degree)
             yield s.k, self.sc.tau(s.level, s.degree)
 
-        return self._block_map("d1", a, b, (a, b), (a + 1, b), block_for)
+        return self._block_map(("d1", a, b), (a, b), (a + 1, b), block_for)
 
     def nmap(self, a: int, b: int) -> RatMatrix:
         """Monodromy E1^{a,b} -> E1^{a+2,b-2}: identity on surviving summands."""
+        m = self._ops.get(("n", a, b))
+        if m is not None:
+            return m
 
         def block_for(s: Summand):
             yield s.k + 1, RatMatrix.identity(s.dim)
 
-        return self._block_map("n", a, b, (a, b), (a + 2, b - 2), block_for)
+        return self._block_map(("n", a, b), (a, b), (a + 2, b - 2), block_for)
 
     def lmap(self, a: int, b: int) -> RatMatrix:
         """Lefschetz E1^{a,b} -> E1^{a,b+2}."""
+        m = self._ops.get(("l", a, b))
+        if m is not None:
+            return m
 
         def block_for(s: Summand):
             yield s.k, self.sc.level_lefschetz(s.level, s.degree)
 
-        return self._block_map("l", a, b, (a, b), (a, b + 2), block_for)
+        return self._block_map(("l", a, b), (a, b), (a, b + 2), block_for)
 
     def pairing_at(self, a: int, b: int) -> RatMatrix:
         """Gram matrix of E1^{a,b} x E1^{-a,2n-b} -> Q, rows on E1^{a,b}."""
+        m = self._ops.get(("p", a, b))
+        if m is not None:
+            return m
         n = self.n
 
         def block_for(s: Summand):
@@ -136,7 +149,7 @@ class E1Page:
             # the same level, in the complementary degree
             yield s.k + a, self.sc.level_pairing(s.level, 2 * (n + 1 - s.level) - s.degree)
 
-        return self._block_map("p", a, b, (-a, 2 * n - b), (a, b), block_for)
+        return self._block_map(("p", a, b), (-a, 2 * n - b), (a, b), block_for)
 
 
 def build_e1(sc: StrataComplex) -> E1Page:
@@ -166,9 +179,12 @@ class E2Page:
         self.e1 = e1
         self.n = e1.n
         self._quotients: dict[tuple[int, int], QuotientSpace] = {}
-        # induced maps by ("n", "l" or "p", a, b), computed on first use and
-        # shared by every suite that reads the page
+        # induced maps by ("n", "l" or "p", a, b) and the zero d1 by ("d",
+        # a, b), formed on first use and shared by every suite that reads
+        # the page
         self._induced: dict[tuple[str, int, int], RatMatrix] = {}
+        # N^r and L^r by (op, a, b, r), formed by ``power``
+        self._powers: dict[tuple[str, int, int, int], RatMatrix] = {}
         # the pivots of each cell's dout, which give the next cell's image
         pivots: dict[tuple[int, int], list] = {}
         for (a, b) in e1.support():
@@ -197,7 +213,10 @@ class E2Page:
         return self._quotients.get((a, b), _NO_CELL)
 
     def d1(self, a: int, b: int) -> RatMatrix:
-        return RatMatrix.zeros(self.dim(a + 1, b), self.dim(a, b))
+        m = self._induced.get(("d", a, b))
+        if m is None:
+            m = self._induced[("d", a, b)] = RatMatrix.zeros(self.dim(a + 1, b), self.dim(a, b))
+        return m
 
     def nmap(self, a: int, b: int) -> RatMatrix:
         return self.induced_n(a, b)
@@ -282,13 +301,25 @@ def compute_e2(e1: E1Page) -> E2Page:
 
 def power(cx, op: str, a: int, b: int, r: int) -> RatMatrix:
     """``N^r`` (``op`` "n") or ``L^r`` (``op`` "l") out of the cell (a, b) of
-    a page or module."""
-    out = RatMatrix.identity(cx.dim(a, b))
-    for _ in range(r):
-        if op == "n":
-            out = cx.nmap(a, b) @ out
-            a, b = a + 2, b - 2
-        else:
-            out = cx.lmap(a, b) @ out
-            b += 2
-    return out
+    a page or module: the identity for ``r < 1``, the operator itself for
+    ``r = 1``, and above that one product onto ``N^(r-1)`` or ``L^(r-1)``.
+    A page keeps each power it forms in its ``_powers``, so a power is
+    formed once per page and freed with it; a complex without that memo (a
+    module built by hand) forms the powers it is asked for afresh."""
+    if r < 1:
+        return RatMatrix.identity(cx.dim(a, b))
+    if r == 1:
+        return cx.nmap(a, b) if op == "n" else cx.lmap(a, b)
+    memo = getattr(cx, "_powers", None)
+    key = (op, a, b, r)
+    if memo is not None and key in memo:
+        return memo[key]
+    s = r - 1
+    below = power(cx, op, a, b, s)  # first, so the operators are read in order
+    if op == "n":
+        m = cx.nmap(a + 2 * s, b - 2 * s) @ below
+    else:
+        m = cx.lmap(a, b + 2 * s) @ below
+    if memo is not None:
+        memo[key] = m
+    return m

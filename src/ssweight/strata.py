@@ -49,7 +49,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameters, MissingRestriction, SchemaError
-from .linalg import RatMatrix, assemble_blocks, kernel_witness, kron
+from .linalg import RatMatrix, _quoted, assemble_blocks, kernel_witness, kron
 
 Face = tuple[int, ...]
 _set = object.__setattr__
@@ -57,26 +57,44 @@ _set = object.__setattr__
 _NO_MAPS: dict[int, RatMatrix] = {}
 # the degree keys of docs/strata_schema.json
 _DEGREE = re.compile(r"0|[1-9][0-9]*")
-# the encoder of ``_canonical``: ``json.dumps(value, sort_keys=True)``
-_CANONICAL = json.JSONEncoder(sort_keys=True)
 # the C string escaper of ``json.dumps``'s default ``ensure_ascii``
 _ESCAPE = json.encoder.encode_basestring_ascii
+
+
+# the C encoder of ``_canonical``, built once with the settings of
+# ``json.dumps(value, sort_keys=True)``; without a table of the containers
+# it is inside (which a failed call would leave filled), a cycle ends in
+# ``RecursionError`` like a value nested too deeply
+_SETTINGS = json.JSONEncoder(sort_keys=True)
+_CANONICAL = json.encoder.c_make_encoder(
+    None,
+    _SETTINGS.default,
+    _ESCAPE,
+    _SETTINGS.indent,
+    _SETTINGS.key_separator,
+    _SETTINGS.item_separator,
+    _SETTINGS.sort_keys,
+    _SETTINGS.skipkeys,
+    _SETTINGS.allow_nan,
+)
 
 
 def _int(x, what: str, minimum=None) -> int:
     """A JSON integer, at least ``minimum`` if one is given; a float or a
     bool is a schema error, not truncated."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise SchemaError(f"{what} must be an integer, not {x!r}")
+        raise SchemaError(f"{what} must be an integer, not {_quoted(x)}")
     if minimum is not None and x < minimum:
-        raise SchemaError(f"{what} must be at least {minimum}, not {x}")
+        raise SchemaError(f"{what} must be at least {minimum}, not {_quoted(x)}")
     return x
 
 
 def _face(indices) -> Face:
     t = tuple(sorted(_int(i, "a face index") for i in indices))
     if not t or len(set(t)) != len(t) or t[0] < 1:
-        raise SchemaError(f"face indices must be a nonempty set of positive ints: {indices}")
+        raise SchemaError(
+            f"face indices must be a nonempty set of positive ints: {_quoted(indices)}"
+        )
     return t
 
 
@@ -624,10 +642,12 @@ class StrataComplex:
             raise SchemaError("name is required")
         name = doc["name"]
         if not isinstance(name, str):
-            raise SchemaError(f"name must be a string, not {name!r}")
+            raise SchemaError(f"name must be a string, not {_quoted(name)}")
         components = doc.get("components")
         if not (_is_string_list(components) and components):
-            raise SchemaError(f"components must be a nonempty list of strings, not {components!r}")
+            raise SchemaError(
+                f"components must be a nonempty list of strings, not {_quoted(components)}"
+            )
         try:
             n = _int(doc["dimension"], "dimension", 0)
             # entries of one face size with one canonical JSON are one
@@ -802,7 +822,7 @@ def _restriction_violations(
 def _canonical(value) -> str:
     """The canonical JSON text of a document value: equal texts are equal
     values, and ``1``, ``1.0``, ``true`` and ``"1"`` all differ."""
-    return _CANONICAL.encode(value)
+    return "".join(_CANONICAL(value, 0))
 
 
 def json_text(value) -> str:
@@ -870,10 +890,10 @@ def _stratum_load(fd: dict, dim: int) -> StratumCohomology:
     }
     labels = dict(_degree_items(fd.get("labels", {}), "labels"))
     if not all(map(_is_string_list, labels.values())):
-        raise SchemaError(f"labels must be lists of strings, not {labels!r}")
+        raise SchemaError(f"labels must be lists of strings, not {_quoted(labels)}")
     slope_pure = fd.get("slope_pure", False)
     if not isinstance(slope_pure, bool):
-        raise SchemaError(f"slope_pure must be a boolean, not {slope_pure!r}")
+        raise SchemaError(f"slope_pure must be a boolean, not {_quoted(slope_pure)}")
     return StratumCohomology(
         dim=dim,
         dims=dims,
@@ -897,7 +917,7 @@ def _degree_items(value, what: str):
         raise SchemaError(f"{what} must be an object, not {type(value).__name__}")
     for key, x in value.items():
         if not (isinstance(key, str) and _DEGREE.fullmatch(key)):
-            raise SchemaError(f"{what} key {key!r} is not a degree 0, 1, 2, ...")
+            raise SchemaError(f"{what} key {_quoted(key)} is not a degree 0, 1, 2, ...")
         yield int(key), x
 
 

@@ -244,21 +244,46 @@ def test_deep_nesting_exits_two(capsys, tmp_path, target):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+def _in_pairing(doc):
+    _face_at(doc, [1])["pairing"]["0"] = [["deep"]]
+
+
+def _as_dimension(doc):
+    _face_at(doc, [1])["cohomology"]["0"] = "deep"
+
+
+def _as_name(doc):
+    doc["name"] = "deep"
+
+
+def _as_degree_key(doc):
+    _face_at(doc, [1])["cohomology"]["deep"] = 1
+
+
 @pytest.mark.parametrize(
-    "entry", ["[" * 500 + '"1"' + "]" * 500, '"' + "7" * 5000 + '/x"'], ids=["nested", "long"]
+    "place, entry, prefix",
+    [
+        (_in_pairing, "[" * 500 + '"1"' + "]" * 500, "malformed strata document: "),
+        (_in_pairing, '"' + "7" * 5000 + '/x"', "malformed strata document: "),
+        (_as_dimension, "[" * 500 + "1" + "]" * 500, "the dimension of H^0 must be an integer"),
+        (_as_name, '["' + "n" * 3000 + '"]', "name must be a string"),
+        (_as_degree_key, '"' + "x" * 3000 + '"', "cohomology key "),
+    ],
+    ids=["nested", "long", "nested-dimension", "long-name", "long-degree-key"],
 )
-def test_a_quoted_entry_is_bounded(capsys, tmp_path, entry):
-    # an entry nested 500 lists deep, or a long string, is quoted in the
-    # error shortened, not in full
+def test_a_quoted_entry_is_bounded(capsys, tmp_path, place, entry, prefix):
+    # a value nested 500 lists deep, or a long string, in a matrix entry, a
+    # dimension, the name or a degree key is quoted in the error shortened,
+    # not in full
     _, text, _ = run(capsys, "scenario", "ngon:3")
     doc = json.loads(text)
-    _face_at(doc, [1])["pairing"]["0"] = [["deep"]]
+    place(doc)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc).replace('"deep"', entry))
     code, out, err = run(capsys, "validate", "--input", str(path))
     assert code == 2 and out == ""
     first = err.splitlines()[0]
-    assert first.startswith("error: malformed strata document: ") and len(first) < 120
+    assert first.startswith("error: " + prefix) and len(first) < 120
 
 
 def _rekey(obj, key):

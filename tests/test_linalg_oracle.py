@@ -3,17 +3,22 @@
 sympy is used by these tests only; the package itself stays stdlib-only.
 Inputs are rational matrices of every shape up to 8 x 8, of every density,
 with denominators up to 7, and with some rows forced to be rational
-combinations of earlier rows, so that rank deficiency is common.  The
+combinations of earlier rows, so that rank deficiency is common.  Product
+factors are also zero, identities, signed permutations and rows of at most
+one entry, the shapes the product takes apart, and a product that shares
+rows of its right factor is checked to leave that factor unchanged under
+every operation that clears rows.  The
 symmetric inputs of the signature test are ``A + A^T``, the same with its
 diagonal set to zero, and ``B^T D B`` for such ``A`` and ``B`` and a diagonal
 ``D``, so that zero diagonals and low ranks are common too.  Structured
 cases up to 257 rows, where fill-in and the order of elimination matter,
 are cycle incidences, long bidiagonal chains in both row orders, a cycle
 with a dense last column, a dense first column in both row orders, zero
-rows and columns, tall and wide shapes, and dense multi-digit rationals
-whose rows share content.  A long cycle with an identity block beside it,
-where one entering row hops across every pivot column and gains an entry
-per hop, has a test of its own.  The quotient tests draw flags
+rows and columns, tall and wide shapes, dense multi-digit rationals whose
+rows share content, and a 64-cycle with an identity block beside it, whose
+64 free columns a solve and a kernel must get right.  The 257-cycle beside
+an identity block, where one entering row hops across every pivot column
+and gains an entry per hop, has a test of its own.  The quotient tests draw flags
 ``denominator ⊂ numerator`` (sometimes not nested), and maps and pairings
 that are drawn at random or built in bases adapted to the flags so that
 they descend; sympy's ranks decide which is which.  Every
@@ -74,9 +79,37 @@ def matrices(draw, rows=None, cols=None):
 
 
 @st.composite
+def factors(draw, rows, cols):
+    """A drawn matrix, or a factor of a shape the product takes apart: zero,
+    an identity or a signed permutation (in its first rows and columns when
+    not square), or rows of at most one entry, 1 or another value."""
+    kinds = ("matrix", "zero", "identity", "signed permutation", "single entries")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "matrix":
+        return draw(matrices(rows, cols))
+    grid = [[Fraction(0)] * cols for _ in range(rows)]
+    if kind == "identity":
+        for i in range(min(rows, cols)):
+            grid[i][i] = Fraction(1)
+    elif kind == "signed permutation":
+        for i, j in zip(range(rows), draw(st.permutations(range(cols)))):
+            grid[i][j] = draw(st.sampled_from((Fraction(1), Fraction(-1))))
+    elif kind == "single entries" and cols:
+        for row in grid:
+            if draw(st.booleans()):
+                row[draw(st.integers(0, cols - 1))] = draw(st.just(Fraction(1)) | entries)
+    return RatMatrix(rows, cols, grid)
+
+
+@st.composite
 def products(draw):
     r, k, c = (draw(st.integers(0, MAX_DIM)) for _ in range(3))
-    return draw(matrices(r, k)), draw(matrices(k, c))
+    square = draw(st.sampled_from(("neither", "left", "right")))
+    if square == "left":
+        r = k
+    elif square == "right":
+        c = k
+    return draw(factors(r, k)), draw(factors(k, c))
 
 
 @st.composite
@@ -336,6 +369,7 @@ STRUCTURED = {
     "dense-last-column:120^T": lambda: dense_last_column(120).transpose(),
     "dense-rational:14x16": lambda: dense_rational(14, 16, 4),
     "dense-rational:16x12^T": lambda: dense_rational(16, 12, 5).transpose(),
+    "cycle:64 beside identity": lambda: cycle(64).hstack(RatMatrix.identity(64)),
     "dense-first-column:200": lambda: fan(200),
     "dense-first-column:200 reversed": lambda: fan(200, reverse=True),
     "zero rows and columns": lambda: padded(cycle(64), {0, 9, 33, 66}, {0, 5, 40, 67}),
@@ -390,10 +424,14 @@ def test_structured_solve_matches_sympy(structured):
     rhs = m @ x
     sol = m.solve(rhs)
     assert sol is not None and m @ sol == rhs
-    # sympy's solution with every free parameter 0 is the one with 0 on every
-    # free column, as ``solve`` gives
-    expected, params = s.gauss_jordan_solve(to_sympy(rhs))
-    assert canonical(sol).entries == from_sympy(expected.subs({p: 0 for p in params}))
+    # sympy's particular solution, 0 on every free column as ``solve`` gives:
+    # the rhs block of the reduced row of each pivot of ``[m | rhs]``
+    R, pivots = DomainMatrix.from_Matrix(s.row_join(to_sympy(rhs))).to_field().rref()
+    R = R.to_Matrix()
+    expected = sympy.zeros(m.cols, rhs.cols)
+    for i, p in enumerate(pivots):
+        expected[p, :] = R[i, m.cols :]
+    assert canonical(sol).entries == from_sympy(expected)
     # a nonzero vector orthogonal to the image is not in it
     left = s.T.nullspace()
     if left:
@@ -609,6 +647,27 @@ def test_equal_values_built_by_other_routes_are_equal(a, x):
         a.hstack(a).take_columns(range(a.cols)),
     ):
         assert other == a and hash(other) == hash(a)
+
+
+def test_rows_shared_by_a_product_are_left_unchanged():
+    # a row of ``a`` with the single entry 1 makes the row of ``a @ b`` the
+    # row of ``b`` itself; whatever runs on the product leaves ``b`` as it was
+    sym = dense_rational(6, 6, 8)
+    sym = sym + sym.transpose()
+    perm = from_entries(6, 6, {(i, (5 * i + 1) % 6): Fraction(1) for i in range(6)})
+    tall = RatMatrix(7, 5, [[(3 * i + 5 * j) % 11 - 5 for j in range(5)] for i in range(7)])
+    picks = {(0, 3): Fraction(1), (1, 0): Fraction(1), (2, 6): Fraction(-2), (3, 3): Fraction(1)}
+    picks = from_entries(4, 7, picks)
+    for a, b in ((perm, perm.transpose() @ sym), (picks, tall)):
+        saved = RatMatrix(b.rows, b.cols, b.entries)
+        c = a @ b
+        assert any(row is shared for row in c._data for shared in b._data)
+        c.rref(), c.kernel_basis(), c.is_symmetric()
+        assert c.solve(c @ RatMatrix.identity(c.cols)) is not None
+        if c.rows == c.cols:
+            assert c.is_symmetric() and c @ c.inverse() == RatMatrix.identity(c.rows)
+            assert sum(signature(c)) == c.rows
+        assert b == saved and hash(b) == hash(saved)
 
 
 def test_kept_columns_sharing_a_factor_are_reduced():

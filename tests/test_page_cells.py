@@ -9,7 +9,9 @@ compared with the lift block of the product, after checking that the
 denominators pair to zero.  The documents are the builtins, the
 ``SIGN_MUTANTS`` and the builtins in the seeded random coordinates of the
 benchmark's basis-changed documents, whose blocks are dense multi-digit
-rationals.
+rationals.  What building a page costs is counted too: eliminations per
+cell, and one product per operator power ``N^r`` or ``L^r`` with ``r >= 2``
+that the suites read.
 """
 
 import importlib.util
@@ -19,10 +21,12 @@ from pathlib import Path
 import pytest
 
 from helpers import SIGN_MUTANTS, sign_mutant
+from ssweight.checks import check_h1_suite, check_log_hl_all, check_wm
 from ssweight.errors import InducedPairingIllDefined, NotWellDefined
+from ssweight.hodge_lefschetz import hl_suite
 from ssweight.linalg import QuotientSpace, RatMatrix, Subspace, image, induced_map, kernel
 from ssweight.scenarios import build, builtin_specs, parse_spec
-from ssweight.spectral import E1Page, E2Page
+from ssweight.spectral import E1Page, E2Page, power
 from ssweight.strata import StrataComplex
 
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
@@ -211,3 +215,41 @@ def test_cell_subspaces_are_built_and_checked_when_read(monkeypatch):
     checks = _count(monkeypatch, Subspace, "__post_init__")
     assert q.numerator is q.numerator and q.denominator is q.denominator
     assert len(checks) == 2
+
+
+@pytest.mark.parametrize("label", ["tetrahedron", "ngon_x_p1:3"])
+def test_one_product_per_operator_power(monkeypatch, label):
+    # every N^r and L^r that the suites read, on the first page or the
+    # second, is one product onto the power below it, formed once per page
+    sc = build(parse_spec(label))
+    e2 = E2Page(E1Page(sc))
+    asked = set()
+
+    def recording(cx, *key):
+        asked.add(({e2: "e2", e2.e1: "e1"}[cx], *key))
+        return power(cx, *key)
+
+    for module in ("ssweight.checks", "ssweight.hodge_lefschetz"):
+        monkeypatch.setattr(f"{module}.power", recording)
+    check_log_hl_all(e2), check_wm(e2), check_h1_suite(e2), hl_suite(e2)
+    monkeypatch.undo()
+    assert any(key[-1] >= 2 for key in asked)
+
+    fresh = E2Page(E1Page(sc))
+    pages = {"e2": fresh, "e1": fresh.e1}
+    for page, op, a, b, r in asked:  # the operators themselves are formed first
+        cx = pages[page]
+        for s in range(r):
+            cx.nmap(a + 2 * s, b - 2 * s) if op == "n" else cx.lmap(a, b + 2 * s)
+    products = _count(monkeypatch, RatMatrix, "__matmul__")
+    low = {key for key in asked if key[-1] <= 1}
+    for page, *key in low:
+        power(pages[page], *key)
+    assert low and products == []
+    formed = {(page, *key): power(pages[page], *key) for page, *key in asked}
+    chain = {(page, op, a, b, s) for page, op, a, b, r in asked for s in range(2, r + 1)}
+    assert len(products) == len(chain)
+    for (page, *key), m in formed.items():
+        if key[-1] >= 1:  # the memoised power, or the operator itself
+            assert power(pages[page], *key) is m
+    assert len(products) == len(chain)
