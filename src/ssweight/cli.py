@@ -54,14 +54,15 @@ def _load_complex(args) -> StrataComplex:
     return StrataComplex.loads(Path(args.input).read_text(encoding="utf-8"))
 
 
-def _validated_complex(args):
-    """Load and validate; returns (sc, None) or (sc, failure_exit_code)."""
+def _second_page(args):
+    """Load and validate; returns (sc, its second page), or (sc, None) once
+    the report of a complex that fails validation is written."""
     sc = _load_complex(args)
     report = sc.validate()
     if not report.ok:
         _emit(args, report.summary())
-        return sc, 1
-    return sc, None
+        return sc, None
+    return sc, compute_e2(build_e1(sc))
 
 
 def _add_io_flags(p: argparse.ArgumentParser, with_format=True):
@@ -106,10 +107,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_e2(args) -> int:
-    sc, failed = _validated_complex(args)
-    if failed is not None:
-        return failed
-    page = compute_e2(build_e1(sc))
+    sc, page = _second_page(args)
+    if page is None:
+        return 1
     doc = page.to_json_dict()
     if args.format == "json":
         _emit_json(args, doc)
@@ -131,13 +131,11 @@ def _cmd_e2(args) -> int:
 def _cmd_check(args) -> int:
     if not (args.hl or args.wm or args.h1 or args.ito or args.all):
         raise SsweightError("select at least one of --hl, --wm, --h1, --ito, --all")
-    sc, failed = _validated_complex(args)
-    if failed is not None:
-        return failed
+    sc, e2 = _second_page(args)
+    if e2 is None:
+        return 1
     run_h1 = (args.all or args.h1) and sc.n >= 1
     run_ito = (args.all or args.ito) and sc.cycle_generated
-    if args.all or args.hl or args.wm or run_h1 or run_ito:
-        e2 = compute_e2(build_e1(sc))
     results = []
     if args.all or args.hl:
         results += check_log_hl_all(e2)
@@ -162,18 +160,21 @@ def _cmd_check(args) -> int:
     return _checks_exit_code(results)
 
 
-def _check_degree(args) -> None:
+def _paged_degrees(args):
+    """``_second_page`` and the degrees asked for: ``--q``, or by default
+    every degree of the abutment."""
     if args.q is not None and args.q < 0:
         raise SsweightError(f"degree --q must be nonnegative, not {args.q}")
+    sc, e2 = _second_page(args)
+    if e2 is None:
+        return sc, None, []
+    return sc, e2, [args.q] if args.q is not None else sorted(e2.abutment())
 
 
 def _cmd_slopes(args) -> int:
-    _check_degree(args)
-    sc, failed = _validated_complex(args)
-    if failed is not None:
-        return failed
-    e2 = compute_e2(build_e1(sc))
-    qs = [args.q] if args.q is not None else sorted(e2.abutment())
+    sc, e2, qs = _paged_degrees(args)
+    if e2 is None:
+        return 1
     out = []
     results = []
     for q in qs:
@@ -238,12 +239,9 @@ def _cmd_polygons(args) -> int:
             )
         return 0 if adm.ok else 1
 
-    _check_degree(args)
-    sc, failed = _validated_complex(args)
-    if failed is not None:
-        return failed
-    e2 = compute_e2(build_e1(sc))
-    qs = [args.q] if args.q is not None else sorted(e2.abutment())
+    sc, e2, qs = _paged_degrees(args)
+    if e2 is None:
+        return 1
     degrees = []
     results = []
     for q in qs:

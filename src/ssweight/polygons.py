@@ -44,13 +44,6 @@ class SlopeMultiset:
     def total(self) -> Fraction:
         return sum(self.entries, Fraction(0))
 
-    def distinct(self):
-        seen = []
-        for x in self.entries:
-            if not seen or seen[-1] != x:
-                seen.append(x)
-        return seen
-
     def to_json(self):
         return [str(x) for x in self.entries]
 
@@ -174,7 +167,6 @@ class PhiNModule:
 
     slopes: SlopeMultiset
     filtration_jumps: tuple[int, ...]
-    monodromy_rank: int | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -230,15 +222,6 @@ def check_admissibility_necessary(m: PhiNModule) -> CheckResult:
         problems.append(f"t_N = {tn} differs from t_H = {th}")
     if not newton.lies_on_or_above(hodge):
         problems.append("Newton polygon dips below the Hodge polygon")
-    if m.monodromy_rank is not None:
-        bound = sum(
-            min(m.slopes.multiplicity(a), m.slopes.multiplicity(a - 1))
-            for a in m.slopes.distinct()
-        )
-        if m.monodromy_rank > bound:
-            problems.append(
-                f"monodromy rank {m.monodromy_rank} exceeds the slope-shift bound {bound}"
-            )
     return CheckResult(
         "weak_admissibility_necessary",
         {"q": m.slopes.q},

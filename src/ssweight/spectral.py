@@ -22,7 +22,8 @@ Both pages are bigraded complexes with one interface in page coordinates
 ``d1`` (to ``(a+1, b)``), ``nmap`` (to ``(a+2, b-2)``), ``lmap`` (to
 ``(a, b+2)``) and ``pairing_at`` (with ``(-a, 2n-b)``).  ``E2Page(cx)`` forms
 ``ker d1 / im d1`` of any such complex with the induced operators and
-pairing; its own ``d1`` is zero, so it is again such a complex.
+pairing; its own ``d1`` is zero, so it is again such a complex.  A page
+memoises its operators and pairings, and ``power`` its powers in any complex.
 
 The sequence degenerates at the second page, so abutment dimensions are sums
 of E2 dimensions along anti-diagonals.  Weight of ``E2^{a,b}`` is ``b``; for
@@ -45,7 +46,7 @@ from .linalg import (
     induced_map,
     induced_pairing,
 )
-from .strata import StrataComplex
+from .strata import StrataComplex, memoised
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,6 @@ class E1Page:
         self.n = sc.n
         self.cycle_generated = sc.cycle_generated
         self.cells: dict[tuple[int, int], list[Summand]] = {}
-        # operators by (name, a, b), built on first use: the second page asks
-        # for each d1 twice, and the checks for every operator again
-        self._ops: dict[tuple[str, int, int], RatMatrix] = {}
-        # N^r and L^r by (op, a, b, r), formed by ``power``
-        self._powers: dict[tuple[str, int, int, int], RatMatrix] = {}
         # levels ascend, so every cell lists its summands by increasing k
         for lvl in range(1, sc.max_level + 1):
             gs = sc.level(lvl)
@@ -90,58 +86,48 @@ class E1Page:
 
     # -- operators ----------------------------------------------------------
 
-    def _block_map(self, key, src, dst, block_for) -> RatMatrix:
+    def _block_map(self, src, dst, block_for) -> RatMatrix:
         """Matrix from the cell ``src`` to the cell ``dst``, keyed by summand
-        ``k`` and memoised under ``key``; ``block_for(s)`` yields ``(k,
-        block)`` for the summands ``k`` of ``dst`` that the summand ``s`` of
-        ``src`` may reach."""
+        ``k``; ``block_for(s)`` yields ``(k, block)`` for the summands ``k``
+        of ``dst`` that the summand ``s`` of ``src`` may reach."""
         src = self.cell(*src)
-        m = self._ops[key] = assemble_blocks(
+        return assemble_blocks(
             [(s.k, s.dim) for s in self.cell(*dst)],
             [(s.k, s.dim) for s in src],
             {(k, s.k): block for s in src for k, block in block_for(s)},
         )
-        return m
 
+    @memoised
     def d1(self, a: int, b: int) -> RatMatrix:
         """Differential E1^{a,b} -> E1^{a+1,b}."""
-        m = self._ops.get(("d1", a, b))
-        if m is not None:
-            return m
 
         def block_for(s: Summand):
             yield s.k + 1, self.sc.rho(s.level, s.degree)
             yield s.k, self.sc.tau(s.level, s.degree)
 
-        return self._block_map(("d1", a, b), (a, b), (a + 1, b), block_for)
+        return self._block_map((a, b), (a + 1, b), block_for)
 
+    @memoised
     def nmap(self, a: int, b: int) -> RatMatrix:
         """Monodromy E1^{a,b} -> E1^{a+2,b-2}: identity on surviving summands."""
-        m = self._ops.get(("n", a, b))
-        if m is not None:
-            return m
 
         def block_for(s: Summand):
             yield s.k + 1, RatMatrix.identity(s.dim)
 
-        return self._block_map(("n", a, b), (a, b), (a + 2, b - 2), block_for)
+        return self._block_map((a, b), (a + 2, b - 2), block_for)
 
+    @memoised
     def lmap(self, a: int, b: int) -> RatMatrix:
         """Lefschetz E1^{a,b} -> E1^{a,b+2}."""
-        m = self._ops.get(("l", a, b))
-        if m is not None:
-            return m
 
         def block_for(s: Summand):
             yield s.k, self.sc.level_lefschetz(s.level, s.degree)
 
-        return self._block_map(("l", a, b), (a, b), (a, b + 2), block_for)
+        return self._block_map((a, b), (a, b + 2), block_for)
 
+    @memoised
     def pairing_at(self, a: int, b: int) -> RatMatrix:
         """Gram matrix of E1^{a,b} x E1^{-a,2n-b} -> Q, rows on E1^{a,b}."""
-        m = self._ops.get(("p", a, b))
-        if m is not None:
-            return m
         n = self.n
 
         def block_for(s: Summand):
@@ -149,7 +135,7 @@ class E1Page:
             # the same level, in the complementary degree
             yield s.k + a, self.sc.level_pairing(s.level, 2 * (n + 1 - s.level) - s.degree)
 
-        return self._block_map(("p", a, b), (-a, 2 * n - b), (a, b), block_for)
+        return self._block_map((-a, 2 * n - b), (a, b), block_for)
 
 
 def build_e1(sc: StrataComplex) -> E1Page:
@@ -179,12 +165,6 @@ class E2Page:
         self.e1 = e1
         self.n = e1.n
         self._quotients: dict[tuple[int, int], QuotientSpace] = {}
-        # induced maps by ("n", "l" or "p", a, b) and the zero d1 by ("d",
-        # a, b), formed on first use and shared by every suite that reads
-        # the page
-        self._induced: dict[tuple[str, int, int], RatMatrix] = {}
-        # N^r and L^r by (op, a, b, r), formed by ``power``
-        self._powers: dict[tuple[str, int, int, int], RatMatrix] = {}
         # the pivots of each cell's dout, which give the next cell's image
         pivots: dict[tuple[int, int], list] = {}
         for (a, b) in e1.support():
@@ -212,11 +192,9 @@ class E2Page:
         the zero quotient of Q^0 off ``e1.support()``."""
         return self._quotients.get((a, b), _NO_CELL)
 
+    @memoised
     def d1(self, a: int, b: int) -> RatMatrix:
-        m = self._induced.get(("d", a, b))
-        if m is None:
-            m = self._induced[("d", a, b)] = RatMatrix.zeros(self.dim(a + 1, b), self.dim(a, b))
-        return m
+        return RatMatrix.zeros(self.dim(a + 1, b), self.dim(a, b))
 
     def nmap(self, a: int, b: int) -> RatMatrix:
         return self.induced_n(a, b)
@@ -224,18 +202,21 @@ class E2Page:
     def lmap(self, a: int, b: int) -> RatMatrix:
         return self.induced_l(a, b)
 
+    @memoised
     def induced_n(self, a: int, b: int) -> RatMatrix:
         def compute(src, dst):
             return induced_map(self.e1.nmap(a, b), src, dst)
 
-        return self._cached(("n", a, b), (a, b), (a + 2, b - 2), compute)
+        return self._between((a, b), (a + 2, b - 2), compute)
 
+    @memoised
     def induced_l(self, a: int, b: int) -> RatMatrix:
         def compute(src, dst):
             return induced_map(self.e1.lmap(a, b), src, dst)
 
-        return self._cached(("l", a, b), (a, b), (a, b + 2), compute)
+        return self._between((a, b), (a, b + 2), compute)
 
+    @memoised
     def pairing_at(self, a: int, b: int) -> RatMatrix:
         """Induced pairing of E2^{a,b} with E2^{-a,2n-b}, rows on E2^{a,b}.
 
@@ -252,19 +233,16 @@ class E2Page:
                 )
             return gram
 
-        return self._cached(("p", a, b), (-a, 2 * self.n - b), (a, b), compute)
+        return self._between((-a, 2 * self.n - b), (a, b), compute)
 
-    def _cached(self, key, src, dst, compute) -> RatMatrix:
+    def _between(self, src, dst, compute) -> RatMatrix:
         """A matrix with columns on the cell ``src`` and rows on ``dst``,
-        ``compute(quotient at src, quotient at dst)``, formed once; zero
-        without computing when either cell has no first-page summands."""
-        if key not in self._induced:
-            q_src, q_dst = self._quotients.get(src), self._quotients.get(dst)
-            if q_src is None or q_dst is None:
-                self._induced[key] = RatMatrix.zeros(self.dim(*dst), self.dim(*src))
-            else:
-                self._induced[key] = compute(q_src, q_dst)
-        return self._induced[key]
+        ``compute(quotient at src, quotient at dst)``; zero without
+        computing when either cell has no first-page summands."""
+        q_src, q_dst = self._quotients.get(src), self._quotients.get(dst)
+        if q_src is None or q_dst is None:
+            return RatMatrix.zeros(self.dim(*dst), self.dim(*src))
+        return compute(q_src, q_dst)
 
     def abutment(self) -> dict[int, int]:
         """dim H^q as the sum of E2 dimensions along each anti-diagonal."""
@@ -302,24 +280,19 @@ def compute_e2(e1: E1Page) -> E2Page:
 def power(cx, op: str, a: int, b: int, r: int) -> RatMatrix:
     """``N^r`` (``op`` "n") or ``L^r`` (``op`` "l") out of the cell (a, b) of
     a page or module: the identity for ``r < 1``, the operator itself for
-    ``r = 1``, and above that one product onto ``N^(r-1)`` or ``L^(r-1)``.
-    A page keeps each power it forms in its ``_powers``, so a power is
-    formed once per page and freed with it; a complex without that memo (a
-    module built by hand) forms the powers it is asked for afresh."""
+    ``r = 1``, and above that one product onto ``N^(r-1)`` or ``L^(r-1)``,
+    formed once per complex and kept in its memo."""
     if r < 1:
         return RatMatrix.identity(cx.dim(a, b))
     if r == 1:
         return cx.nmap(a, b) if op == "n" else cx.lmap(a, b)
-    memo = getattr(cx, "_powers", None)
-    key = (op, a, b, r)
-    if memo is not None and key in memo:
-        return memo[key]
+    return _product(cx, op, a, b, r)
+
+
+@memoised
+def _product(cx, op: str, a: int, b: int, r: int) -> RatMatrix:
     s = r - 1
     below = power(cx, op, a, b, s)  # first, so the operators are read in order
     if op == "n":
-        m = cx.nmap(a + 2 * s, b - 2 * s) @ below
-    else:
-        m = cx.lmap(a, b + 2 * s) @ below
-    if memo is not None:
-        memo[key] = m
-    return m
+        return cx.nmap(a + 2 * s, b - 2 * s) @ below
+    return cx.lmap(a, b + 2 * s) @ below

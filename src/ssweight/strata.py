@@ -37,13 +37,14 @@ Canonical text, not Python equality, keys them, since ``1``, ``1.0`` and
 checks each distinct stratum of each dimension, and each distinct
 ``(source stratum, target stratum, maps)``, once, and reports the verdicts
 again at every face or restriction that shares it, in the order of faces.
-The complex memoises ``rho``, ``tau`` and the level pairings and Lefschetz
-maps, so the relation checks, the first page and the suites share one
-assembly of each.
+The complex memoises its levels, ``rho``, ``tau`` and the level pairings and
+Lefschetz maps with ``memoised``, so the relation checks, the first page and
+the suites share one assembly of each.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -77,6 +78,28 @@ _CANONICAL = json.encoder.c_make_encoder(
     _SETTINGS.skipkeys,
     _SETTINGS.allow_nan,
 )
+
+
+def memoised(method):
+    """``method(self, *args)``, formed on the first call and kept in
+    ``self._memo`` under ``(method name, *args)``: one memo per object, made
+    on its first use and freed with the object.  Threads that race on one
+    missing entry may each form it; the memo keeps one of the equal results."""
+    name = (method.__name__,)
+
+    @functools.wraps(method)
+    def read(self, *args):
+        key = name + args
+        try:
+            return self._memo[key]
+        except AttributeError:  # the object's first read
+            vars(self).setdefault("_memo", {})
+        except KeyError:
+            pass
+        value = self._memo[key] = method(self, *args)
+        return value
+
+    return read
 
 
 def _int(x, what: str, minimum=None) -> int:
@@ -123,16 +146,15 @@ class StratumCohomology:
     labels: dict[int, list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
-        pairing = {int(m): p for m, p in self.pairing.items()}
+        pairing = dict(self.pairing)
         # fill complementary pairings by graded symmetry
-        for m in sorted(pairing):
+        for m in sorted(self.pairing):
             mc = 2 * self.dim - m
             if mc not in pairing:
                 sign = -1 if m % 2 else 1
                 pairing[mc] = pairing[m].transpose().scale(sign)
-        _set(self, "dims", {int(m): int(d) for m, d in self.dims.items() if int(d) != 0})
+        _set(self, "dims", {m: d for m, d in self.dims.items() if d})
         _set(self, "pairing", pairing)
-        _set(self, "lefschetz", {int(m): p for m, p in self.lefschetz.items()})
 
     def dim_in(self, m: int) -> int:
         return self.dims.get(m, 0)
@@ -201,31 +223,17 @@ class ValidationReport:
 
 
 class StrataComplex:
-    """Nerve plus per-stratum cohomological data; immutable after loading."""
+    """Nerve plus per-stratum cohomological data; immutable after loading.
+
+    ``faces`` is keyed by sorted face tuples, ``restrictions`` by ``(face,
+    facet)`` pairs and then by int degree; both are kept as given."""
 
     def __init__(self, name, n, components, faces, restrictions):
-        # one copy per distinct maps dict, so restrictions that share their
-        # maps still share them
-        copies = {id(maps): {int(m): x for m, x in maps.items()} for maps in restrictions.values()}
-        self._init(
-            name,
-            n,
-            components,
-            {_face(f): coh for f, coh in faces.items()},
-            {(_face(a), _face(b)): copies[id(maps)] for (a, b), maps in restrictions.items()},
-        )
-
-    def _init(self, name, n, components, faces, restrictions):
-        """The constructor on faces and restriction maps keyed as stored:
-        sorted face tuples and int degrees."""
-        self.name = str(name)
-        self.n = int(n)
+        self.name = name
+        self.n = n
         self.components = list(components)
         self.faces: dict[Face, StratumCohomology] = faces
         self.restrictions: dict[tuple[Face, Face], dict[int, RatMatrix]] = restrictions
-        # rho, tau, pairing and lefschetz by (family, k, m), built on first use
-        self._maps: dict[tuple[str, int, int], RatMatrix] = {}
-        self._level_cache: dict[int, GradedSpace] = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -243,12 +251,11 @@ class StrataComplex:
     def faces_at(self, k: int) -> list[Face]:
         return sorted(f for f in self.faces if len(f) == k)
 
+    @memoised
     def level(self, k: int) -> GradedSpace:
         """Direct sum over faces with ``|I| = k``, keyed by face."""
         if k < 1:
             raise ValueError("levels are indexed from 1")
-        if k in self._level_cache:
-            return self._level_cache[k]
         faces = self.faces_at(k)
         dims: dict[int, int] = {}
         summands: dict[int, list[tuple[Face, int]]] = {}
@@ -258,8 +265,7 @@ class StrataComplex:
             if total:
                 dims[m] = total
                 summands[m] = table
-        self._level_cache[k] = GradedSpace(dims, summands)
-        return self._level_cache[k]
+        return GradedSpace(dims, summands)
 
     def _summands(self, k: int, m: int) -> list[tuple[Face, int]]:
         """The ``(face, dim)`` summands of H^m(level k); none outside the
@@ -275,26 +281,18 @@ class StrataComplex:
 
     # -- assembled matrices --------------------------------------------------
 
+    @memoised
     def level_pairing(self, k: int, m: int) -> RatMatrix:
         """Poincare pairing H^m(level k) x H^{m'}(level k), block-diagonal."""
-        key = ("pairing", k, m)
-        if key not in self._maps:
-            rows = self._summands(k, m)
-            blocks = {
-                (f, f): self.faces[f].pairing[m] for f, _ in rows if m in self.faces[f].pairing
-            }
-            self._maps[key] = assemble_blocks(
-                rows, self._summands(k, 2 * (self.n + 1 - k) - m), blocks
-            )
-        return self._maps[key]
+        rows = self._summands(k, m)
+        blocks = {(f, f): self.faces[f].pairing[m] for f, _ in rows if m in self.faces[f].pairing}
+        return assemble_blocks(rows, self._summands(k, 2 * (self.n + 1 - k) - m), blocks)
 
+    @memoised
     def level_lefschetz(self, k: int, m: int) -> RatMatrix:
-        key = ("lefschetz", k, m)
-        if key not in self._maps:
-            cols = self._summands(k, m)
-            blocks = {(f, f): self.faces[f].lefschetz_matrix(m) for f, _ in cols}
-            self._maps[key] = assemble_blocks(self._summands(k, m + 2), cols, blocks)
-        return self._maps[key]
+        cols = self._summands(k, m)
+        blocks = {(f, f): self.faces[f].lefschetz_matrix(m) for f, _ in cols}
+        return assemble_blocks(self._summands(k, m + 2), cols, blocks)
 
     def lefschetz_power(self, k: int, m: int, power: int) -> RatMatrix:
         out = RatMatrix.identity(self.level_dim(k, m))
@@ -316,11 +314,9 @@ class StrataComplex:
             )
         return maps[m]
 
+    @memoised
     def rho(self, k: int, m: int) -> RatMatrix:
         """Signed restriction map H^m(level k) -> H^m(level k+1)."""
-        key = ("rho", k, m)
-        if key in self._maps:
-            return self._maps[key]
         rows, cols = self._summands(k + 1, m), self._summands(k, m)
         src = {f for f, _ in cols}
         blocks = {}
@@ -329,9 +325,9 @@ class StrataComplex:
                 I = J[:a] + J[a + 1 :]
                 if I in src:
                     blocks[(J, I)] = self.restriction_matrix(I, J, m).scale(-1 if a % 2 else 1)
-        r = self._maps[key] = assemble_blocks(rows, cols, blocks)
-        return r
+        return assemble_blocks(rows, cols, blocks)
 
+    @memoised
     def tau(self, k: int, m: int) -> RatMatrix:
         """Gysin map H^m(level k) -> H^{m+2}(level k-1), adjoint of ``rho``.
 
@@ -339,21 +335,15 @@ class StrataComplex:
         the degree complementary to ``m`` on level ``k``; requires perfect
         pairings on level ``k-1``.
         """
-        key = ("tau", k, m)
-        if key in self._maps:
-            return self._maps[key]
         cols = self.level_dim(k, m)
         rows = self.level_dim(k - 1, m + 2) if k >= 2 else 0
         if rows == 0 or cols == 0:
-            t = RatMatrix.zeros(rows, cols)
-        else:
-            mc = 2 * (self.n + 1 - k) - m
-            a = self.rho(k - 1, mc)
-            p1 = self.level_pairing(k, m)
-            p0 = self.level_pairing(k - 1, m + 2)
-            t = (p1 @ a @ p0.inverse()).transpose()
-        self._maps[key] = t
-        return t
+            return RatMatrix.zeros(rows, cols)
+        mc = 2 * (self.n + 1 - k) - m
+        a = self.rho(k - 1, mc)
+        p1 = self.level_pairing(k, m)
+        p0 = self.level_pairing(k - 1, m + 2)
+        return (p1 @ a @ p0.inverse()).transpose()
 
     # -- validation ----------------------------------------------------------
 
@@ -401,7 +391,7 @@ class StrataComplex:
                     Violation(
                         "component-without-stratum",
                         f"component {c}",
-                        f"component {name!r} has no face {_face_str((c,))}",
+                        f"component {_quoted(name)} has no face {_face_str((c,))}",
                     )
                 )
 
@@ -679,9 +669,7 @@ class StrataComplex:
         except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
             # RecursionError: a value nested too deeply to encode canonically
             raise SchemaError(f"malformed strata document: {exc}") from exc
-        sc = StrataComplex.__new__(StrataComplex)
-        sc._init(name, n, components, faces, restrictions)
-        return sc
+        return StrataComplex(name, n, components, faces, restrictions)
 
     @staticmethod
     def loads(text: str) -> "StrataComplex":

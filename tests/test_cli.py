@@ -286,6 +286,21 @@ def test_a_quoted_entry_is_bounded(capsys, tmp_path, place, entry, prefix):
     assert first.startswith("error: " + prefix) and len(first) < 120
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_long_component_name_is_bounded(capsys, tmp_path, fmt):
+    # a component without a face is a validation verdict that quotes the
+    # component's name shortened, not in full
+    _, text, _ = run(capsys, "scenario", "ngon:3")
+    doc = json.loads(text)
+    doc["components"].append("c" * 3000)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", "--input", str(path), "--format", fmt)
+    assert code == 1 and err == ""
+    assert "component-without-stratum" in out and "'cccc" in out
+    assert max(len(line) for line in out.splitlines()) < 120
+
+
 def _rekey(obj, key):
     """Move the degree-0 entry of ``obj`` to ``key``."""
     obj[key] = obj.pop("0")

@@ -11,7 +11,8 @@ denominators pair to zero.  The documents are the builtins, the
 benchmark's basis-changed documents, whose blocks are dense multi-digit
 rationals.  What building a page costs is counted too: eliminations per
 cell, and one product per operator power ``N^r`` or ``L^r`` with ``r >= 2``
-that the suites read.
+that the suites read.  Last comes the memo that a complex, each page and a
+module built by hand keep: one entry per method and arguments, per object.
 """
 
 import importlib.util
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import SIGN_MUTANTS, sign_mutant
+from helpers import SIGN_MUTANTS, HodgeLefschetzModule, sign_mutant
 from ssweight.checks import check_h1_suite, check_log_hl_all, check_wm
 from ssweight.errors import InducedPairingIllDefined, NotWellDefined
 from ssweight.hodge_lefschetz import hl_suite
@@ -252,4 +253,84 @@ def test_one_product_per_operator_power(monkeypatch, label):
     for (page, *key), m in formed.items():
         if key[-1] >= 1:  # the memoised power, or the operator itself
             assert power(pages[page], *key) is m
+    assert len(products) == len(chain)
+
+
+# the memoised methods of a complex and of its two pages
+MEMOISED = {
+    "strata": ("level", "rho", "tau", "level_pairing", "level_lefschetz"),
+    "e1": ("d1", "nmap", "lmap", "pairing_at"),
+    "e2": ("d1", "induced_n", "induced_l", "pairing_at"),
+}
+
+
+def _fresh(label: str, kind: str):
+    """A new object of ``kind`` whose own memo is empty."""
+    sc = build(parse_spec(label))
+    if kind == "strata":
+        return sc
+    e1 = E1Page(sc)
+    return e1 if kind == "e1" else E2Page(e1)
+
+
+def _arguments(obj, name: str):
+    if isinstance(obj, StrataComplex):
+        levels = range(1, obj.max_level + 1)
+        if name == "level":
+            return [(k,) for k in levels]
+        return [(k, m) for k in levels for m in range(2 * obj.n + 1)]
+    return (obj.e1 if isinstance(obj, E2Page) else obj).support()
+
+
+@pytest.mark.parametrize("kind, name", [(k, n) for k, names in MEMOISED.items() for n in names])
+def test_a_memoised_method_returns_one_object(kind, name):
+    obj = _fresh("tetrahedron", kind)
+    for args in _arguments(obj, name):
+        first = getattr(obj, name)(*args)
+        assert getattr(obj, name)(*args) is first, (name, args)
+
+
+@pytest.mark.parametrize(
+    "kind, first, second",
+    [
+        (k, a, b)
+        for k, names in MEMOISED.items()
+        for a in names
+        for b in names
+        if a != b and "level" not in (a, b)
+    ],
+)
+def test_methods_on_the_same_arguments_share_no_entry(kind, first, second):
+    # ``second`` read after ``first`` on one object, and on a fresh one
+    obj, fresh = _fresh("tetrahedron", kind), _fresh("tetrahedron", kind)
+    keys = _arguments(obj, first)
+    for args in keys:
+        getattr(obj, first)(*args)
+    assert any(getattr(fresh, first)(*args) != getattr(fresh, second)(*args) for args in keys)
+    for args in keys:
+        assert getattr(obj, second)(*args) == getattr(fresh, second)(*args), args
+
+
+@pytest.mark.parametrize("kind", MEMOISED)
+def test_two_objects_share_no_memo(kind):
+    # every entry read on one complex, then the same keys on another
+    obj, other, fresh = (_fresh(label, kind) for label in ("tetrahedron", "ngon:4", "ngon:4"))
+    for name in MEMOISED[kind]:
+        for args in _arguments(obj, name):
+            getattr(obj, name)(*args)
+    assert "_memo" not in vars(other)
+    for name in MEMOISED[kind]:
+        for args in _arguments(obj, name):
+            assert getattr(other, name)(*args) == getattr(fresh, name)(*args), (name, args)
+    assert vars(other)["_memo"] is not vars(obj)["_memo"]
+
+
+def test_a_module_built_by_hand_forms_each_power_once(monkeypatch):
+    v = HodgeLefschetzModule.of(E2Page(E1Page(build(parse_spec("tetrahedron")))))
+    asked = [(op, a, b, r) for op in "nl" for (a, b) in v.support() for r in range(2, v.n + 2)]
+    products = _count(monkeypatch, RatMatrix, "__matmul__")
+    formed = {key: power(v, *key) for key in asked}
+    chain = {(op, a, b, s) for op, a, b, r in asked for s in range(2, r + 1)}
+    assert len(products) == len(chain)
+    assert all(power(v, *key) is m for key, m in formed.items())
     assert len(products) == len(chain)

@@ -131,12 +131,6 @@ class TestAdmissibility:
         m = PhiNModule(SlopeMultiset.of(1, [0, 1]), (1, 1))
         assert check_admissibility_necessary(m).status == "fail"
 
-    def test_monodromy_rank_bound(self):
-        ok = PhiNModule(SlopeMultiset.of(1, [0, 1]), (0, 1), monodromy_rank=1)
-        assert check_admissibility_necessary(ok).status == "pass"
-        bad = PhiNModule(SlopeMultiset.of(1, [0, 1]), (0, 1), monodromy_rank=2)
-        assert check_admissibility_necessary(bad).status == "fail"
-
     def test_size_mismatch_rejected(self):
         with pytest.raises(InvalidParameters):
             PhiNModule(SlopeMultiset.of(1, [0, 1]), (0,))
