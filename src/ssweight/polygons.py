@@ -9,16 +9,24 @@ through its standard necessary conditions only: equal endpoints and the
 Newton polygon lying on or above the Hodge polygon (subobjects are not
 enumerated).  When every slope in degree q is an integer, ordinarity turns
 the multiset directly into Hodge numbers: h^{i, q-i} = multiplicity of i.
+
+The checks run on integers: a chain's slopes are sorted integer numerators
+over their lcm denominator, and its heights at x = 0..n the prefix sums of
+those numerators.  A chain built from a multiset bends only at integers, so
+two compared at every integer are compared everywhere.  ``Fraction`` appears
+only at the boundary: multiset entries, ``Polygon`` vertices, ``t_N``/``t_H``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from .checks import CheckResult, check_log_hl
 from .errors import InvalidParameters, NonIntegralSlopes, SlopesUnavailable
-from .linalg import rat
+from .linalg import _format, rat
 from .spectral import E2Page, build_e1, compute_e2
 from .strata import StrataComplex
 
@@ -36,10 +44,6 @@ class SlopeMultiset:
 
     def __len__(self):
         return len(self.entries)
-
-    def multiplicity(self, value) -> int:
-        v = rat(value)
-        return sum(1 for x in self.entries if x == v)
 
     def total(self) -> Fraction:
         return sum(self.entries, Fraction(0))
@@ -76,6 +80,17 @@ class HodgeVector:
         ]
 
 
+def _chain(values):
+    """``(den, sums, ends)`` for the chain with slopes ``values`` (ints or
+    Fractions): ``den`` is the lcm of their denominators, ``sums[k] / den``
+    the chain's height at x = k, and ``ends`` the x of its vertices."""
+    den = lcm(*(v.denominator for v in values))
+    nums = sorted(v.numerator * (den // v.denominator) for v in values)
+    n = len(nums)
+    ends = [k for k in range(1, n + 1) if k == n or nums[k] != nums[k - 1]]
+    return den, list(accumulate(nums, initial=0)), [0, *ends]
+
+
 @dataclass(frozen=True)
 class Polygon:
     """Lower-convex vertex chain from the origin, slopes nondecreasing."""
@@ -96,20 +111,8 @@ class Polygon:
 
     @staticmethod
     def from_slopes(values) -> "Polygon":
-        values = sorted(rat(v) for v in values)
-        verts = [(Fraction(0), Fraction(0))]
-        x = y = Fraction(0)
-        i = 0
-        while i < len(values):
-            j = i
-            while j < len(values) and values[j] == values[i]:
-                j += 1
-            run = j - i
-            x += run
-            y += run * values[i]
-            verts.append((x, y))
-            i = j
-        return Polygon(tuple(verts))
+        den, sums, ends = _chain([rat(v) for v in values])
+        return Polygon(tuple((Fraction(k), Fraction(sums[k], den)) for k in ends))
 
     @property
     def width(self) -> Fraction:
@@ -182,19 +185,19 @@ def slopes_from_e2(e2: E2Page, q: int) -> SlopeMultiset:
             "slopes are defined only for cycle-generated configurations"
         )
     values = []
-    for (a, b) in e2.support():
+    for a, b in reversed(e2.support()):  # sorted by a, so b ascends here
         if a + b == q:
-            values.extend([Fraction(b, 2)] * e2.dim(a, b))
-    return SlopeMultiset.of(q, values)
+            values += [Fraction(b, 2)] * e2.dim(a, b)
+    return SlopeMultiset(q, tuple(values))
 
 
 def check_slope_symmetry(sl: SlopeMultiset) -> CheckResult:
-    """Multiset invariance under slope -> q - slope."""
-    mirrored = sorted(sl.q - x for x in sl.entries)
-    ok = mirrored == list(sl.entries)
+    """Multiset invariance under slope -> q - slope: sorted, e[i] + e[-1-i] = q."""
+    e, q = sl.entries, sl.q
+    ok = all(a + b == q for a, b in zip(e, reversed(e)))
     witness = {"slopes": sl.to_json()}
     if not ok:
-        witness["mirrored"] = [str(x) for x in mirrored]
+        witness["mirrored"] = [str(x) for x in sorted(q - x for x in e)]
     return CheckResult(
         "slope_symmetry",
         {"q": sl.q},
@@ -214,13 +217,13 @@ def t_H(m: PhiNModule) -> Fraction:
 
 def check_admissibility_necessary(m: PhiNModule) -> CheckResult:
     """Necessary conditions only: endpoint equality and polygon dominance."""
-    tn, th = t_N(m), t_H(m)
-    newton = Polygon.from_slopes(m.slopes.entries)
-    hodge = Polygon.from_slopes(m.filtration_jumps)
+    dn, newton, n_ends = _chain(m.slopes.entries)
+    dh, hodge, h_ends = _chain(m.filtration_jumps)
+    tn, th = _format(newton[-1], dn), _format(hodge[-1], dh)
     problems = []
-    if tn != th:
+    if newton[-1] * dh != hodge[-1] * dn:
         problems.append(f"t_N = {tn} differs from t_H = {th}")
-    if not newton.lies_on_or_above(hodge):
+    if any(y * dh < z * dn for y, z in zip(newton, hodge)):
         problems.append("Newton polygon dips below the Hodge polygon")
     return CheckResult(
         "weak_admissibility_necessary",
@@ -228,10 +231,10 @@ def check_admissibility_necessary(m: PhiNModule) -> CheckResult:
         "pass" if not problems else "fail",
         note="; ".join(problems) if problems else "necessary conditions only",
         witness={
-            "t_N": str(tn),
-            "t_H": str(th),
-            "newton": newton.to_json(),
-            "hodge": hodge.to_json(),
+            "t_N": tn,
+            "t_H": th,
+            "newton": [[str(k), _format(newton[k], dn)] for k in n_ends],
+            "hodge": [[str(k), _format(hodge[k], dh)] for k in h_ends],
         },
     )
 
@@ -250,12 +253,13 @@ def check_linear_relation(h: HodgeVector) -> CheckResult:
 def hodge_from_ordinary(sl: SlopeMultiset) -> HodgeVector:
     """Hodge numbers by slope multiplicity; only meaningful when the Newton
     and Hodge polygons coincide, which forces integral slopes."""
+    values = [0] * (sl.q + 1)
     for x in sl.entries:
         if x.denominator != 1:
             raise NonIntegralSlopes(f"slope {x} is not an integer; input is not ordinary")
-        if x < 0 or x > sl.q:
+        if not 0 <= x.numerator <= sl.q:
             raise InvalidParameters(f"slope {x} outside [0, {sl.q}]")
-    values = [sl.multiplicity(i) for i in range(sl.q + 1)]
+        values[x.numerator] += 1
     return HodgeVector(sl.q, tuple(values))
 
 

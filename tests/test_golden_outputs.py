@@ -1,8 +1,11 @@
 """Byte-for-byte pins of the CLI: the SHA-256 of stdout and the exit code of
 ``validate``, ``e2``, ``check --all``, ``slopes``, ``polygons`` and
 ``report`` in text and JSON, and of ``scenario``, on every builtin and
-``ngon:20``.  A change to the engine that is meant to leave every output as
-it is must leave this table as it is.
+``ngon:20``; and of ``polygons`` in calculator mode (``--slopes`` and
+``--jumps``) on thirds and sixths, negative slopes, a dominance failure, an
+endpoint mismatch and the empty input, whose slopes are not all integers or
+halves as every builtin's are.  A change to the engine that is meant to
+leave every output as it is must leave this table as it is.
 """
 
 import hashlib
@@ -157,6 +160,30 @@ GOLDEN = {
         ("1d145e127540a64584d18c2d7e844b60682feffd0cb28cc35f1883b5883e43a3", 0),
     "polygons --scenario tetrahedron --format text":
         ("280e982c0cf551fbd3835fc792c02062a87847836d2226145b691e6367c493e0", 0),
+    "polygons --slopes 0,1/3,1/2,1/2,2/3,1 --jumps 0,0,1,1,1,1 --format json":
+        ("50201b5315662159a614ae4cb0cd468e20c90f9822b58210ba418d47fda9b227", 1),
+    "polygons --slopes 0,1/3,1/2,1/2,2/3,1 --jumps 0,0,1,1,1,1 --format text":
+        ("a8276614a99ea9686611dfcaee2b7692cac1296ea2ae5600bb470f615e7db01a", 1),
+    "polygons --slopes=-1,3 --jumps=-1,3 --format json":
+        ("c70fcf9647eff627e7f6d5eda7d1c1b0ef60c6799704cb44f9cadcc936fb192d", 0),
+    "polygons --slopes=-1,3 --jumps=-1,3 --format text":
+        ("94560c3c7b52005595b04544271d444b10860cf4d973fa0f6a09c0ad8fff864b", 0),
+    "polygons --slopes=-1/3,-1/6,3/2 --jumps=-1,0,2 --format json":
+        ("cdb357324c46de63ce53874839e9d8a37f233d0650aa35cde4cc7dc4dcd2f693", 0),
+    "polygons --slopes=-1/3,-1/6,3/2 --jumps=-1,0,2 --format text":
+        ("4366aba711f926488ec4188552b1850758c455cd985c1919be4a57ccceafd95b", 0),
+    "polygons --slopes 1/4,3/4,2 --jumps 1,1,1 --format json":
+        ("70411da1d7a92333ae8c170afe013d6d38c9a4d8e980b5b2cd8794031f5d4cbc", 1),
+    "polygons --slopes 1/4,3/4,2 --jumps 1,1,1 --format text":
+        ("a266beb0990940b62b1402cafcd5c2369bf467429728befe6e5b7698d4f9d1ae", 1),
+    "polygons --slopes 1/2,1/2 --jumps 0,0 --format json":
+        ("f53ea39942e045032d895f10f5047344e2ff7bceb8eec0ccf3f56376ad796c77", 1),
+    "polygons --slopes 1/2,1/2 --jumps 0,0 --format text":
+        ("03e70be3f4d2ddfaac820b4d8d04e95d1488d32c72bf7b53404bca1eb803f84e", 1),
+    "polygons --slopes= --jumps= --format json":
+        ("d65bbe6366cf28f47d4ee18a7853ffff1fc63e7bb929b33ce1cf00031b283893", 0),
+    "polygons --slopes= --jumps= --format text":
+        ("14c0aec271325ce364a36c8e23b23d71e76338c69c222b8448044cfbf19cac2c", 0),
     "report --scenario cellular:1,1 --format json":
         ("e324f752e9b463c11fd6a32229537b9dd30e9049741c13907c66c1a116a1a652", 0),
     "report --scenario cellular:1,1 --format text":

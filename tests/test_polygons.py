@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssweight.checks import CheckResult
 from ssweight.errors import (
     InvalidParameters,
     NonIntegralSlopes,
@@ -164,25 +165,29 @@ class TestHodgeFromOrdinary:
 
 class TestPolygonComparisonProperty:
     @given(
-        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=8),
-        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=8),
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=-3, max_value=3, max_denominator=6), st.integers(-3, 3)
+            ),
+            max_size=8,
+        )
     )
     @settings(max_examples=80)
-    def test_vertex_sampling_agrees_with_dense_sampling(self, a, b):
-        if len(a) != len(b):
-            return
-        pa = Polygon.from_slopes(a)
-        pb = Polygon.from_slopes(b)
-        fast = pa.lies_on_or_above(pb)
+    def test_vertex_sampling_agrees_with_dense_sampling(self, pairs):
+        # the dominance test the admissibility check runs, and the public
+        # Polygon.lies_on_or_above, against a dense sampler
+        a = [s for s, _ in pairs]
+        b = [j for _, j in pairs]
+        adm = check_admissibility_necessary(PhiNModule(SlopeMultiset.of(0, a), tuple(b)))
         sa, sb = sorted(a), sorted(b)
         denom = 24
-        width = len(a)
         slow = all(
             step_function_value(sa, Fraction(k, denom))
             >= step_function_value(sb, Fraction(k, denom))
-            for k in range(width * denom + 1)
+            for k in range(len(a) * denom + 1)
         )
-        assert fast == slow
+        assert ("dips below" not in adm.note) == slow
+        assert Polygon.from_slopes(a).lies_on_or_above(Polygon.from_slopes(b)) == slow
 
     @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=8))
     @settings(max_examples=40)
@@ -235,3 +240,186 @@ class TestReport:
         assert not rep.passed
         assert not rep.data["validation"]["ok"]
         assert "degrees" not in rep.data
+
+
+# -- the Fraction model the integer chains replace -------------------------------
+#
+# Kept here as the reference: the chain and the checks written directly on
+# Fraction vertices, evaluated by rescanning the vertex chain.
+
+
+def ref_vertices(values):
+    values = sorted(Fraction(v) for v in values)
+    verts = [(Fraction(0), Fraction(0))]
+    x = y = Fraction(0)
+    i = 0
+    while i < len(values):
+        j = i
+        while j < len(values) and values[j] == values[i]:
+            j += 1
+        x += j - i
+        y += (j - i) * values[i]
+        verts.append((x, y))
+        i = j
+    return verts
+
+
+def ref_value_at(vs, x):
+    for (x0, y0), (x1, y1) in zip(vs, vs[1:]):
+        if x0 <= x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return vs[-1][1]
+
+
+def ref_admissibility(m):
+    tn = sum(m.slopes.entries, Fraction(0))
+    th = sum((Fraction(j) for j in m.filtration_jumps), Fraction(0))
+    newton, hodge = ref_vertices(m.slopes.entries), ref_vertices(m.filtration_jumps)
+    problems = []
+    if tn != th:
+        problems.append(f"t_N = {tn} differs from t_H = {th}")
+    xs = sorted({x for x, _ in newton} | {x for x, _ in hodge})
+    if newton[-1][0] != hodge[-1][0] or not all(
+        ref_value_at(newton, x) >= ref_value_at(hodge, x) for x in xs
+    ):
+        problems.append("Newton polygon dips below the Hodge polygon")
+    return CheckResult(
+        "weak_admissibility_necessary",
+        {"q": m.slopes.q},
+        "pass" if not problems else "fail",
+        note="; ".join(problems) if problems else "necessary conditions only",
+        witness={
+            "t_N": str(tn),
+            "t_H": str(th),
+            "newton": [[str(x), str(y)] for x, y in newton],
+            "hodge": [[str(x), str(y)] for x, y in hodge],
+        },
+    )
+
+
+def ref_slope_symmetry(sl):
+    mirrored = sorted(sl.q - x for x in sl.entries)
+    ok = mirrored == list(sl.entries)
+    witness = {"slopes": [str(x) for x in sl.entries]}
+    if not ok:
+        witness["mirrored"] = [str(x) for x in mirrored]
+    return CheckResult(
+        "slope_symmetry",
+        {"q": sl.q},
+        "pass" if ok else "fail",
+        note="vacuous (no classes)" if ok and not sl.entries else "",
+        witness=witness,
+    )
+
+
+def ref_hodge_from_ordinary(sl):
+    for x in sl.entries:
+        if x.denominator != 1:
+            raise NonIntegralSlopes(f"slope {x} is not an integer; input is not ordinary")
+        if x < 0 or x > sl.q:
+            raise InvalidParameters(f"slope {x} outside [0, {sl.q}]")
+    return HodgeVector(sl.q, tuple(sum(1 for x in sl.entries if x == i) for i in range(sl.q + 1)))
+
+
+def ref_ascii_sketch(p):
+    width, height = 41, 12
+    xs = [x for x, _ in p.vertices]
+    ys = [y for _, y in p.vertices]
+    xmax = max(xs) or Fraction(1)
+    ymin = min(0, min(ys))
+    yspan = (max(ys) - ymin) or Fraction(1)
+    grid = [[" "] * width for _ in range(height)]
+    steps = 8 * width
+    for t in range(steps + 1 if p.width else 0):
+        x = xmax * t / steps
+        y = ref_value_at(p.vertices, x)
+        cx = min(width - 1, int((x / xmax) * (width - 1)))
+        cy = min(height - 1, int(((y - ymin) / yspan) * (height - 1)))
+        grid[height - 1 - cy][cx] = "*"
+    for vx, vy in p.vertices:
+        cx = min(width - 1, int((vx / xmax) * (width - 1)))
+        cy = min(height - 1, int(((vy - ymin) / yspan) * (height - 1)))
+        grid[height - 1 - cy][cx] = "o"
+    return "\n".join("".join(row).rstrip() for row in grid)
+
+
+def outcome(f, *args):
+    """``f(*args).to_dict()`` (or its ``to_json()``), or the exception's type
+    and message."""
+    try:
+        res = f(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return res.to_dict() if isinstance(res, CheckResult) else res.to_json()
+
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def modules(draw):
+    """A filtered module whose slopes are its jumps moved by a telescoping
+    sum of rationals (equal endpoints), or any slopes (mostly unequal)."""
+    jumps = draw(st.lists(st.integers(-3, 6), max_size=10))
+    if draw(st.booleans()):
+        r = draw(st.lists(rationals, min_size=len(jumps), max_size=len(jumps)))
+        slopes = [j + r[i] - r[(i + 1) % len(r)] for i, j in enumerate(jumps)]
+    else:
+        slopes = draw(st.lists(rationals, min_size=len(jumps), max_size=len(jumps)))
+    return PhiNModule(SlopeMultiset.of(draw(st.integers(0, 6)), slopes), tuple(jumps))
+
+
+@st.composite
+def multisets(draw):
+    """Slope multisets that are symmetric, integral, or neither."""
+    q = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["symmetric", "integral", "any"]))
+    if kind == "integral":
+        values = draw(st.lists(st.integers(-1, q + 1), max_size=10))
+    else:
+        values = draw(st.lists(rationals, max_size=8))
+        if kind == "symmetric":
+            values += [q - v for v in values]
+    return SlopeMultiset.of(q, values)
+
+
+@st.composite
+def convex_polygons(draw):
+    """Convex chains with rational vertex x-coordinates, not only integers."""
+    steps = draw(st.lists(st.builds(Fraction, st.integers(1, 20), st.integers(1, 12)), max_size=6))
+    slopes = sorted(set(draw(st.lists(rationals, min_size=len(steps), max_size=len(steps)))))
+    verts = [(Fraction(0), Fraction(0))]
+    for dx, s in zip(steps, slopes):
+        x, y = verts[-1]
+        verts.append((x + dx, y + s * dx))
+    return Polygon(tuple(verts))
+
+
+class TestIntegerChainsMatchFractionModel:
+    @given(modules())
+    @settings(max_examples=300)
+    def test_admissibility(self, m):
+        assert outcome(check_admissibility_necessary, m) == outcome(ref_admissibility, m)
+
+    @given(modules())
+    @settings(max_examples=100)
+    def test_polygons(self, m):
+        for values in (m.slopes.entries, m.filtration_jumps):
+            p = Polygon.from_slopes(values)
+            assert p.vertices == tuple(ref_vertices(values))
+            assert p.ascii_sketch() == ref_ascii_sketch(p)
+
+    @given(convex_polygons())
+    @settings(max_examples=60)
+    def test_ascii_sketch_off_integer_vertices(self, p):
+        assert p.ascii_sketch() == ref_ascii_sketch(p)
+
+    @given(multisets())
+    @settings(max_examples=300)
+    def test_slope_symmetry(self, sl):
+        assert outcome(check_slope_symmetry, sl) == outcome(ref_slope_symmetry, sl)
+
+    @given(multisets())
+    @settings(max_examples=300)
+    def test_hodge_from_ordinary(self, sl):
+        assert outcome(hodge_from_ordinary, sl) == outcome(ref_hodge_from_ordinary, sl)
