@@ -26,12 +26,18 @@ Cost model: the matrices are small, so an operation costs about its
 nonzero entries plus a constant, and the constant is kept small.  Results
 are built by one trusted constructor through the slots' own setters; a
 unit denominator is never reduced; ``scale(±1)`` builds no ``Fraction``; a
-product with a zero factor is the zero matrix, and a left row with one
-entry is a multiple of one right row, or that row itself when the entry is
-1.  So a row dict may be shared by several matrices, and no row dict is
-mutated once a matrix holds it: eliminations and signatures copy the rows
-they clear.  Kernels and solves read the reduced rows of the elimination
-directly, without forming the reduced matrix.
+left row with one entry of a product is a multiple of one right row, or
+that row itself when the entry is 1.  So a row dict may be shared by
+several matrices, and no row dict is mutated once a matrix holds it:
+eliminations and signatures copy the rows they clear.  The zero matrix is
+one shared instance per shape, all of whose rows are one empty dict, and
+an operation with a zero or empty operand visits no row: a product with a
+zero factor and ``scale(0)`` are that shared zero, a sum returns the other
+summand, a transposed zero and the columns taken from one are shared
+zeros, an ``hstack`` with no columns on one side is the other side, and
+the kernel of a zero matrix is the identity.  Kernels and solves read the
+reduced rows of the elimination directly, without forming the reduced
+matrix.
 
 Conventions: a linear map V -> W is a matrix with ``rows = dim W`` and
 ``cols = dim V`` acting on column vectors; a subspace is stored as a matrix
@@ -48,7 +54,7 @@ from __future__ import annotations
 import re
 import reprlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
@@ -57,6 +63,8 @@ from operator import itemgetter
 from .errors import NotSymmetric, NotWellDefined
 
 _ZERO = Fraction(0)
+# every row of every shared zero matrix
+_EMPTY_ROW: dict = {}
 # an input value quoted in an error message, bounded in depth and length
 _quoted = reprlib.Repr().repr
 # the rational strings of docs/strata_schema.json
@@ -215,8 +223,10 @@ class RatMatrix:
         return RatMatrix(len(rows), ncols, rows)
 
     @staticmethod
+    @lru_cache(maxsize=4096)
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        return _make(rows, cols, 1, [{} for _ in range(rows)])
+        """The zero matrix: one shared instance per shape."""
+        return _make(rows, cols, 1, (_EMPTY_ROW,) * rows)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
@@ -291,6 +301,10 @@ class RatMatrix:
     def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+        if not any(other._data):
+            return self
+        if not any(self._data):
+            return other.scale(sign)
         den = lcm(self._den, other._den)
         sa, sb = den // self._den, sign * (den // other._den)
         out = []
@@ -353,6 +367,8 @@ class RatMatrix:
         return [sum((a * vec[j] for j, a in r.items()), _ZERO) / d for r in self._data]
 
     def transpose(self) -> "RatMatrix":
+        if not any(self._data):
+            return RatMatrix.zeros(self.cols, self.rows)
         out = [{} for _ in range(self.cols)]
         for i, row in enumerate(self._data):
             for j, x in row.items():
@@ -362,6 +378,10 @@ class RatMatrix:
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
+        if not other.cols:
+            return self
+        if not self.cols:
+            return other
         # lowest terms as in ``assemble_blocks``
         den = lcm(self._den, other._den)
         sa, sb = den // self._den, den // other._den
@@ -378,6 +398,8 @@ class RatMatrix:
         """The columns ``idx``, in that order and with repeats; only each
         row's nonzeros are visited, through one column-to-positions map."""
         idx = list(idx)
+        if not any(self._data):
+            return RatMatrix.zeros(self.rows, len(idx))
         pos: dict[int, list[int]] = {}
         for p, j in enumerate(idx):
             pos.setdefault(j, []).append(p)
@@ -478,6 +500,8 @@ class RatMatrix:
         of ``K`` are the kernel basis with ``K[free, :] = I``, one column
         per free column in ``free``, and ``pivots`` are the pivot columns,
         which also pick a basis of the column span."""
+        if not any(self._data):
+            return RatMatrix.identity(self.cols), list(range(self.cols)), []
         rows, pivots = self._eliminate(reduce=True)
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]

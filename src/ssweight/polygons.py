@@ -26,7 +26,7 @@ from math import lcm
 
 from .checks import CheckResult, check_log_hl
 from .errors import InvalidParameters, NonIntegralSlopes, SlopesUnavailable
-from .linalg import _format, rat
+from .linalg import _format, _quoted, rat
 from .spectral import E2Page, build_e1, compute_e2
 from .strata import StrataComplex
 
@@ -38,9 +38,12 @@ class SlopeMultiset:
     q: int
     entries: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+
     @staticmethod
     def of(q: int, values) -> "SlopeMultiset":
-        return SlopeMultiset(int(q), tuple(sorted(rat(v) for v in values)))
+        return SlopeMultiset(int(q), tuple(rat(v) for v in values))
 
     def __len__(self):
         return len(self.entries)
@@ -172,9 +175,10 @@ class PhiNModule:
     filtration_jumps: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "filtration_jumps", tuple(sorted(int(j) for j in self.filtration_jumps))
-        )
+        for j in self.filtration_jumps:
+            if isinstance(j, bool) or not isinstance(j, int):
+                raise InvalidParameters(f"filtration jump {_quoted(j)} is not an integer")
+        object.__setattr__(self, "filtration_jumps", tuple(sorted(self.filtration_jumps)))
         if len(self.slopes) != len(self.filtration_jumps):
             raise InvalidParameters("slope and filtration multisets must have equal size")
 
@@ -185,7 +189,7 @@ def slopes_from_e2(e2: E2Page, q: int) -> SlopeMultiset:
             "slopes are defined only for cycle-generated configurations"
         )
     values = []
-    for a, b in reversed(e2.support()):  # sorted by a, so b ascends here
+    for a, b in e2.support():
         if a + b == q:
             values += [Fraction(b, 2)] * e2.dim(a, b)
     return SlopeMultiset(q, tuple(values))

@@ -9,10 +9,11 @@ The differential ``d1 = rho + tau`` raises ``a`` by one: ``rho`` sends
 summand ``k`` to summand ``k+1`` (level up), ``tau`` keeps ``k`` (level down,
 degree up two).  ``N`` sends summand ``k`` identically to summand ``k+1`` of
 the cell at ``(a+2, b-2)`` -- zero where that summand is truncated away --
-and ``L`` acts by the Lefschetz operators within each summand.  Every
-operator is assembled by ``linalg.assemble_blocks`` with ``k`` as the
-summand key, so a block into a summand the target cell does not contain is
-dropped; with the adjoint convention for ``tau`` no further signs are needed
+and ``L`` acts by the Lefschetz operators within each summand.  An
+operator into or out of a cell without summands is the shared zero matrix,
+formed without reading a block; every other one is assembled by
+``linalg.assemble_blocks`` with ``k`` as the summand key, so a block into a
+summand the target cell does not contain is dropped; with the adjoint convention for ``tau`` no further signs are needed
 and ``d1^2 = 0`` holds cell by cell.  The pairing of ``E1^{a,b}`` with
 ``E1^{-a,2n-b}`` pairs summand ``k`` with summand ``k-a`` of the dual cell,
 which lies on the same level in the complementary degree.
@@ -89,10 +90,13 @@ class E1Page:
     def _block_map(self, src, dst, block_for) -> RatMatrix:
         """Matrix from the cell ``src`` to the cell ``dst``, keyed by summand
         ``k``; ``block_for(s)`` yields ``(k, block)`` for the summands ``k``
-        of ``dst`` that the summand ``s`` of ``src`` may reach."""
-        src = self.cell(*src)
+        of ``dst`` that the summand ``s`` of ``src`` may reach.  The shared
+        zero, without a block read, when either cell has no summands."""
+        src, dst = self.cell(*src), self.cell(*dst)
+        if not (src and dst):
+            return RatMatrix.zeros(sum(s.dim for s in dst), sum(s.dim for s in src))
         return assemble_blocks(
-            [(s.k, s.dim) for s in self.cell(*dst)],
+            [(s.k, s.dim) for s in dst],
             [(s.k, s.dim) for s in src],
             {(k, s.k): block for s in src for k, block in block_for(s)},
         )

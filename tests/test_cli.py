@@ -564,3 +564,18 @@ class TestSharedParser:
         )
         assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)
         assert code == 0 and "0 failed" in out
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["check", "--scenario", "ngon:3"], 2)])
+def test_the_package_runs_as_a_module(argv, code):
+    # ``python -m ssweight`` is the command line, exit code and all
+    src = str(Path(ssweight.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "ssweight", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert done.returncode == code
+    assert ("usage: ssweight" in done.stdout) if code == 0 else ("error:" in done.stderr)

@@ -7,7 +7,9 @@ combinations of earlier rows, so that rank deficiency is common.  Product
 factors are also zero, identities, signed permutations and rows of at most
 one entry, the shapes the product takes apart, and a product that shares
 rows of its right factor is checked to leave that factor unchanged under
-every operation that clears rows.  The
+every operation that clears rows.  A zero matrix is one shared instance per
+shape, and every operation with a zero or empty operand is checked to
+return the shared zero or the other operand, equal to the general result.  The
 symmetric inputs of the signature test are ``A + A^T``, the same with its
 diagonal set to zero, and ``B^T D B`` for such ``A`` and ``B`` and a diagonal
 ``D``, so that zero diagonals and low ranks are common too.  Structured
@@ -34,6 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssweight import linalg
 from ssweight.errors import NotWellDefined
 from ssweight.linalg import (
     QuotientSpace,
@@ -668,6 +671,76 @@ def test_rows_shared_by_a_product_are_left_unchanged():
             assert c.is_symmetric() and c @ c.inverse() == RatMatrix.identity(c.rows)
             assert sum(signature(c)) == c.rows
         assert b == saved and hash(b) == hash(saved)
+
+
+ZERO_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2)]
+
+
+def numbered(rows: int, cols: int) -> RatMatrix:
+    """A matrix of the shape with no zero entry."""
+    grid = [[Fraction(i + 2 * j + 1, j + 2) for j in range(cols)] for i in range(rows)]
+    return RatMatrix(rows, cols, grid)
+
+
+def fresh_zero(rows: int, cols: int) -> RatMatrix:
+    """A zero matrix loaded from its entries, not the shared one."""
+    return RatMatrix(rows, cols, [[0] * cols for _ in range(rows)])
+
+
+def dense_product(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """``a @ b`` summed entry by entry and loaded afresh."""
+    ea, eb = a.entries, b.entries
+    grid = [
+        [sum((ea[i][k] * eb[k][j] for k in range(a.cols)), Fraction(0)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+    return RatMatrix(a.rows, b.cols, grid)
+
+
+@pytest.mark.parametrize("rows, cols", ZERO_SHAPES)
+def test_a_zero_is_one_shared_instance_per_shape(rows, cols):
+    z = RatMatrix.zeros(rows, cols)
+    assert z is RatMatrix.zeros(rows, cols)
+    assert z == fresh_zero(rows, cols)
+    assert all(row is linalg._EMPTY_ROW for row in z._data) and linalg._EMPTY_ROW == {}
+
+
+@pytest.mark.parametrize("rows, cols", ZERO_SHAPES)
+def test_zero_operands_take_the_fast_paths_to_the_general_results(rows, cols):
+    # each operation with a zero operand returns the shared zero or the other
+    # operand itself, without visiting a row; the result equals, in
+    # denominator and rows, what the general path builds from a zero made
+    # afresh: the same entries loaded afresh, as storage is canonical
+    z, a = RatMatrix.zeros(rows, cols), numbered(rows, cols)
+    made = fresh_zero(rows, cols)
+    negated = RatMatrix(rows, cols, [[-x for x in row] for row in a.entries])
+    left, right = numbered(2, rows), numbered(cols, 2)
+    idx = [cols - 1, 0, cols - 1] if cols else []
+    kept = a if rows and cols else None  # a sum of two zeros may return either
+    for zero in (z, made):
+        checks = [
+            (zero @ right, dense_product(made, right), RatMatrix.zeros(rows, 2)),
+            (left @ zero, dense_product(left, made), RatMatrix.zeros(2, cols)),
+            (a + zero, a, kept),
+            (zero + a, a, kept),
+            (a - zero, a, kept),
+            (zero - a, negated, None),
+            (zero.scale(Fraction(-3, 4)), made, None),
+            (zero.scale(0), made, z),
+            (a.scale(0), made, z),
+            (zero.transpose(), fresh_zero(cols, rows), RatMatrix.zeros(cols, rows)),
+            (zero.take_columns(idx), fresh_zero(rows, len(idx)), RatMatrix.zeros(rows, len(idx))),
+        ]
+        for got, general, shared in checks:
+            assert got._den == general._den and got._data == general._data
+            assert (got.rows, got.cols) == (general.rows, general.cols)
+            if shared is not None:
+                assert got is shared
+        kernel, free, pivots = zero.reduced_kernel()
+        assert kernel == RatMatrix.identity(cols) and free == list(range(cols)) and pivots == []
+    for side in (RatMatrix.zeros(rows, 0), fresh_zero(rows, 0)):
+        assert a.hstack(side) is a and side.hstack(a) is (a if cols else side)
+    assert linalg._EMPTY_ROW == {}
 
 
 def test_kept_columns_sharing_a_factor_are_reduced():

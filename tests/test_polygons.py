@@ -80,6 +80,14 @@ class TestSlopeSymmetry:
     def test_asymmetric_fails(self):
         assert check_slope_symmetry(SlopeMultiset.of(1, [0, 0, 1])).status == "fail"
 
+    def test_the_constructor_sorts(self):
+        # a multiset built directly from unsorted entries is stored sorted,
+        # as SlopeMultiset.of stores it
+        sl = SlopeMultiset(1, (Fraction(0), Fraction(1), Fraction(1), Fraction(0)))
+        assert sl == SlopeMultiset.of(1, [0, 0, 1, 1])
+        assert check_slope_symmetry(sl).status == "pass"
+        assert SlopeMultiset(1, (Fraction(1), Fraction(0))).to_json() == ["0", "1"]
+
 
 class TestTotals:
     def test_t_n(self):
@@ -135,6 +143,12 @@ class TestAdmissibility:
     def test_size_mismatch_rejected(self):
         with pytest.raises(InvalidParameters):
             PhiNModule(SlopeMultiset.of(1, [0, 1]), (0,))
+
+    @pytest.mark.parametrize("jumps", [(True, 0), (0, 0.5), (0, 1.0)])
+    def test_a_jump_that_is_not_an_integer_is_rejected(self, jumps):
+        # neither truncated nor read as a number: (True, 0.5) was once (0, 1)
+        with pytest.raises(InvalidParameters, match="is not an integer"):
+            PhiNModule(SlopeMultiset.of(1, [0, 1]), jumps)
 
 
 class TestLinearRelation:
