@@ -36,8 +36,6 @@ from .polygons import (
     Report,
     slopes_from_e2,
     check_slope_symmetry,
-    t_N,
-    t_H,
     check_admissibility_necessary,
     check_linear_relation,
     hodge_from_ordinary,
@@ -77,8 +75,6 @@ __all__ = [
     "Report",
     "slopes_from_e2",
     "check_slope_symmetry",
-    "t_N",
-    "t_H",
     "check_admissibility_necessary",
     "check_linear_relation",
     "hodge_from_ordinary",

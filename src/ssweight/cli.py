@@ -23,7 +23,7 @@ from pathlib import Path
 from . import hodge_lefschetz, polygons, scenarios
 from .checks import CheckResult, check_h1_suite, check_log_hl_all, check_wm
 from .errors import SsweightError
-from .linalg import rat
+from .linalg import _quoted, rat
 from .spectral import build_e1, compute_e2
 from .strata import StrataComplex, json_text
 
@@ -193,24 +193,30 @@ def _cmd_slopes(args) -> int:
     return _checks_exit_code(results)
 
 
-def _parse_rat_list(text: str):
+def _parse_list(text: str, parse, expected: str):
+    """The comma-separated values of ``text`` read by ``parse``; a value it
+    refuses is an error naming what was ``expected``."""
     try:
-        return [rat(x) for x in text.split(",") if x != ""]
+        return [parse(x) for x in text.split(",") if x != ""]
     except (ValueError, ZeroDivisionError):
-        raise SsweightError(
-            f"expected comma-separated rationals such as 0,1/2,1: {text!r}"
-        ) from None
+        raise SsweightError(f"{expected}: {_quoted(text)}") from None
+
+
+def _integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
 
 
 def _cmd_polygons(args) -> int:
     if args.slopes is not None or args.jumps is not None:
         if args.slopes is None or args.jumps is None:
             raise SsweightError("calculator mode needs both --slopes and --jumps")
-        slopes = polygons.SlopeMultiset.of(args.q or 0, _parse_rat_list(args.slopes))
-        jumps = [x for x in args.jumps.split(",") if x != ""]
-        if not all(_INTEGER.fullmatch(x) for x in jumps):
-            raise SsweightError(f"filtration jumps must be integers: {args.jumps!r}")
-        jumps = [int(x) for x in jumps]
+        slopes = polygons.SlopeMultiset.of(
+            args.q or 0,
+            _parse_list(args.slopes, rat, "expected comma-separated rationals such as 0,1/2,1"),
+        )
+        jumps = _parse_list(args.jumps, _integer, "filtration jumps must be integers")
         module = polygons.PhiNModule(slopes=slopes, filtration_jumps=tuple(jumps))
         adm = polygons.check_admissibility_necessary(module)
         payload = {

@@ -18,9 +18,9 @@ pivots alone.  The reduced form adds one back-substitution from the last
 pivot row up and keeps the lcm of its pivots as its denominator.
 Signatures run a fraction-free symmetric elimination on the same integer
 rows.  ``Fraction`` appears only where single entries leave a matrix
-(``row``, ``col``, ``row_items``, ``entries``, ``apply``); entries enter in
-one pass that keeps only the nonzeros, and ``to_strings`` formats the
-schema strings straight from the integers.  No floating point anywhere.
+(``col``, ``entries``, ``apply``); entries enter in one pass that keeps
+only the nonzeros, and ``to_strings`` formats the schema strings straight
+from the integers.  No floating point anywhere.
 
 Cost model: the matrices are small, so an operation costs about its
 nonzero entries plus a constant, and the constant is kept small.  Results
@@ -259,24 +259,19 @@ class RatMatrix:
     @property
     def entries(self):
         """Dense rows as a tuple of tuples; built anew on every access."""
-        return tuple(tuple(self.row(i)) for i in range(self.rows))
-
-    def row(self, i):
-        out, d = [_ZERO] * self.cols, self._den
-        for j, x in self._data[i].items():
-            out[j] = Fraction(x, d)
-        return out
+        d, out = self._den, []
+        for r in self._data:
+            row = [_ZERO] * self.cols
+            for j, x in r.items():
+                row[j] = Fraction(x, d)
+            out.append(tuple(row))
+        return tuple(out)
 
     def col(self, j):
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} of a matrix with {self.cols} columns")
         d = self._den
         return [Fraction(r[j], d) if j in r else _ZERO for r in self._data]
-
-    def row_items(self, i):
-        """The ``(column, entry)`` pairs of the nonzero entries of row ``i``."""
-        d = self._den
-        return [(j, Fraction(x, d)) for j, x in self._data[i].items()]
 
     def to_strings(self):
         """Dense rows of schema strings 'a' or 'a/b', formatted from the integers."""

@@ -14,7 +14,8 @@ The checks run on integers: a chain's slopes are sorted integer numerators
 over their lcm denominator, and its heights at x = 0..n the prefix sums of
 those numerators.  A chain built from a multiset bends only at integers, so
 two compared at every integer are compared everywhere.  ``Fraction`` appears
-only at the boundary: multiset entries, ``Polygon`` vertices, ``t_N``/``t_H``.
+only at the boundary: multiset entries and ``Polygon`` vertices; the
+witness strings ``t_N`` and ``t_H`` are formatted from the integers.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ class SlopeMultiset:
 
     def __len__(self):
         return len(self.entries)
-
-    def total(self) -> Fraction:
-        return sum(self.entries, Fraction(0))
 
     def to_json(self):
         return [str(x) for x in self.entries]
@@ -121,25 +119,6 @@ class Polygon:
     def width(self) -> Fraction:
         return self.vertices[-1][0]
 
-    def value_at(self, x) -> Fraction:
-        """Piecewise-linear evaluation; x must lie within the support."""
-        x = rat(x)
-        vs = self.vertices
-        if x < 0 or x > vs[-1][0]:
-            raise InvalidParameters("evaluation point outside the polygon support")
-        for (x0, y0), (x1, y1) in zip(vs, vs[1:]):
-            if x0 <= x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        return vs[-1][1]
-
-    def lies_on_or_above(self, other: "Polygon") -> bool:
-        """Pointwise comparison; piecewise linearity means sampling both
-        vertex sets suffices."""
-        if self.width != other.width:
-            return False
-        xs = sorted({x for x, _ in self.vertices} | {x for x, _ in other.vertices})
-        return all(self.value_at(x) >= other.value_at(x) for x in xs)
-
     def to_json(self):
         return [[str(x), str(y)] for x, y in self.vertices]
 
@@ -154,9 +133,13 @@ class Polygon:
         yspan = (ymax - ymin) or Fraction(1)
         grid = [[" "] * width for _ in range(height)]
         steps = 8 * width
+        k = 0  # the segment under the sample: move on only past its end
         for t in range(steps + 1 if self.width else 0):  # a zero-width polygon is its origin
             x = xmax * t / steps
-            y = self.value_at(x)
+            while x > xs[k + 1]:
+                k += 1
+            y0, y1 = ys[k], ys[k + 1]
+            y = y0 + (y1 - y0) * (x - xs[k]) / (xs[k + 1] - xs[k])
             cx = min(width - 1, int((x / xmax) * (width - 1)))
             cy = min(height - 1, int(((y - ymin) / yspan) * (height - 1)))
             grid[height - 1 - cy][cx] = "*"
@@ -209,14 +192,6 @@ def check_slope_symmetry(sl: SlopeMultiset) -> CheckResult:
         note="vacuous (no classes)" if ok and not sl.entries else "",
         witness=witness,
     )
-
-
-def t_N(m: PhiNModule) -> Fraction:
-    return m.slopes.total()
-
-
-def t_H(m: PhiNModule) -> Fraction:
-    return sum((Fraction(j) for j in m.filtration_jumps), Fraction(0))
 
 
 def check_admissibility_necessary(m: PhiNModule) -> CheckResult:

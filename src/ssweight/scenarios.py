@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameters
-from .linalg import RatMatrix
+from .linalg import RatMatrix, _quoted
 from .strata import StrataComplex, StratumCohomology
 
 
@@ -65,15 +65,15 @@ def parse_spec(text: str) -> ScenarioSpec:
     """Parse CLI syntax ``kind`` or ``kind:p1,p2,...``."""
     kind, _, rest = text.partition(":")
     if kind not in KINDS:
-        raise InvalidParameters(f"unknown scenario kind {kind!r}; known: {', '.join(KINDS)}")
+        raise InvalidParameters(f"unknown scenario kind {_quoted(kind)}; known: {', '.join(KINDS)}")
     try:
         args = [int(x) for x in rest.split(",")] if rest else []
     except ValueError:
         raise InvalidParameters(
-            f"scenario parameters must be comma-separated integers, not {rest!r}"
+            f"scenario parameters must be comma-separated integers, not {_quoted(rest)}"
         ) from None
     if kind in ("good_reduction_pn", "ngon", "ngon_x_p1") and len(args) > 1:
-        raise InvalidParameters(f"scenario {kind} takes one parameter, not {rest!r}")
+        raise InvalidParameters(f"scenario {kind} takes one parameter, not {_quoted(rest)}")
     if kind == "good_reduction_pn":
         return ScenarioSpec(kind, {"n": args[0] if args else 2})
     if kind == "ngon":

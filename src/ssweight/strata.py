@@ -677,6 +677,8 @@ class StrataComplex:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"input is not JSON: {exc}") from exc
+        except ValueError as exc:  # an integer literal too long to convert
+            raise SchemaError(f"input has a number too long to read: {exc}") from exc
         except RecursionError as exc:
             raise SchemaError(f"input is nested too deeply: {exc}") from exc
         if not isinstance(doc, dict):

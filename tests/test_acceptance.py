@@ -31,8 +31,6 @@ from ssweight.polygons import (
     check_slope_symmetry,
     hodge_from_ordinary,
     slopes_from_e2,
-    t_H,
-    t_N,
 )
 from ssweight.scenarios import build, builtin_specs, ngon
 from ssweight.spectral import build_e1, compute_e2
@@ -233,9 +231,9 @@ def test_criterion_7_implication_chain():
 
 
 def test_criterion_8_polygon_calculus():
-    """On 500 random slope/jump pairs: polygon endpoints equal the exact
-    totals, and the admissibility check's dominance test (and
-    ``Polygon.lies_on_or_above``) agrees with a dense brute-force sampler."""
+    """On 500 random slope/jump pairs: polygon endpoints and the
+    admissibility witness's ``t_N`` and ``t_H`` equal the exact totals, and
+    the check's dominance test agrees with a dense brute-force sampler."""
 
     def step_value(sorted_values, x):
         # independent piecewise evaluation used as the brute-force oracle
@@ -257,20 +255,24 @@ def test_criterion_8_polygon_calculus():
         newton = Polygon.from_slopes(sl.entries)
         hodge = Polygon.from_slopes(jumps)
         module = PhiNModule(sl, tuple(jumps))
-        if newton.vertices[-1][1] != t_N(module) or hodge.vertices[-1][1] != t_H(module):
+        adm = check_admissibility_necessary(module)
+        tn, th = sum(slopes, Fraction(0)), Fraction(sum(jumps))
+        if newton.vertices[-1][1] != tn or hodge.vertices[-1][1] != th:
             ok = False
             break
-        adm = check_admissibility_necessary(module)
+        if (adm.witness["t_N"], adm.witness["t_H"]) != (str(tn), str(th)):
+            ok = False
+            break
         ss, sj = sorted(slopes), sorted(jumps)
         denom = 12
         slow = all(
             step_value(ss, Fraction(k, denom)) >= step_value(sj, Fraction(k, denom))
             for k in range(size * denom + 1)
         )
-        if ("dips below" not in adm.note) != slow or newton.lies_on_or_above(hodge) != slow:
+        if ("dips below" not in adm.note) != slow:
             ok = False
             break
-        expected = slow and t_N(module) == t_H(module)
+        expected = slow and tn == th
         if (adm.status == "pass") != expected:
             ok = False
             break

@@ -244,6 +244,42 @@ def test_deep_nesting_exits_two(capsys, tmp_path, target):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "e2"])
+def test_an_over_long_integer_in_a_document_exits_two(capsys, tmp_path, command):
+    # json.loads refuses an integer literal of more than 4,300 digits with a
+    # plain ValueError; the document is an input error, reported without a
+    # traceback
+    _, text, _ = run(capsys, "scenario", "ngon:3")
+    doc = json.loads(text)
+    doc["dimension"] = "long"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace('"long"', "9" * 5000))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: input has a number too long to read: ")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["polygons", "--slopes", "0", "--jumps", "9" * 5000], "filtration jumps must be integers"),
+        (["polygons", "--slopes", "0", "--jumps", "x" * 5000], "filtration jumps must be integers"),
+        (["polygons", "--slopes", "9" * 5000, "--jumps", "0"], "comma-separated rationals"),
+        (["scenario", "ngon:" + "9" * 5000], "comma-separated integers"),
+        (["e2", "--scenario", "ngon:" + ",".join(["3"] * 2500)], "takes one parameter"),
+        (["scenario", "n" * 5000], "unknown scenario kind"),
+    ],
+    ids=["long-jump", "long-jumps", "long-slope", "long-parameter", "many-parameters", "long-kind"],
+)
+def test_a_quoted_flag_value_is_bounded(capsys, argv, expected):
+    # a flag value of 5,000 characters, an integer too long for int() among
+    # them, is an input error that quotes the value shortened, not in full
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    first = err.splitlines()[0]
+    assert first.startswith("error: ") and expected in first and len(first) < 160
+
+
 def _in_pairing(doc):
     _face_at(doc, [1])["pairing"]["0"] = [["deep"]]
 

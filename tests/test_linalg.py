@@ -149,7 +149,7 @@ class TestSparseRepresentation:
         m = M([[0, "1/2", 0], [3, 0, 0]])
         assert m.entries == ((0, Fraction(1, 2), 0), (3, 0, 0))
         assert all(type(x) is Fraction for row in m.entries for x in row)
-        assert m.col(0) == [0, 3] and m.row(1) == [3, 0, 0]
+        assert m.col(0) == [0, 3] and m.to_strings() == [["0", "1/2", "0"], ["3", "0", "0"]]
         assert RatMatrix.zeros(2, 0).entries == ((), ())
 
     @pytest.mark.parametrize(

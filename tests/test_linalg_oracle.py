@@ -121,9 +121,14 @@ def square_matrices(draw):
     return draw(matrices(n, n))
 
 
+def nonzeros(m: RatMatrix) -> dict:
+    """The nonzero entries of ``m`` by ``(row, column)``."""
+    return {(i, j): x for i, row in enumerate(m.entries) for j, x in enumerate(row) if x}
+
+
 def to_sympy(m: RatMatrix):
     """``m`` as a dense sympy matrix, built from its nonzero entries."""
-    nonzero = {(i, j): sympy_rational(x) for i in range(m.rows) for j, x in m.row_items(i)}
+    nonzero = {ij: sympy_rational(x) for ij, x in nonzeros(m).items()}
     return sympy.Matrix(sympy.SparseMatrix(m.rows, m.cols, nonzero))
 
 
@@ -307,7 +312,7 @@ def dense_last_column(n: int) -> RatMatrix:
     """The n-cycle's incidence with a column of nonzero entries appended:
     every row clears into the last column, which fills in on every step."""
     c = cycle(n)
-    entries = {(i, j): x for i in range(n) for j, x in c.row_items(i)}
+    entries = nonzeros(c)
     entries.update({(i, n): weight(i) for i in range(n)})
     return from_entries(n, n + 1, entries)
 
@@ -345,7 +350,7 @@ def padded(m: RatMatrix, zero_rows, zero_cols) -> RatMatrix:
     the result."""
     rows = [i for i in range(m.rows + len(zero_rows)) if i not in zero_rows]
     cols = [j for j in range(m.cols + len(zero_cols)) if j not in zero_cols]
-    entries = {(rows[i], cols[j]): x for i in range(m.rows) for j, x in m.row_items(i)}
+    entries = {(rows[i], cols[j]): x for (i, j), x in nonzeros(m).items()}
     return from_entries(m.rows + len(zero_rows), m.cols + len(zero_cols), entries)
 
 
@@ -459,7 +464,7 @@ def test_cycle_beside_identity_matches_sympy():
     sol = m.solve(m @ x)
     assert m @ sol == m @ x
     # 0 on every free column, as sympy's solution with its parameters 0
-    assert all(not sol.row_items(j) for j in set(range(2 * n)) - set(pivots))
+    assert all(not any(sol.entries[j]) for j in set(range(2 * n)) - set(pivots))
 
 
 # -- quotients -------------------------------------------------------------------
@@ -764,9 +769,8 @@ def test_boundary_round_trips(data):
     strings = m.to_strings()
     assert strings == [[str(x) for x in row] for row in m.entries]
     assert RatMatrix.from_rows(strings) == m
-    dense = [[0] * m.cols for _ in range(m.rows)]
-    for i in range(m.rows):
-        for j, x in m.row_items(i):
-            assert type(x) is Fraction and x != 0
-            dense[i][j] = x
+    # the integer rows over the one denominator are the entries
+    dense = [[Fraction(r.get(j, 0), m._den) for j in range(m.cols)] for r in m._data]
+    assert all(type(x) is Fraction for row in m.entries for x in row)
+    assert [list(row) for row in m.entries] == dense
     assert RatMatrix.from_rows(dense) == m

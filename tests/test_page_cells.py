@@ -65,10 +65,10 @@ def _ambient_lift_block(m: RatMatrix, src: QuotientSpace, dst: QuotientSpace) ->
     if x is None:
         raise NotWellDefined("map does not preserve numerators")
     r0, c0 = dst.denominator.dim, src.denominator.dim
-    if any(j < c0 for i in range(r0, x.rows) for j, _ in x.row_items(i)):
+    rows = x.entries[r0:]
+    if any(any(row[:c0]) for row in rows):
         raise NotWellDefined("map does not preserve denominators")
-    rows = [x.row(i)[c0:] for i in range(r0, x.rows)]
-    return RatMatrix(x.rows - r0, x.cols - c0, rows)
+    return RatMatrix(x.rows - r0, x.cols - c0, [row[c0:] for row in rows])
 
 
 def _paired_lift_block(p: RatMatrix, left: QuotientSpace, right: QuotientSpace) -> RatMatrix:

@@ -21,8 +21,6 @@ from ssweight.polygons import (
     hodge_from_ordinary,
     hodge_symmetry_report,
     slopes_from_e2,
-    t_H,
-    t_N,
 )
 from ssweight.scenarios import (
     elliptic_stratum,
@@ -90,17 +88,18 @@ class TestSlopeSymmetry:
 
 
 class TestTotals:
+    # the totals are the admissibility witness's t_N and t_H
     def test_t_n(self):
-        m = PhiNModule(SlopeMultiset.of(1, [0, 1]), (0, 1))
-        assert t_N(m) == 1
+        m = PhiNModule(SlopeMultiset.of(1, ["1/2", "1"]), (0, 1))
+        assert check_admissibility_necessary(m).witness["t_N"] == "3/2"
 
     def test_t_h(self):
-        m = PhiNModule(SlopeMultiset.of(1, [0, 1]), (0, 1))
-        assert t_H(m) == 1
+        m = PhiNModule(SlopeMultiset.of(1, [0, 0, 1]), (0, 1, 1))
+        assert check_admissibility_necessary(m).witness["t_H"] == "2"
 
     def test_empty(self):
-        m = PhiNModule(SlopeMultiset.of(0, []), ())
-        assert t_N(m) == 0 and t_H(m) == 0
+        w = check_admissibility_necessary(PhiNModule(SlopeMultiset.of(0, []), ())).witness
+        assert w["t_N"] == "0" and w["t_H"] == "0"
 
 
 class TestPolygonConstruction:
@@ -122,9 +121,10 @@ class TestPolygonConstruction:
             Polygon(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(1))))
 
     def test_endpoint_heights_are_totals(self):
-        m = PhiNModule(SlopeMultiset.of(2, [0, 1, 1, 2]), (0, 1, 1, 2))
-        assert Polygon.from_slopes(m.slopes.entries).vertices[-1][1] == t_N(m)
-        assert Polygon.from_slopes(m.filtration_jumps).vertices[-1][1] == t_H(m)
+        m = PhiNModule(SlopeMultiset.of(2, [0, "1/3", 1, 2]), (0, 1, 1, 2))
+        w = check_admissibility_necessary(m).witness
+        assert str(Polygon.from_slopes(m.slopes.entries).vertices[-1][1]) == w["t_N"] == "10/3"
+        assert str(Polygon.from_slopes(m.filtration_jumps).vertices[-1][1]) == w["t_H"] == "4"
 
 
 class TestAdmissibility:
@@ -188,8 +188,8 @@ class TestPolygonComparisonProperty:
     )
     @settings(max_examples=80)
     def test_vertex_sampling_agrees_with_dense_sampling(self, pairs):
-        # the dominance test the admissibility check runs, and the public
-        # Polygon.lies_on_or_above, against a dense sampler
+        # the dominance test the admissibility check runs, and the Fraction
+        # model's on the chains Polygon.from_slopes builds, against a dense sampler
         a = [s for s, _ in pairs]
         b = [j for _, j in pairs]
         adm = check_admissibility_necessary(PhiNModule(SlopeMultiset.of(0, a), tuple(b)))
@@ -201,16 +201,17 @@ class TestPolygonComparisonProperty:
             for k in range(len(a) * denom + 1)
         )
         assert ("dips below" not in adm.note) == slow
-        assert Polygon.from_slopes(a).lies_on_or_above(Polygon.from_slopes(b)) == slow
+        newton, hodge = Polygon.from_slopes(a).vertices, Polygon.from_slopes(b).vertices
+        assert ref_lies_on_or_above(newton, hodge) == slow
 
     @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=8))
     @settings(max_examples=40)
-    def test_value_at_matches_step_integral(self, a):
-        p = Polygon.from_slopes(a)
+    def test_vertices_match_step_integral(self, a):
+        vs = Polygon.from_slopes(a).vertices
         sa = sorted(a)
         for k in range(2 * len(a) + 1):
             x = Fraction(k, 2)
-            assert p.value_at(x) == step_function_value(sa, x)
+            assert ref_value_at(vs, x) == step_function_value(sa, x)
 
 
 class TestReport:
@@ -285,6 +286,13 @@ def ref_value_at(vs, x):
     return vs[-1][1]
 
 
+def ref_lies_on_or_above(vs, ws):
+    """Pointwise dominance of one chain over another of the same width:
+    piecewise linearity means sampling both vertex sets suffices."""
+    xs = sorted({x for x, _ in vs} | {x for x, _ in ws})
+    return vs[-1][0] == ws[-1][0] and all(ref_value_at(vs, x) >= ref_value_at(ws, x) for x in xs)
+
+
 def ref_admissibility(m):
     tn = sum(m.slopes.entries, Fraction(0))
     th = sum((Fraction(j) for j in m.filtration_jumps), Fraction(0))
@@ -292,10 +300,7 @@ def ref_admissibility(m):
     problems = []
     if tn != th:
         problems.append(f"t_N = {tn} differs from t_H = {th}")
-    xs = sorted({x for x, _ in newton} | {x for x, _ in hodge})
-    if newton[-1][0] != hodge[-1][0] or not all(
-        ref_value_at(newton, x) >= ref_value_at(hodge, x) for x in xs
-    ):
+    if not ref_lies_on_or_above(newton, hodge):
         problems.append("Newton polygon dips below the Hodge polygon")
     return CheckResult(
         "weak_admissibility_necessary",
@@ -426,6 +431,17 @@ class TestIntegerChainsMatchFractionModel:
     @given(convex_polygons())
     @settings(max_examples=60)
     def test_ascii_sketch_off_integer_vertices(self, p):
+        assert p.ascii_sketch() == ref_ascii_sketch(p)
+
+    def test_ascii_sketch_past_many_vertices_between_two_samples(self):
+        # sixty segments of width 1/10**6 lie between two samples, so one
+        # sample moves past many segment ends at once
+        verts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]
+        for s in range(1, 61):
+            x, y = verts[-1]
+            verts.append((x + Fraction(1, 10**6), y + Fraction(s, 10**6)))
+        x, y = verts[-1]
+        p = Polygon((*verts, (x + 1, y + 100)))
         assert p.ascii_sketch() == ref_ascii_sketch(p)
 
     @given(multisets())
