@@ -69,6 +69,7 @@ _EMPTY_ROW: dict = {}
 _quoted = reprlib.Repr().repr
 # the rational strings of docs/strata_schema.json
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _parse(x) -> tuple[int, int]:
@@ -98,6 +99,15 @@ def rat(x) -> Fraction:
     """Coerce ints, strings of the schema's form 'a' or 'a/b' (like '-3/4'),
     and Fractions to Fraction; a bool is not a number here."""
     return x if isinstance(x, Fraction) else Fraction(*_parse(x))
+
+
+def integer(text: str) -> int:
+    """The integer a string of the form ``-?[0-9]+`` spells; any other
+    string (``1_0``, `` 1``, ``+1`` or a non-ASCII digit, which ``int()``
+    reads) is a ``ValueError``."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{_quoted(text)} is not an integer of the form -?[0-9]+")
+    return int(text)
 
 
 def _format(n: int, d: int) -> str:

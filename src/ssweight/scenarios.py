@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameters
-from .linalg import RatMatrix, _quoted
+from .linalg import RatMatrix, _quoted, integer
 from .strata import StrataComplex, StratumCohomology
 
 
@@ -67,7 +67,7 @@ def parse_spec(text: str) -> ScenarioSpec:
     if kind not in KINDS:
         raise InvalidParameters(f"unknown scenario kind {_quoted(kind)}; known: {', '.join(KINDS)}")
     try:
-        args = [int(x) for x in rest.split(",")] if rest else []
+        args = [integer(x) for x in rest.split(",")] if rest else []
     except ValueError:
         raise InvalidParameters(
             f"scenario parameters must be comma-separated integers, not {_quoted(rest)}"

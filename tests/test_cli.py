@@ -47,9 +47,12 @@ class TestExitCodes:
         assert "--all" in err
 
     def test_unknown_scenario(self, capsys):
+        # no document was read, so the error lists the known kinds and gives
+        # no pointer to the document schema
         code, _, err = run(capsys, "e2", "--scenario", "wat")
         assert code == 2
-        assert "strata_schema.json" in err
+        assert "known: good_reduction_pn, ngon, ngon_x_p1, tetrahedron" in err
+        assert cli.SCHEMA_POINTER not in err
 
     def test_both_sources_rejected(self, capsys, tmp_path):
         p = tmp_path / "x.json"
@@ -268,8 +271,19 @@ def test_an_over_long_integer_in_a_document_exits_two(capsys, tmp_path, command)
         (["scenario", "ngon:" + "9" * 5000], "comma-separated integers"),
         (["e2", "--scenario", "ngon:" + ",".join(["3"] * 2500)], "takes one parameter"),
         (["scenario", "n" * 5000], "unknown scenario kind"),
+        (["slopes", "--scenario", "ngon:3", "--q", "9" * 5000], "--q must be an integer: "),
+        (["polygons", "--slopes", "0", "--jumps", "0", "--q", "9" * 5000], "--q must be an integer: "),
     ],
-    ids=["long-jump", "long-jumps", "long-slope", "long-parameter", "many-parameters", "long-kind"],
+    ids=[
+        "long-jump",
+        "long-jumps",
+        "long-slope",
+        "long-parameter",
+        "many-parameters",
+        "long-kind",
+        "long-degree",
+        "long-label",
+    ],
 )
 def test_a_quoted_flag_value_is_bounded(capsys, argv, expected):
     # a flag value of 5,000 characters, an integer too long for int() among
@@ -394,15 +408,37 @@ def test_empty_slope_multiset(capsys, argv, fmt):
         assert out.rstrip("\n").endswith("\n" * 11 + "o")
 
 
-@pytest.mark.parametrize("flag", ["--slopes", "--jumps"])
+@pytest.mark.parametrize("flag", ["--slopes", "--jumps", "--q"])
 @pytest.mark.parametrize("value", ["1_0", "0.5", "1e0", " 1", "+1"])
 def test_polygons_calculator_entries_use_the_schema_form(capsys, flag, value):
     # Python's own parsers accept these spellings; the calculator reads
-    # slopes as the schema's rationals and jumps as plain integers
-    slopes, jumps = (value, "0") if flag == "--slopes" else ("0", value)
-    code, out, err = run(capsys, "polygons", "--slopes", slopes, "--jumps", jumps)
+    # slopes as the schema's rationals and jumps and its label --q as plain
+    # integers
+    flags = {"--slopes": "0", "--jumps": "0", flag: value}
+    code, out, err = run(capsys, "polygons", *(x for item in flags.items() for x in item))
     assert code == 2
-    assert out == "" and ("rationals" if flag == "--slopes" else "integers") in err
+    expected = {"--slopes": "rationals", "--jumps": "integers", "--q": "--q must be an integer"}
+    assert out == "" and expected[flag] in err
+
+
+@pytest.mark.parametrize("value", ["1_0", " 1", "+1", "\u0661"])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["slopes", "--scenario", "ngon:3", "--q", "{}"], "--q must be an integer: "),
+        (["polygons", "--scenario", "ngon:3", "--q", "{}"], "--q must be an integer: "),
+        (["e2", "--scenario", "ngon:{}"], "scenario parameters must be comma-separated integers"),
+        (["scenario", "cellular:1,{}"], "scenario parameters must be comma-separated integers"),
+    ],
+    ids=["slopes-degree", "polygons-degree", "ngon-parameter", "cellular-parameter"],
+)
+def test_command_line_integers_are_plain_digits(capsys, argv, expected, value):
+    # --q and scenario parameters are read as -?[0-9]+, as --jumps is, not
+    # by int(), which reads 1_0 as 10 and also a sign, spaces or other digits
+    code, out, err = run(capsys, *(a.replace("{}", value) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + expected) and f"{value}'" in err
+    assert cli.SCHEMA_POINTER not in err
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -419,6 +455,106 @@ def test_surplus_scenario_parameters_exit_two(capsys, spec):
     code, out, err = run(capsys, "e2", "--scenario", spec)
     assert code == 2
     assert out == "" and "one parameter" in err
+
+
+def _written(capsys, tmp_path, change, name="doc.json"):
+    """The path of ngon:3's document after ``change``."""
+    _, text, _ = run(capsys, "scenario", "ngon:3")
+    doc = json.loads(text)
+    change(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _break_pairing(doc):
+    _face_at(doc, [1])["pairing"].update({"0": [["0"]], "2": [["0"]]})
+
+
+def _flatten_lefschetz(doc):
+    for face in doc["faces"]:
+        if len(face["indices"]) == 1:
+            face["lefschetz"] = {"0": [["0"]]}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["e2", "check --all", "slopes", "polygons"])
+def test_an_invalid_document_gives_the_validate_output(capsys, tmp_path, command, fmt):
+    # a command that needs the second page of a document that fails
+    # validation writes what validate writes, in the format asked for
+    path = str(_written(capsys, tmp_path, _break_pairing))
+    want = run(capsys, "validate", "--input", path, "--format", fmt)
+    assert want[0] == 1 and want[2] == ""
+    assert run(capsys, *command.split(" "), "--input", path, "--format", fmt) == want
+    if fmt == "json":
+        assert json.loads(want[1])["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polygons", "--slopes", "0", "--jumps", "x"],
+        ["polygons", "--scenario", "elliptic_stratum"],
+        ["check", "--scenario", "ngon:3"],
+        ["e2", "--scenario", "ngon:x"],
+    ],
+    ids=["bad-jumps", "no-slopes", "no-suite", "bad-parameter"],
+)
+def test_no_schema_pointer_where_no_document_is_malformed(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and cli.SCHEMA_POINTER not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", json.dumps({"schema_version": 1, "dimension": 1, "faces": []})],
+    ids=["not-json", "no-name"],
+)
+def test_a_malformed_document_gets_the_schema_pointer(capsys, tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "e2", "--input", str(path))
+    assert (code, out) == (2, "")
+    first, pointer = err.splitlines()
+    assert first.startswith("error: ") and pointer == cli.SCHEMA_POINTER
+
+
+_COMMANDS = ["validate", "e2", "check --all", "slopes", "polygons", "report"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            f"{command} {source} --format {fmt}"
+            for command in _COMMANDS
+            for source in ("--scenario ngon:3", "--input {flat}", "--input {invalid}")
+            for fmt in ("text", "json")
+        ),
+        *(
+            f"polygons --slopes {slopes} --jumps {jumps} --format {fmt}"
+            for slopes, jumps in (("0,1/2,1/2,1", "0,0,1,1"), ("1,1", "0,0"))
+            for fmt in ("text", "json")
+        ),
+        "scenario ngon:3",
+        "scenario cellular:1,2,1",
+    ],
+)
+def test_the_output_file_gets_what_stdout_gets(capsys, tmp_path, argv):
+    # the one writer writes the same bytes to -o as to stdout, with the same
+    # exit code: passing and failing checks, an invalid document, the
+    # calculator and scenario output
+    paths = {
+        "{flat}": str(_written(capsys, tmp_path, _flatten_lefschetz, "flat.json")),
+        "{invalid}": str(_written(capsys, tmp_path, _break_pairing, "invalid.json")),
+    }
+    argv = [paths.get(a, a) for a in argv.split(" ")]
+    code, out, err = run(capsys, *argv)
+    assert err == "" and out
+    written = tmp_path / "out.txt"
+    assert run(capsys, *argv, "-o", str(written)) == (code, "", "")
+    assert written.read_bytes() == out.encode("utf-8")
 
 
 class TestJsonOutput:
