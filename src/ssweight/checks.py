@@ -316,9 +316,7 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
     if meet.dim == 0:
         complement = im_tau
     else:
-        conditions = meet.basis.transpose() @ gram2 @ im_tau.basis
-        coeffs = conditions.kernel_basis()
-        complement = Subspace(im_tau.ambient_dim, im_tau.basis @ coeffs)
+        complement = im_tau.annihilated_by(meet.basis.transpose() @ gram2)
     results.append(_subspace_equality_check(
         "im_tau_rho_is_orthocomplement", {"k": 1, "q": 2}, im_tau_rho, complement
     ))

@@ -37,7 +37,10 @@ summand, a transposed zero and the columns taken from one are shared
 zeros, an ``hstack`` with no columns on one side is the other side, and
 the kernel of a zero matrix is the identity.  Kernels and solves read the
 reduced rows of the elimination directly, without forming the reduced
-matrix.
+matrix.  No elimination re-proves what a construction guarantees: a
+subspace built from a kernel basis, pivot columns, an intersection or the
+spans of a quotient of cycles runs no independence rank, and a map into a
+quotient of cycles without boundaries runs no solve.
 
 Conventions: a linear map V -> W is a matrix with ``rows = dim W`` and
 ``cols = dim V`` acting on column vectors; a subspace is stored as a matrix
@@ -47,6 +50,9 @@ basis is invertible.  A quotient of cycles by boundaries is read in the
 coordinates of the kernel basis of one reduced elimination, where its lift
 columns are unit vectors; an induced map is one solve on the target's
 coordinate rows, checked by one product, and a pairing one product.
+Without boundaries the basis is the identity on those rows, so the map is
+those rows of the product, still checked; when every vector is a cycle
+too, the basis is the identity, and no product is formed with it.
 """
 
 from __future__ import annotations
@@ -176,7 +182,10 @@ def _primitive(row: dict) -> dict:
 
 
 def _submatrix(m: "RatMatrix", rows, cols: range) -> "RatMatrix":
-    """The block of ``m`` on a sequence of rows and a range of columns."""
+    """The block of ``m`` on a sequence of rows and a range of columns, or
+    ``m`` itself when that is all of it."""
+    if rows == range(m.rows) and cols == range(m.cols):
+        return m
     c0 = cols.start
     data = [{j - c0: x for j, x in m._data[i].items() if j in cols} for i in rows]
     return _reduced(len(rows), len(cols), m._den, data)
@@ -634,16 +643,28 @@ def kernel_witness(matrix: RatMatrix) -> list:
 
 
 def kernel(m: RatMatrix) -> "Subspace":
-    return Subspace(m.cols, m.kernel_basis())
+    """``ker m``: the columns of a reduced kernel are the identity on its
+    free rows, so they are independent."""
+    return Subspace._trusted(m.cols, m.kernel_basis())
 
 
 def image(m: RatMatrix) -> "Subspace":
-    return Subspace(m.rows, m.column_space_basis())
+    """``im m``: its pivot columns are independent."""
+    return Subspace._trusted(m.rows, m.column_space_basis())
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient_dim spanned by the (independent) basis columns."""
+    """A subspace of Q^ambient_dim spanned by the (independent) basis columns.
+
+    ``Subspace(ambient_dim, basis)`` checks the row count and, with one
+    elimination, that the columns are independent.  Subspaces the engine
+    builds from bases independent by construction (a kernel, pivot columns,
+    the zero space, an intersection, the spans of a quotient of cycles, the
+    part of a subspace a set of linear forms annihilates) come from
+    ``_trusted``, which runs no check.  Equal subspaces have equal spans, so
+    the hash reads the dimensions alone.
+    """
 
     ambient_dim: int
     basis: RatMatrix
@@ -655,8 +676,17 @@ class Subspace:
             raise ValueError("basis columns must be linearly independent")
 
     @staticmethod
+    def _trusted(ambient_dim: int, basis: RatMatrix) -> "Subspace":
+        """The subspace spanned by ``basis``, whose ``ambient_dim`` rows and
+        independent columns its construction guarantees; checks nothing."""
+        s = _new(Subspace)
+        object.__setattr__(s, "ambient_dim", ambient_dim)  # past the frozen __setattr__
+        object.__setattr__(s, "basis", basis)
+        return s
+
+    @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RatMatrix.zeros(ambient_dim, 0))
+        return Subspace._trusted(ambient_dim, RatMatrix.zeros(ambient_dim, 0))
 
     @property
     def dim(self) -> int:
@@ -684,7 +714,13 @@ class Subspace:
         stacked = self.basis.hstack(other.basis.scale(-1))
         ker = stacked.kernel_basis()
         coeffs = _submatrix(ker, range(self.dim), range(ker.cols))
-        return Subspace(self.ambient_dim, self.basis @ coeffs)
+        return Subspace._trusted(self.ambient_dim, self.basis @ coeffs)
+
+    def annihilated_by(self, forms: RatMatrix) -> "Subspace":
+        """The vectors of this subspace on which every row of ``forms``
+        vanishes: the basis times a kernel basis of ``forms @ basis``, whose
+        columns are independent because both factors' are."""
+        return Subspace._trusted(self.ambient_dim, self.basis @ (forms @ self.basis).kernel_basis())
 
     def __eq__(self, other):
         return (
@@ -693,6 +729,9 @@ class Subspace:
             and self.dim == other.dim
             and self.contains(other)
         )
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.dim))
 
 
 class QuotientSpace:
@@ -705,14 +744,18 @@ class QuotientSpace:
     columns are independent, so every quotient coordinate is unique, and
     ``coords`` lists rows of the ambient space with ``basis[coords, :]``
     invertible: a vector of the numerator is ``basis @ x`` for the one
-    ``x`` that its ``coords`` entries determine.
+    ``x`` that its ``coords`` entries determine.  ``unit_coords`` records
+    that ``basis[coords, :]`` is the identity, so that ``x`` is those
+    entries themselves.
 
     ``QuotientSpace.of_cycles`` builds the same quotient in the coordinates
     of a numerator basis with an identity block, as a second page does with
     ``ker d1 / im d1``: those coordinates are its ``coords``, and its
-    ``numerator`` and ``denominator`` subspaces are built, with their
-    independence checks, when first read.
+    ``numerator`` and ``denominator`` subspaces are formed, with no check,
+    when first read.
     """
+
+    unit_coords = False
 
     def __init__(self, ambient_dim: int, numerator: Subspace, denominator: Subspace):
         if numerator.ambient_dim != ambient_dim or denominator.ambient_dim != ambient_dim:
@@ -742,20 +785,25 @@ class QuotientSpace:
         coordinate at ``j``; those coordinates are the pivots of its
         transpose with the columns reversed, one small elimination.  The
         lift columns are unit vectors in these coordinates, so ``free``
-        serves as ``coords``.
+        serves as ``coords``.  Without boundaries the basis is ``cycles``
+        itself, the identity on ``free``, and no elimination runs.
         """
         k = len(free)
+        q = object.__new__(cls)
+        q.ambient_dim = cycles.rows
+        q.coords = free
+        q._spans = (cycles, boundaries)
+        if not boundaries.cols:
+            q.lift = q.basis = cycles
+            q.unit_coords = True
+            return q
         flipped = [{} for _ in range(boundaries.cols)]
         for i, f in enumerate(free):
             for j, x in boundaries._data[f].items():
                 flipped[j][k - 1 - i] = x
         last = {k - 1 - p for p in _make(boundaries.cols, k, 1, flipped).pivots()}
-        q = object.__new__(cls)
-        q.ambient_dim = cycles.rows
         q.lift = cycles.take_columns(j for j in range(k) if j not in last)
         q.basis = boundaries.hstack(q.lift)
-        q.coords = free
-        q._spans = (cycles, boundaries)
         return q
 
     @cached_property
@@ -765,15 +813,20 @@ class QuotientSpace:
 
     @cached_property
     def numerator(self) -> Subspace:
-        return Subspace(self.ambient_dim, self._spans[0])
+        return Subspace._trusted(self.ambient_dim, self._spans[0])
 
     @cached_property
     def denominator(self) -> Subspace:
-        return Subspace(self.ambient_dim, self._spans[1])
+        return Subspace._trusted(self.ambient_dim, self._spans[1])
 
     @property
     def dim(self) -> int:
         return self.lift.cols
+
+    @property
+    def _is_whole(self) -> bool:
+        """``basis`` is the identity: no boundaries, and every vector a cycle."""
+        return self.unit_coords and self.dim == self.ambient_dim
 
     def __repr__(self):
         return f"QuotientSpace(dim={self.dim} in Q^{self.ambient_dim})"
@@ -781,8 +834,10 @@ class QuotientSpace:
 
 def induced_map(m: RatMatrix, src: QuotientSpace, dst: QuotientSpace) -> RatMatrix:
     """Matrix of the map induced by ``m`` on quotient bases: the lift block
-    of the one ``X`` with ``dst.basis @ X = m @ src.basis``, solved on the
-    rows ``dst.coords`` alone and checked by one product.
+    of the one ``X`` with ``dst.basis @ X = m @ src.basis``, read on the
+    rows ``dst.coords`` alone and checked by one product.  It is those rows
+    of ``m @ src.basis`` when ``dst.unit_coords``, and one solve otherwise;
+    an identity basis is not multiplied by.
 
     Raises ``NotWellDefined`` when ``dst.basis @ X`` misses ``m @ src.basis``
     (``m`` does not carry numerator into numerator) or when an image of a
@@ -791,11 +846,15 @@ def induced_map(m: RatMatrix, src: QuotientSpace, dst: QuotientSpace) -> RatMatr
     """
     if m.cols != src.ambient_dim or m.rows != dst.ambient_dim:
         raise ValueError("matrix shape does not match the ambient spaces")
-    y = m @ src.basis
-    at = dst.coords
-    x = _submatrix(dst.basis, at, range(dst.basis.cols)).solve(_submatrix(y, at, range(y.cols)))
-    if dst.basis @ x != y:
-        raise NotWellDefined("map does not preserve numerators")
+    y = m if src._is_whole else m @ src.basis
+    if dst._is_whole:
+        x = y
+    else:
+        at = dst.coords
+        y_at = _submatrix(y, at, range(y.cols))
+        x = y_at if dst.unit_coords else _submatrix(dst.basis, at, range(dst.basis.cols)).solve(y_at)
+        if dst.basis @ x != y:
+            raise NotWellDefined("map does not preserve numerators")
     r0, c0 = dst.basis.cols - dst.dim, src.basis.cols - src.dim
     if any(j < c0 for row in x._data[r0:] for j in row):
         raise NotWellDefined("map does not preserve denominators")
@@ -805,8 +864,11 @@ def induced_map(m: RatMatrix, src: QuotientSpace, dst: QuotientSpace) -> RatMatr
 def induced_pairing(p: RatMatrix, left: QuotientSpace, right: QuotientSpace):
     """Gram matrix of the pairing ``p`` induced on ``left x right``, rows on
     ``left``: the lift block of ``left.basis^T p right.basis``, or None when
-    a denominator row or column of that product is nonzero."""
-    g = left.basis.transpose() @ p @ right.basis
+    a denominator row or column of that product is nonzero.  An identity
+    basis is not multiplied by, so between two such quotients it is ``p``."""
+    g = p if left._is_whole else left.basis.transpose() @ p
+    if not right._is_whole:
+        g = g @ right.basis
     r0, c0 = left.basis.cols - left.dim, right.basis.cols - right.dim
     if any(g._data[:r0]) or any(j < c0 for row in g._data for j in row):
         return None

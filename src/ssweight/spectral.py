@@ -159,9 +159,9 @@ class E2Page:
     a ``QuotientSpace.of_cycles`` in the coordinates of ``ker dout``: one
     reduced elimination of each ``d1`` gives the kernel basis of its source
     cell and, through its pivots, the image basis of its target cell, and a
-    cell adds one small elimination that picks its lift.  Cells outside
-    ``e1.support()`` have no first-page summands; maps out of or into them
-    are zero without an ``induced_map`` call, since its
+    cell with boundaries adds one small elimination that picks its lift.
+    Cells outside ``e1.support()`` have no first-page summands; maps out of
+    or into them are zero without an ``induced_map`` call, since its
     well-definedness checks are vacuous there.
     """
 

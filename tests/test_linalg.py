@@ -306,6 +306,18 @@ class TestSubspace:
         assert big.contains(small)
         assert not small.contains(big)
 
+    def test_rejects_dependent_columns_and_a_wrong_row_count(self):
+        with pytest.raises(ValueError, match="independent"):
+            Subspace(3, M([[1, 2], [1, 2], [0, 0]]))
+        with pytest.raises(ValueError, match="rows"):
+            Subspace(2, M([[1], [0], [0]]))
+
+    def test_equal_spans_hash_alike(self):
+        a, b = Subspace(2, M([[1], [0]])), Subspace(2, M([[2], [0]]))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert len({a, Subspace(2, M([[0], [1]]))}) == 2
+
 
 def test_is_definite():
     # definite: no zero and no mixed signs in the inertia

@@ -6,23 +6,31 @@ coordinates of ``ker dout``.  Here every cell is compared with
 and ``L`` map with the lift block of one solve in the whole ambient space,
 as the maps were formed before cells had coordinates.  The pairings are
 compared with the lift block of the product, after checking that the
-denominators pair to zero.  The documents are the builtins, the
+denominators pair to zero.  The same holds on the second page of each
+page, the fixpoint check of ``hl_suite``, whose cells have no boundaries
+and an identity basis.  The documents are the builtins, the
 ``SIGN_MUTANTS`` and the builtins in the seeded random coordinates of the
 benchmark's basis-changed documents, whose blocks are dense multi-digit
 rationals.  What building a page costs is counted too: eliminations per
-cell, no block read for a first-page map into or out of an empty cell, and
-one product per operator power ``N^r`` or ``L^r`` with ``r >= 2`` that the
-suites read.  Last comes the memo that a complex, each page and a
+cell, eliminations and solves of one ``check --all``, no independence
+check of a subspace the engine builds (each such basis is ranked by sympy
+instead), no block read for a first-page map into or out of an empty cell,
+and one product per operator power ``N^r`` or ``L^r`` with ``r >= 2`` that
+the suites read.  Last comes the memo that a complex, each page and a
 module built by hand keep: one entry per method and arguments, per object.
 """
 
+import contextlib
 import importlib.util
+import io
+import json
 import random
 from pathlib import Path
 
 import pytest
 
-from helpers import SIGN_MUTANTS, HodgeLefschetzModule, sign_mutant
+from helpers import SIGN_MUTANTS, HodgeLefschetzModule, random_valid_complex, sign_mutant
+from ssweight import cli
 from ssweight.checks import check_h1_suite, check_log_hl_all, check_wm
 from ssweight.errors import InducedPairingIllDefined, NotWellDefined
 from ssweight.hodge_lefschetz import hl_suite
@@ -87,20 +95,29 @@ def _outcome(compute):
         return type(exc)
 
 
+def _page_of(cx):
+    """The page of a complex, and the general quotient of each of its cells."""
+    general = {
+        (a, b): QuotientSpace(cx.dim(a, b), kernel(cx.d1(a, b)), image(cx.d1(a - 1, b)))
+        for (a, b) in cx.support()
+    }
+    return cx, E2Page(cx), general
+
+
 @pytest.fixture(scope="module", params=SOURCES)
 def pages(request):
-    """The page of a source, and the general quotient of every first-page cell."""
-    e1 = E1Page(_complex(request.param))
-    e2 = E2Page(e1)
-    general = {
-        (a, b): QuotientSpace(e1.dim(a, b), kernel(e1.d1(a, b)), image(e1.d1(a - 1, b)))
-        for (a, b) in e1.support()
-    }
-    return e1, e2, general
+    """The page of a source's first page, and the general quotient of every
+    first-page cell."""
+    return _page_of(E1Page(_complex(request.param)))
 
 
-def test_cells_equal_the_general_quotient(pages):
-    e1, e2, general = pages
+@pytest.fixture(scope="module")
+def second_pages(pages):
+    """The same for the page of that page."""
+    return _page_of(pages[1])
+
+
+def _cells_equal_the_general_quotient(e1, e2, general):
     for cell, g in general.items():
         q = e2.quotient(*cell)
         assert (q.ambient_dim, q.dim) == (g.ambient_dim, g.dim)
@@ -110,23 +127,21 @@ def test_cells_equal_the_general_quotient(pages):
         assert q.denominator.basis == g.denominator.basis
 
 
-def test_induced_maps_equal_an_ambient_solve(pages):
-    e1, e2, general = pages
+def _induced_maps_equal_an_ambient_solve(e1, e2, general):
     for (a, b), src in general.items():
         for op, dst_cell, m in (
-            ("n", (a + 2, b - 2), e1.nmap(a, b)),
-            ("l", (a, b + 2), e1.lmap(a, b)),
+            ("n", (a + 2, b - 2), lambda: e1.nmap(a, b)),
+            ("l", (a, b + 2), lambda: e1.lmap(a, b)),
         ):
             got = _outcome(lambda: e2.induced_n(a, b) if op == "n" else e2.induced_l(a, b))
             if dst_cell in general:
-                expected = _outcome(lambda: _ambient_lift_block(m, src, general[dst_cell]))
+                expected = _outcome(lambda: _ambient_lift_block(m(), src, general[dst_cell]))
             else:
                 expected = RatMatrix.zeros(0, src.dim)
             assert got == expected, (op, a, b)
 
 
-def test_pairings_equal_the_lift_block(pages):
-    e1, e2, general = pages
+def _pairings_equal_the_lift_block(e1, e2, general):
     n = e2.n
     for (a, b), here in general.items():
         there = general.get((-a, 2 * n - b))
@@ -136,6 +151,35 @@ def test_pairings_equal_the_lift_block(pages):
         else:
             expected = _outcome(lambda: _paired_lift_block(e1.pairing_at(a, b), here, there))
         assert got == expected, (a, b)
+
+
+def test_cells_equal_the_general_quotient(pages):
+    _cells_equal_the_general_quotient(*pages)
+
+
+def test_induced_maps_equal_an_ambient_solve(pages):
+    _induced_maps_equal_an_ambient_solve(*pages)
+
+
+def test_pairings_equal_the_lift_block(pages):
+    _pairings_equal_the_lift_block(*pages)
+
+
+def test_second_page_cells_are_whole_and_equal_the_general_quotient(second_pages):
+    # every vector of a second-page cell is a cycle and none is a boundary
+    e2, page, general = second_pages
+    for cell in general:
+        q = page.quotient(*cell)
+        assert q.unit_coords and q.basis == RatMatrix.identity(q.ambient_dim)
+    _cells_equal_the_general_quotient(*second_pages)
+
+
+def test_second_page_induced_maps_equal_an_ambient_solve(second_pages):
+    _induced_maps_equal_an_ambient_solve(*second_pages)
+
+
+def test_second_page_pairings_equal_the_lift_block(second_pages):
+    _pairings_equal_the_lift_block(*second_pages)
 
 
 # -- the two failures of an induced map into a page cell ---------------------------
@@ -164,6 +208,17 @@ def test_a_map_off_the_denominator_is_not_well_defined(cell):
     src = QuotientSpace(amb, cell.numerator, Subspace(amb, cell.lift.take_columns([0])))
     with pytest.raises(NotWellDefined, match="denominators"):
         induced_map(RatMatrix.identity(amb), src, cell)
+
+
+def test_a_map_off_the_numerator_into_a_cell_without_boundaries_is_not_well_defined():
+    # the cell (0, 0) of the tetrahedron: numerator 1 of 4 dimensions, no
+    # denominator, so its coordinates are read off without a solve
+    cell = E2Page(E1Page(build(parse_spec("tetrahedron")))).quotient(0, 0)
+    assert cell.unit_coords and (cell.ambient_dim, cell.dim) == (4, 1)
+    everything = QuotientSpace(4, Subspace(4, RatMatrix.identity(4)), Subspace.zero(4))
+    with pytest.raises(NotWellDefined, match="numerators"):
+        induced_map(RatMatrix.identity(4), everything, cell)
+    assert induced_map(RatMatrix.identity(4), cell, cell) == RatMatrix.identity(1)
 
 
 def test_the_page_is_its_own_target(cell):
@@ -200,17 +255,76 @@ def test_at_most_three_eliminations_per_cell(monkeypatch, spec):
     assert checks == []
 
 
-@pytest.mark.parametrize("label, eliminations", [("tetrahedron", 18), ("ngon:20", 8)])
+@pytest.mark.parametrize("label, eliminations", [("tetrahedron", 15), ("ngon:20", 6)])
 def test_eliminations_of_a_page(monkeypatch, label, eliminations):
     # one reduced elimination of each d1 that is not zero (the kernel of a
     # zero d1 is the identity, read without one), one forward pass where a
     # cell's din has no cell before it, and one small elimination per cell
+    # with boundaries
     e1 = E1Page(build(parse_spec(label)))
     for (a, b) in e1.support():
         e1.d1(a - 1, b), e1.d1(a, b)
     calls = _count(monkeypatch, RatMatrix, "_eliminate")
     E2Page(e1)
     assert len(calls) == eliminations
+
+
+@pytest.mark.parametrize(
+    "label, eliminations, solves", [("tetrahedron", 84, 11), ("ngon:20", 48, 4)]
+)
+def test_eliminations_and_solves_of_check_all(monkeypatch, label, eliminations, solves):
+    # no independence rank of a basis independent by construction, and no
+    # solve into a cell without boundaries
+    counted = {name: _count(monkeypatch, RatMatrix, name) for name in ("_eliminate", "solve")}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["check", "--all", "--scenario", label, "--format", "json"])
+    assert json.loads(out.getvalue())["passed"]
+    assert (len(counted["_eliminate"]), len(counted["solve"])) == (eliminations, solves)
+
+
+@pytest.mark.parametrize("label", ["tetrahedron", "ngon:20"])
+def test_a_page_and_its_suites_check_no_subspace(monkeypatch, label):
+    sc = build(parse_spec(label))
+    checks = _count(monkeypatch, Subspace, "__post_init__")
+    e2 = E2Page(E1Page(sc))
+    check_log_hl_all(e2), check_wm(e2), check_h1_suite(e2), hl_suite(e2)
+    assert checks == []
+
+
+def _documents():
+    """The builtins, the product rungs of the benchmark, the sign mutants and
+    random valid configurations, as JSON documents."""
+    inputs = _load_inputs()
+    labels = [s.label() for s in builtin_specs()]
+    labels += [r for r in dict.fromkeys(inputs.CHECK_RUNGS + inputs.REPORT_RUNGS) if " x " in r]
+    docs = [inputs.build_rung(label).dumps() for label in labels]
+    docs += [json.dumps(sign_mutant(name)) for name in SIGN_MUTANTS]
+    docs += [random_valid_complex(random.Random(seed)).dumps() for seed in range(12)]
+    return docs
+
+
+def test_every_trusted_basis_has_full_column_rank(monkeypatch, tmp_path):
+    # every basis that ``check --all`` hands to the unchecked constructor,
+    # ranked by sympy
+    sympy = pytest.importorskip("sympy")
+    bases = set()
+    trusted = Subspace._trusted
+
+    def recording(ambient_dim, basis):
+        bases.add((ambient_dim, basis.rows, basis.cols, basis.entries))
+        return trusted(ambient_dim, basis)
+
+    monkeypatch.setattr(Subspace, "_trusted", staticmethod(recording))
+    path = tmp_path / "doc.json"
+    for doc in _documents():
+        path.write_text(doc)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["check", "--all", "--input", str(path)])
+    assert any(cols for _, _, cols, _ in bases)
+    for ambient_dim, rows, cols, entries in bases:
+        assert rows == ambient_dim
+        assert sympy.Matrix(rows, cols, [x for row in entries for x in row]).rank() == cols
 
 
 @pytest.mark.parametrize("label", ["tetrahedron", "ngon:5", "ngon_x_p1:3"])
@@ -235,13 +349,6 @@ def test_a_map_into_or_out_of_an_empty_cell_reads_no_block(monkeypatch, label):
         m = getattr(e1, name)(*src)
         assert m is RatMatrix.zeros(e1.dim(*dst), e1.dim(*src))
     assert reads == [[], [], []]
-
-
-def test_cell_subspaces_are_built_and_checked_when_read(monkeypatch):
-    q = E2Page(E1Page(build(parse_spec("ngon:3")))).quotient(1, 0)
-    checks = _count(monkeypatch, Subspace, "__post_init__")
-    assert q.numerator is q.numerator and q.denominator is q.denominator
-    assert len(checks) == 2
 
 
 @pytest.mark.parametrize("label", ["tetrahedron", "ngon_x_p1:3"])
