@@ -54,10 +54,6 @@ class CheckResult:
         return f"{self.status.upper():7s} {self.name}[{loc}]{tail}"
 
 
-def _vector_json(vec):
-    return [str(x) for x in vec]
-
-
 def bijectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResult:
     """Pass iff the matrix is square of full rank; witnesses verified."""
     src, dst = matrix.cols, matrix.rows
@@ -74,18 +70,13 @@ def bijectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResu
     r = matrix.rank()
     if r == src:
         return CheckResult(name, location, "pass", witness={"dim": src, "rank": r})
-    v = kernel_witness(matrix)
     return CheckResult(
         name,
         location,
         "fail",
         note="map is not injective",
-        witness={
-            "dim": src,
-            "rank": r,
-            "kernel_vector": _vector_json(v),
-            "witness_verified": True,
-        },
+        witness={"dim": src, "rank": r, "kernel_vector": kernel_witness(matrix),
+                 "witness_verified": True},
     )
 
 
@@ -95,13 +86,12 @@ def injectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResu
     r = matrix.rank()
     if r == matrix.cols:
         return CheckResult(name, location, "pass", witness={"rank": r})
-    v = kernel_witness(matrix)
     return CheckResult(
         name,
         location,
         "fail",
         note="map is not injective",
-        witness={"rank": r, "kernel_vector": _vector_json(v), "witness_verified": True},
+        witness={"rank": r, "kernel_vector": kernel_witness(matrix), "witness_verified": True},
     )
 
 
@@ -120,18 +110,13 @@ def nondegeneracy_check(name: str, location: dict, gram: RatMatrix) -> CheckResu
     r = gram.rank()
     if r == gram.rows:
         return CheckResult(name, location, "pass", witness={"dim": gram.rows})
-    v = kernel_witness(gram)
     return CheckResult(
         name,
         location,
         "fail",
         note="restricted pairing is degenerate",
-        witness={
-            "dim": gram.rows,
-            "rank": r,
-            "null_vector": _vector_json(v),
-            "witness_verified": True,
-        },
+        witness={"dim": gram.rows, "rank": r, "null_vector": kernel_witness(gram),
+                 "witness_verified": True},
     )
 
 
@@ -329,14 +314,13 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
             CheckResult("ker_tau_meets_im_rho_trivially", {"k": 2, "q": 0}, "pass")
         )
     else:
-        v = meet2.basis.col(0)
         results.append(
             CheckResult(
                 "ker_tau_meets_im_rho_trivially",
                 {"k": 2, "q": 0},
                 "fail",
                 note="intersection is nonzero",
-                witness={"dim": meet2.dim, "vector": _vector_json(v)},
+                witness={"dim": meet2.dim, "vector": meet2.basis.col(0)},
             )
         )
 
@@ -397,15 +381,11 @@ def _subspace_equality_check(name, location, left: Subspace, right: Subspace) ->
         note = "vacuous (both zero)" if left.dim == 0 else ""
         return CheckResult(name, location, "pass", note=note, witness={"dim": left.dim})
     witness = {"left_dim": left.dim, "right_dim": right.dim}
-    for j in range(left.basis.cols):
-        v = left.basis.col(j)
-        if not right.contains_vector(v):
-            witness["vector_in_left_only"] = _vector_json(v)
+    # the first basis vector of one side outside the other: ``contains`` on its line
+    for key, a, b in (("vector_in_left_only", left, right), ("vector_in_right_only", right, left)):
+        lines = (a.basis.take_columns([j]) for j in range(a.dim))
+        v = next((c for c in lines if not b.contains(Subspace._trusted(a.ambient_dim, c))), None)
+        if v is not None:
+            witness[key] = v.col(0)
             break
-    else:
-        for j in range(right.basis.cols):
-            v = right.basis.col(j)
-            if not left.contains_vector(v):
-                witness["vector_in_right_only"] = _vector_json(v)
-                break
     return CheckResult(name, location, "fail", note="subspaces differ", witness=witness)

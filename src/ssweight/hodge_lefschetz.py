@@ -30,7 +30,7 @@ that taking cohomology once more changes nothing.
 
 from __future__ import annotations
 
-from .checks import CheckResult, bijectivity_check, relation_checks, _vector_json
+from .checks import CheckResult, bijectivity_check, relation_checks
 from .errors import NotCycleGenerated
 from .linalg import RatMatrix, kernel, kernel_witness, signature
 from .spectral import E1Page, E2Page, power
@@ -101,7 +101,7 @@ def check_hl_axioms(v, stage: str = "") -> list[CheckResult]:
         if p.rows != p.cols or (p.rows and p.rank() != p.rows):
             wit = {"rows": p.rows, "cols": p.cols}
             if p.rows == p.cols and p.rows:
-                wit["null_vector"] = _vector_json(kernel_witness(p.transpose()))
+                wit["null_vector"] = kernel_witness(p.transpose())
             results.append(
                 CheckResult("hl_pairing_perfect", at(a, b), "fail", witness=wit)
             )
@@ -174,7 +174,7 @@ def check_hl_axioms(v, stage: str = "") -> list[CheckResult]:
             results.append(CheckResult("hl_positivity", loc(i, j), "pass", witness=wit))
         else:
             if zz:
-                wit["null_vector"] = _vector_json(kernel_witness(gram))
+                wit["null_vector"] = kernel_witness(gram)
                 wit["witness_verified"] = True
             results.append(
                 CheckResult(

@@ -17,10 +17,10 @@ operations, not the shape, and ranks, column spaces and quotients read its
 pivots alone.  The reduced form adds one back-substitution from the last
 pivot row up and keeps the lcm of its pivots as its denominator.
 Signatures run a fraction-free symmetric elimination on the same integer
-rows.  ``Fraction`` appears only where single entries leave a matrix
-(``col``, ``entries``, ``apply``); entries enter in one pass that keeps
-only the nonzeros, and ``to_strings`` formats the schema strings straight
-from the integers.  No floating point anywhere.
+rows.  Entries enter in one pass that keeps only the nonzeros, and leave
+as schema strings formatted straight from the integers (``to_strings``, and
+``col`` for one column, a witness vector); only the dense ``entries`` view
+builds ``Fraction``s.  No floating point anywhere.
 
 Cost model: the matrices are small, so an operation costs about its
 nonzero entries plus a constant, and the constant is kept small.  Results
@@ -251,11 +251,6 @@ class RatMatrix:
     def identity(n: int) -> "RatMatrix":
         return _make(n, n, 1, [{i: 1} for i in range(n)])
 
-    @staticmethod
-    def column(vec) -> "RatMatrix":
-        vec = list(vec)
-        return RatMatrix(len(vec), 1, [[x] for x in vec])
-
     # -- basic structure ---------------------------------------------------
 
     def __eq__(self, other):
@@ -286,11 +281,12 @@ class RatMatrix:
             out.append(tuple(row))
         return tuple(out)
 
-    def col(self, j):
+    def col(self, j) -> list[str]:
+        """Column ``j`` as schema strings 'a' or 'a/b', formatted from the integers."""
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} of a matrix with {self.cols} columns")
         d = self._den
-        return [Fraction(r[j], d) if j in r else _ZERO for r in self._data]
+        return [_format(r[j], d) if j in r else "0" for r in self._data]
 
     def to_strings(self):
         """Dense rows of schema strings 'a' or 'a/b', formatted from the integers."""
@@ -371,14 +367,6 @@ class RatMatrix:
                 acc = {j: x for j, x in acc.items() if x}
             out.append(acc)
         return _reduced(self.rows, other.cols, self._den * other._den, out)
-
-    def apply(self, vec):
-        """Matrix times column vector, as a plain list."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        vec = [rat(b) for b in vec]
-        d = self._den
-        return [sum((a * vec[j] for j, a in r.items()), _ZERO) / d for r in self._data]
 
     def transpose(self) -> "RatMatrix":
         if not any(self._data):
@@ -627,19 +615,20 @@ def _offsets(summands):
     return pos, off
 
 
-def kernel_witness(matrix: RatMatrix) -> list:
-    """First kernel basis vector of ``matrix``, verified nonzero and in the kernel.
+def kernel_witness(matrix: RatMatrix) -> list[str]:
+    """First kernel basis vector of ``matrix`` as schema strings, verified
+    nonzero and in the kernel by one integer product.
 
     A vector that fails is a fault of this package, not of the input, so it
     raises ``RuntimeError`` (not an ``SsweightError``); the check is explicit
     so that it also runs under ``python -O``.
     """
-    v = matrix.kernel_basis().col(0)
-    if not any(v) or any(matrix.apply(v)):
+    v = matrix.kernel_basis().take_columns([0])
+    if v.is_zero() or not (matrix @ v).is_zero():
         raise RuntimeError(
             f"kernel witness of a {matrix.rows}x{matrix.cols} matrix failed verification"
         )
-    return v
+    return v.col(0)
 
 
 def kernel(m: RatMatrix) -> "Subspace":
@@ -691,10 +680,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.cols
-
-    def contains_vector(self, vec) -> bool:
-        rhs = RatMatrix.column(vec)
-        return self.basis.solve(rhs) is not None
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:

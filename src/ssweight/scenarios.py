@@ -61,47 +61,52 @@ KINDS = (
 )
 
 
+# the parameter of each kind that takes one, and its default
+_PARAMETER = {"good_reduction_pn": ("n", 2), "ngon": ("N", 3), "ngon_x_p1": ("N", 3),
+              "cellular": ("cells", ())}
+
+
 def parse_spec(text: str) -> ScenarioSpec:
     """Parse CLI syntax ``kind`` or ``kind:p1,p2,...``."""
-    kind, _, rest = text.partition(":")
+    kind, colon, rest = text.partition(":")
     if kind not in KINDS:
         raise InvalidParameters(f"unknown scenario kind {_quoted(kind)}; known: {', '.join(KINDS)}")
     try:
-        args = [integer(x) for x in rest.split(",")] if rest else []
+        args = [integer(x) for x in rest.split(",")] if colon else []
     except ValueError:
         raise InvalidParameters(
             f"scenario parameters must be comma-separated integers, not {_quoted(rest)}"
         ) from None
-    if kind in ("good_reduction_pn", "ngon", "ngon_x_p1") and len(args) > 1:
-        raise InvalidParameters(f"scenario {kind} takes one parameter, not {_quoted(rest)}")
-    if kind == "good_reduction_pn":
-        return ScenarioSpec(kind, {"n": args[0] if args else 2})
-    if kind == "ngon":
-        return ScenarioSpec(kind, {"N": args[0] if args else 3})
-    if kind == "ngon_x_p1":
-        return ScenarioSpec(kind, {"N": args[0] if args else 3})
+    name, default = _PARAMETER.get(kind, (None, None))
     if kind == "cellular":
         if not args:
             raise InvalidParameters("cellular needs cell counts, e.g. cellular:1,2,1")
-        return ScenarioSpec(kind, {"cells": tuple(args)})
-    if args:
+        return ScenarioSpec(kind, {name: tuple(args)})
+    if name is None and args:
         raise InvalidParameters(f"scenario {kind} takes no parameters")
-    return ScenarioSpec(kind)
+    if len(args) > 1:
+        raise InvalidParameters(f"scenario {kind} takes one parameter, not {_quoted(rest)}")
+    return ScenarioSpec(kind, {name: args[0] if args else default} if name else {})
 
 
 def build(spec: ScenarioSpec) -> StrataComplex:
+    """The complex of ``spec``; a parameter its kind does not take is an error."""
+    name, default = _PARAMETER.get(spec.kind, (None, None))
+    if spec.params.keys() - {name}:
+        raise InvalidParameters(f"scenario {spec.kind} does not take {_quoted(spec.params)}")
+    value = spec.params.get(name, default)
     if spec.kind == "good_reduction_pn":
-        return good_reduction_pn(spec.params.get("n", 2))
+        return good_reduction_pn(value)
     if spec.kind == "ngon":
-        return ngon(spec.params.get("N", 3))
+        return ngon(value)
     if spec.kind == "ngon_x_p1":
-        return ngon(spec.params.get("N", 3)).product_with_factor(projective_space_cohomology(1))
+        return ngon(value).product_with_factor(projective_space_cohomology(1))
     if spec.kind == "tetrahedron":
         return tetrahedron()
     if spec.kind == "elliptic_stratum":
         return elliptic_stratum()
     if spec.kind == "cellular":
-        return cellular(spec.params["cells"])
+        return cellular(value)
     raise InvalidParameters(f"unknown scenario kind {spec.kind!r}")
 
 

@@ -19,9 +19,9 @@ and ``d1^2 = 0`` holds cell by cell.  The pairing of ``E1^{a,b}`` with
 which lies on the same level in the complementary degree.
 
 Both pages are bigraded complexes with one interface in page coordinates
-``(a, b)``: ``n``, ``support()`` (the cells of nonzero dimension), ``dim``,
-``d1`` (to ``(a+1, b)``), ``nmap`` (to ``(a+2, b-2)``), ``lmap`` (to
-``(a, b+2)``) and ``pairing_at`` (with ``(-a, 2n-b)``).  ``E2Page(cx)`` forms
+``(a, b)``: ``n``, ``support()`` (the cells of nonzero dimension, sorted),
+``dim``, ``d1`` (to ``(a+1, b)``), ``nmap`` (to ``(a+2, b-2)``), ``lmap``
+(to ``(a, b+2)``) and ``pairing_at`` (with ``(-a, 2n-b)``).  ``E2Page(cx)`` forms
 ``ker d1 / im d1`` of any such complex with the induced operators and
 pairing; its own ``d1`` is zero, so it is again such a complex.  A page
 memoises its operators and pairings, and ``power`` its powers in any complex.
@@ -36,13 +36,13 @@ slope ``b/2`` after its Tate twist by ``a-k``, so the cell carries slope
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DifferentialNotSquareZero, InducedPairingIllDefined
 from .linalg import (
     QuotientSpace,
     RatMatrix,
     Subspace,
+    _format,
     assemble_blocks,
     induced_map,
     induced_pairing,
@@ -177,7 +177,8 @@ class E2Page:
             if not (dout @ din).is_zero():
                 raise DifferentialNotSquareZero(f"d1 o d1 != 0 into cell ({a}, {b})")
             cycles, free, pivots[(a, b)] = dout.reduced_kernel()
-            into = pivots[(a - 1, b)] if (a - 1, b) in pivots else din.pivots()
+            # the support is sorted: (a - 1, b) came first, or it has no pivots
+            into = pivots.get((a - 1, b), [])
             self._quotients[(a, b)] = QuotientSpace.of_cycles(cycles, free, din.take_columns(into))
 
     @property
@@ -263,7 +264,7 @@ class E2Page:
                 "b": b,
                 "dim": self.dim(a, b),
                 "weight": b,
-                "slope": str(Fraction(b, 2)) if self.cycle_generated else None,
+                "slope": _format(b, 2) if self.cycle_generated else None,
             }
             for (a, b) in self.support()
         ]

@@ -721,12 +721,11 @@ def _stratum_violations(coh: StratumCohomology, d: int) -> list:
             out.append(("pairing-shape", f"pairing shape wrong in degree {m}", None))
             continue
         if p.rank() != p.rows:
-            vec = kernel_witness(p.transpose())
             out.append(
                 (
                     "pairing-not-perfect",
                     f"pairing not perfect at degree {m}",
-                    {"kernel_vector": [str(x) for x in vec]},
+                    {"kernel_vector": kernel_witness(p.transpose())},
                 )
             )
         # m and mc have the same parity, so (m, mc) and (mc, m) state

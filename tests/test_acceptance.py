@@ -162,11 +162,9 @@ def test_criterion_6_degree_one_suite_and_corruption():
     found_vector = False
     for v in report.violations:
         if v.code == "pairing-not-perfect" and v.witness:
-            vec = [Fraction(x) for x in v.witness["kernel_vector"]]
+            vec = RatMatrix.from_rows([[x] for x in v.witness["kernel_vector"]])
             gram = broken.faces[(1,)].pairing[0]
-            found_vector = any(x != 0 for x in vec) and all(
-                x == 0 for x in gram.transpose().apply(vec)
-            )
+            found_vector = not vec.is_zero() and (gram.transpose() @ vec).is_zero()
     if report.ok or not found_vector:
         ok = False
 
@@ -188,10 +186,8 @@ def test_criterion_6_degree_one_suite_and_corruption():
         if c.name == "h0_pairing_on_ker_rho" and c.witness.get("null_vector"):
             k = c.location["k"]
             gram = _restricted_gram(_twisted_gram(flat, k, 0), kernel(flat.rho(k, 0)).basis)
-            vec = [Fraction(x) for x in c.witness["null_vector"]]
-            verified = any(x != 0 for x in vec) and all(
-                x == 0 for x in gram.apply(vec)
-            )
+            vec = RatMatrix.from_rows([[x] for x in c.witness["null_vector"]])
+            verified = not vec.is_zero() and (gram @ vec).is_zero()
     if not fails or not verified:
         ok = False
     verdict(6, "degree-one suite + corrupted inputs fail with verified witnesses", ok)

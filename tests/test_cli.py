@@ -84,6 +84,7 @@ class TestExitCodes:
         ["polygons", "--slopes", "1/0", "--jumps", "0"],
         ["polygons", "--slopes", "0", "--jumps", "1/0"],
         ["validate", "--input", "{directory}"],
+        ["scenario", "ngon:"],
     ],
 )
 def test_input_errors_exit_two(capsys, tmp_path, argv):

@@ -30,11 +30,12 @@ in text and JSON, like ``test_golden_outputs``.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from helpers import SIGN_MUTANTS, sign_mutant
-from ssweight import checks
+from ssweight import checks, scenarios
 from ssweight.cli import main
 
 COMMANDS = (
@@ -267,10 +268,33 @@ def test_point_sign_null_vector_is_in_im_rho_coordinates(capsys, documents):
 def test_pins_see_the_witness_vectors(capsys, documents, monkeypatch):
     # a kernel witness scaled by 2 still certifies the failure, but it is
     # another output, so the table must not accept it; text output names
-    # failures without their witnesses, so the JSON pin is the one that moves
+    # failures without their witnesses, so the JSON pin is the one that
+    # moves.  The witness is schema strings, so it is scaled as numbers:
+    # doubling the text ("1" -> "11") would move the pin for another reason
     key = ("ngon:4/point-sign", "check --h1", "json")
     path = documents["ngon:4/point-sign"]
     assert _digest(capsys, path, "check --h1", "json") == GOLDEN[key]
     witness = checks.kernel_witness
-    monkeypatch.setattr(checks, "kernel_witness", lambda m: [2 * x for x in witness(m)])
+    monkeypatch.setattr(checks, "kernel_witness", lambda m: [str(2 * Fraction(x)) for x in witness(m)])
     assert _digest(capsys, path, "check --h1", "json") != GOLDEN[key]
+
+
+def test_no_check_or_validation_builds_a_fraction(capsys, documents, tmp_path, monkeypatch):
+    # a witness leaves the engine as schema strings of its integer column,
+    # verified by one integer product, so neither ``check --all`` nor
+    # ``validate`` builds a Fraction on these documents; the last document
+    # fails validation with a pairing-not-perfect kernel vector
+    doc = scenarios.build(scenarios.parse_spec("ngon:3")).to_json_dict()
+    next(f for f in doc["faces"] if f["indices"] == [1])["pairing"] = {"0": [["0"]], "2": [["0"]]}
+    invalid = tmp_path / "pairing-not-perfect.json"
+    invalid.write_text(json.dumps(doc), encoding="utf-8")
+    made, new = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+    codes, out = [], ""
+    for path in [*documents.values(), str(invalid)]:
+        for command in ("check --all", "validate"):
+            codes.append(main([*command.split(" "), "--input", path, "--format", "json"]))
+            out = capsys.readouterr().out
+    assert made == []
+    assert codes == [1, 0] * len(documents) + [1, 1]
+    assert "kernel_vector" in out

@@ -85,6 +85,21 @@ class TestParse:
         with pytest.raises(InvalidParameters):
             parse_spec("banana")
 
+    @pytest.mark.parametrize("spec", ["ngon:", "tetrahedron:", "cellular:", "ngon:3,"])
+    def test_empty_parameter_after_a_colon(self, spec):
+        # a colon promises a list: an empty one is no list of integers
+        with pytest.raises(InvalidParameters, match="comma-separated integers"):
+            parse_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ScenarioSpec("ngon", {"M": 4}), ScenarioSpec("tetrahedron", {"N": 3})],
+        ids=["ngon-M", "tetrahedron-N"],
+    )
+    def test_build_rejects_a_parameter_the_kind_does_not_take(self, spec):
+        with pytest.raises(InvalidParameters):
+            build(spec)
+
     def test_surplus_parameters(self):
         with pytest.raises(InvalidParameters):
             parse_spec("tetrahedron:3")
