@@ -16,11 +16,12 @@ content gcd once, when it becomes a pivot row.  So its cost follows the row
 operations, not the shape, and ranks, column spaces and quotients read its
 pivots alone.  The reduced form adds one back-substitution from the last
 pivot row up and keeps the lcm of its pivots as its denominator.
-Signatures run a fraction-free symmetric elimination on the same integer
-rows.  Entries enter in one pass that keeps only the nonzeros, and leave
-as schema strings formatted straight from the integers (``to_strings``, and
-``col`` for one column, a witness vector); only the dense ``entries`` view
-builds ``Fraction``s.  No floating point anywhere.
+Signatures clear the same integer rows by the same rule, symmetrically,
+touching only the rows a pivot row meets.  Entries enter in one pass that
+keeps only the nonzeros, and leave as schema strings formatted straight
+from the integers (``to_strings``, and ``col`` for one column, a witness
+vector); only the dense ``entries`` view builds ``Fraction``s.  No floating
+point anywhere.
 
 Cost model: the matrices are small, so an operation costs about its
 nonzero entries plus a constant, and the constant is kept small.  Results
@@ -155,7 +156,7 @@ def _clear(row: dict, c: int, q: dict) -> None:
     """Clear ``row`` at column ``c`` against the pivot row ``q``, in place:
     ``row`` becomes ``(p/g) row - (a/g) q`` (``p`` the pivot, ``a`` the
     entry, ``g = gcd(p, a)``), or ``row - (a/p) q`` when ``p`` divides
-    ``a``.  Its content is left for the caller to divide out once."""
+    ``a``.  The caller divides its content out."""
     p, a = q[c], row[c]
     if a % p:
         g = gcd(p, a)
@@ -863,83 +864,49 @@ def induced_pairing(p: RatMatrix, left: QuotientSpace, right: QuotientSpace):
 def signature(sym: RatMatrix):
     """Inertia ``(n_plus, n_minus, n_zero)`` of a symmetric matrix.
 
-    Fraction-free symmetric congruence diagonalization; Sylvester's law makes
-    the result basis-independent.  It runs on the integer numerators: the
-    matrix times its denominator, a positive factor that keeps the inertia.
-    Pivot ``d`` is a nonzero diagonal entry, moved into place by a symmetric
-    swap, or made by adding one row and column into another when the whole
-    remaining diagonal is zero.  Eliminating it replaces the remaining block ``B``
-    (with ``e`` the pivot's row there) by ``(|d| B - sign(d) e e^T) / c``,
-    where ``c`` is the previous ``|d|`` (1 at first): that is ``|d|`` times
-    the Schur complement, a positive multiple with the same inertia, and the
-    division is exact, as in Bareiss's elimination, so entries stay minors
-    of the scaled input.  Each step counts the sign of ``d``.
+    Symmetric elimination of the integer numerators (the matrix times its
+    denominator, a positive factor that keeps the inertia) by the rule of
+    ``_eliminate``: each row is cleared in place by ``_clear`` against the
+    pivot row, made positive at its pivot, and divided by its content.  So a
+    cleared row is only ever multiplied by a positive factor, and the live
+    rows are ``D S`` for a positive diagonal ``D`` and the symmetric Schur
+    complement ``S``: a row has an entry in a column exactly when that
+    column's row has one in the row's, and a pivot has the sign of ``S``'s.
+    Pivots are taken in index order.  A nonzero diagonal entry counts its
+    sign and clears its column from the rows its own row meets.  A zero
+    diagonal in a row with entries pivots on ``(k, j)``, ``j`` its first
+    column, then on ``(j, k)``: the block ``[[0, s], [s, t]]`` has one
+    positive and one negative eigenvalue (Bunch and Kaufman's 2x2 pivot).
+    An empty row counts nothing.  By Sylvester's law the counts are the
+    inertia, whatever the order.
     """
     if not sym.is_symmetric():
         raise NotSymmetric("signature requires a symmetric matrix")
-    n = sym.rows
     m = [dict(row) for row in sym._data]
 
-    def swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        for row in m:
-            a, b = row.pop(i, 0), row.pop(j, 0)
-            if b:
-                row[i] = b
-            if a:
-                row[j] = a
-
-    def add_into(i, j):
-        # row_i += row_j followed by col_i += col_j keeps symmetry
-        for col, y in m[j].items():
-            row_add(m[i], col, y)
-        for row in m:
-            y = row.get(j)
-            if y:
-                row_add(row, i, y)
-
-    def row_add(row, k, y):
-        v = row.get(k, 0) + y
-        if v:
-            row[k] = v
-        else:
-            del row[k]
+    def pivot(r, c, rows):
+        q = m[r] if m[r][c] > 0 else {j: -y for j, y in m[r].items()}
+        for i in rows:
+            if i != r:
+                _clear(m[i], c, q)
+                _primitive(m[i])
 
     n_plus = n_minus = 0
-    c = 1
-    for k in range(n):
-        if not m[k].get(k):
-            p = next((i for i in range(k + 1, n) if m[i].get(i)), None)
-            if p is not None:
-                swap(k, p)
+    for k, row in enumerate(m):
+        if not row:
+            continue  # an empty row, or the partner of a 2x2 pivot
+        d = row.get(k)
+        if d:
+            if d > 0:
+                n_plus += 1
             else:
-                a = next((a for a in range(k, n) if m[a]), None)
-                if a is None:
-                    break  # remaining block is zero
-                add_into(a, min(m[a]))  # makes m[a][a] = 2*m[a][b] != 0
-                if a != k:
-                    swap(k, a)
-        d = m[k][k]
-        if d > 0:
-            n_plus += 1
+                n_minus += 1
+            pivot(k, k, list(row))
         else:
+            j = min(row)
+            pivot(k, j, list(m[j]))
+            pivot(j, k, list(row))
+            n_plus += 1
             n_minus += 1
-        # rows and columns before k are gone: drop column k from the block
-        e = [(j, y) for j, y in m[k].items() if j != k]
-        ad, sd = abs(d), (1 if d > 0 else -1)
-        for i in range(k + 1, n):
-            row = m[i]
-            ei = row.pop(k, 0)
-            if ei:
-                for j in row:
-                    row[j] *= ad
-                for j, y in e:
-                    row_add(row, j, -sd * ei * y)
-                if c != 1:
-                    for j in row:
-                        row[j] //= c
-            elif ad != c:
-                for j in row:
-                    row[j] = row[j] * ad // c
-        c = ad
-    return n_plus, n_minus, n - n_plus - n_minus
+            m[j] = None
+    return n_plus, n_minus, sym.rows - n_plus - n_minus

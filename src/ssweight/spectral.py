@@ -41,7 +41,6 @@ from .errors import DifferentialNotSquareZero, InducedPairingIllDefined
 from .linalg import (
     QuotientSpace,
     RatMatrix,
-    Subspace,
     _format,
     assemble_blocks,
     induced_map,
@@ -146,8 +145,8 @@ def build_e1(sc: StrataComplex) -> E1Page:
     return E1Page(sc)
 
 
-# the quotient at a cell without first-page summands
-_NO_CELL = QuotientSpace(0, Subspace.zero(0), Subspace.zero(0))
+# the quotient at a cell without first-page summands, whole: read with no elimination
+_NO_CELL = QuotientSpace.of_cycles(RatMatrix.zeros(0, 0), [], RatMatrix.zeros(0, 0))
 
 
 class E2Page:

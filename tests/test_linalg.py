@@ -117,6 +117,11 @@ class TestSignature:
     def test_hyperbolic_plane(self):
         assert signature(M([[0, 1], [1, 0]])) == (1, 1, 0)
 
+    def test_zero_diagonal_beside_a_nonzero_one(self):
+        # the 2x2 pivot on (0, 1), whose partner row has a nonzero diagonal
+        assert signature(M([[0, 1], [1, 1]])) == (1, 1, 0)
+        assert signature(M([[0, 1, 0], [1, 2, 3], [0, 3, 0]])) == (1, 1, 1)
+
     def test_rejects_nonsymmetric(self):
         with pytest.raises(NotSymmetric):
             signature(M([[0, 1], [2, 0]]))

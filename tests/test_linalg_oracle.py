@@ -20,12 +20,16 @@ rows and columns, tall and wide shapes, dense multi-digit rationals whose
 rows share content, and a 64-cycle with an identity block beside it, whose
 64 free columns a solve and a kernel must get right.  The 257-cycle beside
 an identity block, where one entering row hops across every pivot column
-and gains an entry per hop, has a test of its own.  The quotient tests draw flags
-``denominator ⊂ numerator`` (sometimes not nested), and maps and pairings
-that are drawn at random or built in bases adapted to the flags so that
-they descend; sympy's ranks decide which is which.  Every
-result that is compared is also checked to equal, and hash like, the same
-entries loaded afresh, so that equal values always have equal storage.
+and gains an entry per hop, has a test of its own.  Symmetric matrices of
+known inertia up to 2,000 rows (a diagonal of alternating signs, hyperbolic
+planes, and the Laplacians of a path and of a cycle, the latter also
+negated) pin the signature and how many rows its pivots clear.  The
+quotient tests draw flags ``denominator ⊂ numerator`` (sometimes not
+nested), and maps and pairings that are drawn at random or built in bases
+adapted to the flags so that they descend; sympy's ranks decide which is
+which.  Every result that is compared is also checked to equal, and hash
+like, the same entries loaded afresh, so that equal values always have
+equal storage.
 """
 
 import itertools
@@ -465,6 +469,57 @@ def test_cycle_beside_identity_matches_sympy():
     assert m @ sol == m @ x
     # 0 on every free column, as sympy's solution with its parameters 0
     assert all(not any(sol.entries[j]) for j in set(range(2 * n)) - set(pivots))
+
+
+def path(n: int) -> RatMatrix:
+    """Incidence of the n-path, edges by vertices: row i is e_i - e_{i+1}."""
+    return from_entries(n - 1, n, {(i, i + d): Fraction((-1) ** d) for i in range(n - 1) for d in (0, 1)})
+
+
+def diagonal(values) -> RatMatrix:
+    n = len(values)
+    return RatMatrix.from_rows([[x if i == j else 0 for j in range(n)] for i, x in enumerate(values)])
+
+
+def laplacian(incidence: RatMatrix) -> RatMatrix:
+    return incidence.transpose() @ incidence
+
+
+# symmetric matrices of known inertia, too large for the charpoly oracle, and
+# the calls to ``_clear`` that ``signature`` may make on them: none where each
+# pivot row meets no other row, one per edge of a path, and at most two per
+# pivot on a cycle, whose last row meets every pivot row
+STRUCTURED_SIGNATURES = {
+    "alternating-diagonal-2000": (
+        lambda: kron(RatMatrix.identity(200), diagonal([1, -2, 3, -4, 5, -1, 2, -3, 4, -5])),
+        (1000, 1000, 0),
+        range(1),
+    ),
+    "hyperbolic-planes-64": (
+        lambda: kron(RatMatrix.identity(64), RatMatrix.from_rows([[0, 1], [1, 0]])),
+        (64, 64, 0),
+        range(1),
+    ),
+    "path-laplacian-257": (lambda: laplacian(path(257)), (256, 0, 1), range(256, 257)),
+    "cycle-laplacian-257": (lambda: laplacian(cycle(257)), (256, 0, 1), range(2 * 257 + 1)),
+    "negated-cycle-laplacian-257": (lambda: -laplacian(cycle(257)), (0, 256, 1), range(2 * 257 + 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURED_SIGNATURES))
+def test_structured_signature_clears_only_the_rows_a_pivot_meets(monkeypatch, name):
+    build, inertia, clears = STRUCTURED_SIGNATURES[name]
+    m = build()
+    calls = []
+    clear = linalg._clear
+
+    def counting(row, c, q):
+        calls.append(c)
+        clear(row, c, q)
+
+    monkeypatch.setattr(linalg, "_clear", counting)
+    assert signature(m) == inertia
+    assert len(calls) in clears
 
 
 # -- quotients -------------------------------------------------------------------

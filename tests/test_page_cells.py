@@ -269,7 +269,8 @@ def test_eliminations_of_a_page(monkeypatch, label, eliminations):
 
 
 @pytest.mark.parametrize(
-    "label, eliminations, solves", [("tetrahedron", 76, 11), ("ngon:20", 44, 4)]
+    "label, eliminations, solves",
+    [("tetrahedron", 76, 11), ("ngon:20", 44, 4), ("good_reduction_pn:2", 20, 0), ("cellular:1,2,1", 22, 0)],
 )
 def test_eliminations_and_solves_of_check_all(monkeypatch, label, eliminations, solves):
     # no independence rank of a basis independent by construction, and no
