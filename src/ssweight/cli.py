@@ -372,6 +372,12 @@ def main(argv=None) -> int:
     except OSError as exc:  # a missing, unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass
+    # an input too large for the memory at hand is an input error; the
+    # message is written once the handler has freed what the command held
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

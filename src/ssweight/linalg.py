@@ -473,7 +473,10 @@ class RatMatrix:
 
     def pivots(self) -> list:
         """Pivot columns of the forward elimination alone: the columns that
-        are not in the span of the columns before them."""
+        are not in the span of the columns before them; a zero matrix has
+        none, found with no elimination."""
+        if not any(self._data):
+            return []
         return self._eliminate(reduce=False)[1]
 
     def rank(self) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameters
-from .linalg import RatMatrix, _quoted, integer
+from .linalg import RatMatrix, _make, _quoted, integer
 from .strata import StrataComplex, StratumCohomology
 
 
@@ -186,38 +186,21 @@ def cellular_cohomology(cells) -> StratumCohomology:
         prim.append(cells[s] - prev)
         prev = cells[s]
 
-    def basis(k):
-        # string born in degree 2s lives through degrees 2s..2(n-s)
-        return [
-            (s, t)
-            for s in range(min(k, n - k) + 1)
-            for t in range(prim[s] if s < len(prim) else 0)
-        ]
-
-    dims = {2 * k: len(basis(k)) for k in range(n + 1)}
-    pairing = {}
-    lefschetz = {}
-    for k in range(n + 1):
-        bk = basis(k)
-        bdual = basis(n - k)
-        pairing[2 * k] = RatMatrix(
-            len(bk),
-            len(bdual),
-            [
-                [(-1) ** s if (s, t) == (s2, t2) else 0 for (s2, t2) in bdual]
-                for (s, t) in bk
-            ],
-        )
-        if k < n:
-            bup = basis(k + 1)
-            lefschetz[2 * k] = RatMatrix(
-                len(bup),
-                len(bk),
-                [
-                    [1 if (s, t) == (s2, t2) else 0 for (s2, t2) in bk]
-                    for (s, t) in bup
-                ],
-            )
+    # H^{2k} has the labels (s, t) of the strings born in degrees 2s up to
+    # min(2k, 2(n-k)), in order of s: a prefix of the labels of the middle
+    # degree, cells[k] long and the same for k and n-k.  So the pairing is
+    # the diagonal of the signs (-1)^s, and L the identity on the labels of
+    # H^{2k} that H^{2k+2} shares; each matrix is built from its nonzeros,
+    # with rows shared among them.
+    strings = [s for s in range(half) for _ in range(prim[s])]
+    signed = [{i: (-1) ** s} for i, s in enumerate(strings)]
+    unit = [{i: 1} for i in range(len(strings))]
+    dims = {2 * k: c for k, c in enumerate(cells)}
+    pairing = {2 * k: _make(c, c, 1, signed[:c]) for k, c in enumerate(cells)}
+    lefschetz = {
+        2 * k: _make(up, c, 1, unit[: min(c, up)] + [{}] * (up - c))
+        for k, (c, up) in enumerate(zip(cells, cells[1:]))
+    }
     return StratumCohomology(
         dim=n, dims=dims, pairing=pairing, lefschetz=lefschetz, slope_pure=True
     )

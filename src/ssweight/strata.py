@@ -547,7 +547,8 @@ class StrataComplex:
 
         # each distinct stratum, and each distinct restriction between two
         # strata, is tensored once, so the product shares what this shares
-        tensored = {id(coh): tensor_stratum(coh) for coh in self.faces.values()}
+        distinct = {id(coh): coh for coh in self.faces.values()}
+        tensored = {key: tensor_stratum(coh) for key, coh in distinct.items()}
         new_faces = {f: tensored[id(coh)] for f, coh in self.faces.items()}
         new_restrictions = {}
         done: dict[tuple[int, int, int], dict[int, RatMatrix]] = {}

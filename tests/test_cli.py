@@ -752,3 +752,28 @@ def test_the_package_runs_as_a_module(argv, code):
     )
     assert done.returncode == code
     assert ("usage: ssweight" in done.stdout) if code == 0 else ("error:" in done.stderr)
+
+
+def test_running_out_of_memory_exits_two():
+    # ``scenario cellular:200000`` builds its stratum in linear memory but
+    # writes a dense 200,000 x 200,000 pairing, far past the address space
+    # the child allows itself: one error line and exit 2, not a traceback
+    # and exit 1, which would read as a failed check
+    resource = pytest.importorskip("resource")
+    src = str(Path(ssweight.__file__).resolve().parents[1])
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 512 << 20 if hard == resource.RLIM_INFINITY else min(512 << 20, hard)
+    child = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {hard}))\n"
+        "from ssweight.cli import main\n"
+        "sys.exit(main(['scenario', 'cellular:200000']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")

@@ -26,6 +26,16 @@ one check suite:
 So every suite flag has at least one pinned failure, with its locations and
 witness vectors.  The table holds the SHA-256 of stdout and the exit code,
 in text and JSON, like ``test_golden_outputs``.
+
+``hl_cohomology_fixpoint`` has no pinned failure, because it cannot fail on
+a page that builds.  It compares ``hl_cohomology(e2)``, the second page of
+``e2``, with ``e2``.  The differential of ``e2`` is zero, so every cell of
+``hl_cohomology(e2)`` is a whole quotient: no boundaries, every vector a
+cycle, and the identity as its basis.  Between whole quotients
+``induced_map`` returns the operator and ``induced_pairing`` the pairing,
+so ``_same_complex`` compares each ``N``, ``L``, ``d`` and pairing of
+``e2`` with itself.  ``test_cohomology_of_a_page_is_the_page`` checks that
+premise on every builtin.
 """
 
 import hashlib
@@ -37,6 +47,8 @@ import pytest
 from helpers import SIGN_MUTANTS, sign_mutant
 from ssweight import checks, scenarios
 from ssweight.cli import main
+from ssweight.hodge_lefschetz import hl_cohomology
+from ssweight.spectral import E1Page, E2Page
 
 COMMANDS = (
     "validate",
@@ -298,3 +310,17 @@ def test_no_check_or_validation_builds_a_fraction(capsys, documents, tmp_path, m
     assert made == []
     assert codes == [1, 0] * len(documents) + [1, 1]
     assert "kernel_vector" in out
+
+
+@pytest.mark.parametrize("spec", scenarios.builtin_specs(), ids=lambda s: s.label())
+def test_cohomology_of_a_page_is_the_page(spec):
+    # why hl_cohomology_fixpoint cannot fail: every cell of the page's own
+    # cohomology is whole, so each operator and pairing comes back as the
+    # page's own matrix, the same object
+    e2 = E2Page(E1Page(scenarios.build(spec)))
+    h = hl_cohomology(e2)
+    assert h.support() == e2.support()
+    assert all(h.quotient(a, b)._is_whole for (a, b) in e2.support())
+    for op in ("nmap", "lmap", "d1", "pairing_at"):
+        for (a, b) in e2.support():
+            assert getattr(h, op)(a, b) is getattr(e2, op)(a, b), (op, a, b)

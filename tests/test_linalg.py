@@ -38,6 +38,16 @@ class TestRank:
     def test_zero(self):
         assert RatMatrix.zeros(3, 4).rank() == 0
 
+    def test_zero_has_no_pivots_and_no_elimination(self, monkeypatch):
+        def eliminate(self, reduce):
+            raise AssertionError("a zero matrix was eliminated")
+
+        monkeypatch.setattr(RatMatrix, "_eliminate", eliminate)
+        # shared zeros, and a zero read from its entries
+        for m in (RatMatrix.zeros(3, 4), M([[0, 0], [0, 0]]), RatMatrix.zeros(0, 2)):
+            assert m.pivots() == [] and m.rank() == 0
+        assert image(M([[0, 0, 0]])).dim == 0
+
     def test_proportional_rows(self):
         assert M([[1, 2], [2, 4]]).rank() == 1
 
