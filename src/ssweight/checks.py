@@ -331,15 +331,13 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
     ))
 
     # weight-monodromy on weight-two degree-one classes: the identity of
-    # H^0(level 2) induces ker(tau)∩ker(rho) ~ ker(rho)/im(rho)
-    amb = h0_double.ambient_dim
-    source = QuotientSpace(amb, ker_tau20.intersection(h0_double.numerator), Subspace.zero(amb))
+    # H^0(level 2) induces ker(tau)∩ker(rho) ~ ker(rho)/im(rho); on a basis
+    # s of the source it is the map s out of the whole of Q^k
+    s = ker_tau20.intersection(h0_double.numerator).basis
+    k = s.cols
+    whole = QuotientSpace(RatMatrix.identity(k), list(range(k)), RatMatrix.zeros(k, 0))
     results.append(
-        bijectivity_check(
-            "wm_h1_iso",
-            {"r": 1, "w": 1},
-            induced_map(RatMatrix.identity(amb), source, h0_double),
-        )
+        bijectivity_check("wm_h1_iso", {"r": 1, "w": 1}, induced_map(s, whole, h0_double))
     )
 
     # the three Lefschetz-power maps between degree-one and degree-(2n-1) cells

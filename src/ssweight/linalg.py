@@ -724,81 +724,43 @@ class Subspace:
 
 
 class QuotientSpace:
-    """numerator / denominator inside Q^ambient_dim.
+    """The span of ``cycles`` modulo that of ``boundaries`` inside
+    Q^ambient_dim, read as a second page reads ``ker d1 / im d1``.
 
-    ``basis = [denominator | lift]`` is a basis of the numerator adapted to
-    the denominator: ``lift`` is the numerator columns that extend the
-    denominator basis in one pivoted elimination of ``[denominator |
-    numerator]``, so equal inputs pick identical representatives.  Its
-    columns are independent, so every quotient coordinate is unique, and
-    ``coords`` lists rows of the ambient space with ``basis[coords, :]``
-    invertible: a vector of the numerator is ``basis @ x`` for the one
-    ``x`` that its ``coords`` entries determine.  ``unit_coords`` records
-    that ``basis[coords, :]`` is the identity, so that ``x`` is those
-    entries themselves.
-
-    ``QuotientSpace.of_cycles`` builds the same quotient in the coordinates
-    of a numerator basis with an identity block, as a second page does with
-    ``ker d1 / im d1``: those coordinates are its ``coords``, and its
-    ``numerator`` and ``denominator`` subspaces are formed, with no check,
+    ``cycles[free, :]`` is the identity (a ``reduced_kernel``), and the
+    columns of ``boundaries`` are independent and lie in the span of
+    ``cycles``; neither is checked.  ``basis = [boundaries | lift]`` is a
+    basis of the numerator adapted to the denominator, invertible on the
+    rows ``free``: a vector of the numerator is ``basis @ x`` for the one
+    ``x`` that its ``free`` entries determine.  ``lift`` holds the cycle
+    ``e_j`` exactly when no vector in the span of ``boundaries[free, :]``
+    has its last nonzero coordinate at ``j``; those coordinates are the
+    pivots of its transpose with the columns reversed, one small
+    elimination, so equal inputs pick identical representatives.  Without
+    boundaries the basis is ``cycles`` itself (``unit_coords``: ``x`` is
+    the ``free`` entries themselves), and no elimination runs.  The
+    ``numerator`` and ``denominator`` subspaces are formed, unchecked,
     when first read.
     """
 
     unit_coords = False
 
-    def __init__(self, ambient_dim: int, numerator: Subspace, denominator: Subspace):
-        if numerator.ambient_dim != ambient_dim or denominator.ambient_dim != ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        # the independent denominator columns are the first d pivots, and
-        # there are numerator.dim pivots iff the denominator lies inside
-        d = denominator.dim
-        pivots = denominator.basis.hstack(numerator.basis).pivots()
-        if len(pivots) != numerator.dim:
-            raise NotWellDefined("denominator is not contained in numerator")
-        self.ambient_dim = ambient_dim
-        self.numerator = numerator
-        self.denominator = denominator
-        self.lift = numerator.basis.take_columns(p - d for p in pivots[d:])
-        self.basis = denominator.basis.hstack(self.lift)
-
-    @classmethod
-    def of_cycles(cls, cycles: RatMatrix, free: list, boundaries: RatMatrix) -> "QuotientSpace":
-        """The quotient of the span of ``cycles`` by that of ``boundaries``,
-        whose columns are independent and lie in it, when ``cycles[free, :]``
-        is the identity (a ``reduced_kernel``).
-
-        A vector ``v`` of the numerator is ``cycles @ v[free]``, so the
-        quotient is read in those coordinates.  The pivoted elimination of
-        ``[boundaries | cycles]`` picks the cycle ``e_j`` exactly when no
-        vector in the span of ``boundaries[free, :]`` has its last nonzero
-        coordinate at ``j``; those coordinates are the pivots of its
-        transpose with the columns reversed, one small elimination.  The
-        lift columns are unit vectors in these coordinates, so ``free``
-        serves as ``coords``.  Without boundaries the basis is ``cycles``
-        itself, the identity on ``free``, and no elimination runs.
-        """
+    def __init__(self, cycles: RatMatrix, free: list, boundaries: RatMatrix):
         k = len(free)
-        q = object.__new__(cls)
-        q.ambient_dim = cycles.rows
-        q.coords = free
-        q._spans = (cycles, boundaries)
+        self.ambient_dim = cycles.rows
+        self.free = free
+        self._spans = (cycles, boundaries)
         if not boundaries.cols:
-            q.lift = q.basis = cycles
-            q.unit_coords = True
-            return q
+            self.lift = self.basis = cycles
+            self.unit_coords = True
+            return
         flipped = [{} for _ in range(boundaries.cols)]
         for i, f in enumerate(free):
             for j, x in boundaries._data[f].items():
                 flipped[j][k - 1 - i] = x
         last = {k - 1 - p for p in _make(boundaries.cols, k, 1, flipped).pivots()}
-        q.lift = cycles.take_columns(j for j in range(k) if j not in last)
-        q.basis = boundaries.hstack(q.lift)
-        return q
-
-    @cached_property
-    def coords(self) -> list:
-        """The first independent rows of ``basis``, found when first read."""
-        return self.basis.transpose().pivots()
+        self.lift = cycles.take_columns(j for j in range(k) if j not in last)
+        self.basis = boundaries.hstack(self.lift)
 
     @cached_property
     def numerator(self) -> Subspace:
@@ -824,7 +786,7 @@ class QuotientSpace:
 def induced_map(m: RatMatrix, src: QuotientSpace, dst: QuotientSpace) -> RatMatrix:
     """Matrix of the map induced by ``m`` on quotient bases: the lift block
     of the one ``X`` with ``dst.basis @ X = m @ src.basis``, read on the
-    rows ``dst.coords`` alone and checked by one product.  It is those rows
+    rows ``dst.free`` alone and checked by one product.  It is those rows
     of ``m @ src.basis`` when ``dst.unit_coords``, and one solve otherwise;
     an identity basis is not multiplied by.
 
@@ -839,7 +801,7 @@ def induced_map(m: RatMatrix, src: QuotientSpace, dst: QuotientSpace) -> RatMatr
     if dst._is_whole:
         x = y
     else:
-        at = dst.coords
+        at = dst.free
         y_at = _submatrix(y, at, range(y.cols))
         x = y_at if dst.unit_coords else _submatrix(dst.basis, at, range(dst.basis.cols)).solve(y_at)
         if dst.basis @ x != y:

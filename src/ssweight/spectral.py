@@ -146,7 +146,7 @@ def build_e1(sc: StrataComplex) -> E1Page:
 
 
 # the quotient at a cell without first-page summands, whole: read with no elimination
-_NO_CELL = QuotientSpace.of_cycles(RatMatrix.zeros(0, 0), [], RatMatrix.zeros(0, 0))
+_NO_CELL = QuotientSpace(RatMatrix.zeros(0, 0), [], RatMatrix.zeros(0, 0))
 
 
 class E2Page:
@@ -155,7 +155,7 @@ class E2Page:
 
     ``e1`` is any complex with the interface of the module docstring: the
     first page, another ``E2Page``, or a module built by hand.  Each cell is
-    a ``QuotientSpace.of_cycles`` in the coordinates of ``ker dout``: one
+    a ``QuotientSpace`` in the coordinates of ``ker dout``: one
     reduced elimination of each ``d1`` gives the kernel basis of its source
     cell and, through its pivots, the image basis of its target cell, and a
     cell with boundaries adds one small elimination that picks its lift.
@@ -178,7 +178,7 @@ class E2Page:
             cycles, free, pivots[(a, b)] = dout.reduced_kernel()
             # the support is sorted: (a - 1, b) came first, or it has no pivots
             into = pivots.get((a - 1, b), [])
-            self._quotients[(a, b)] = QuotientSpace.of_cycles(cycles, free, din.take_columns(into))
+            self._quotients[(a, b)] = QuotientSpace(cycles, free, din.take_columns(into))
 
     @property
     def cycle_generated(self) -> bool:

@@ -11,6 +11,8 @@
 * ``SIGN_MUTANTS``: builtins with some matrices of some faces negated, which
   still validate but fail checks.
 * ``swap_face``: break one face of a builtin whose faces share strata.
+* ``quotient_of``: a ``QuotientSpace`` from any numerator basis, and
+  ``GeneralQuotient``, the reference model of a quotient by a second rule.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from fractions import Fraction
 
 from ssweight import scenarios
 from ssweight.checks import CheckResult, relation_checks
-from ssweight.linalg import RatMatrix
+from ssweight.errors import NotWellDefined
+from ssweight.linalg import QuotientSpace, RatMatrix, Subspace
 from ssweight.scenarios import (
     cellular_cohomology,
     elliptic_curve_cohomology,
@@ -58,6 +61,33 @@ def independent_rank(rows) -> int:
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def quotient_of(num: RatMatrix, den: RatMatrix) -> QuotientSpace:
+    """The span of ``num`` modulo that of ``den``, for independent columns
+    with ``den`` inside the span of ``num``, through the one constructor: in
+    the coordinates of the first independent rows of ``num``."""
+    free = num.transpose().pivots()
+    at_free = num.transpose().take_columns(free).transpose()
+    return QuotientSpace(num @ at_free.inverse(), free, den)
+
+
+class GeneralQuotient:
+    """``numerator / denominator`` inside Q^ambient_dim by a second rule,
+    the reference for ``QuotientSpace``: the lift is the numerator columns
+    that extend the denominator basis in one pivoted elimination of
+    ``[denominator | numerator]``, and a denominator outside the numerator
+    raises ``NotWellDefined``."""
+
+    def __init__(self, ambient_dim: int, numerator: Subspace, denominator: Subspace):
+        d = denominator.dim
+        pivots = denominator.basis.hstack(numerator.basis).pivots()
+        if len(pivots) != numerator.dim:
+            raise NotWellDefined("denominator is not contained in numerator")
+        self.ambient_dim, self.numerator, self.denominator = ambient_dim, numerator, denominator
+        self.lift = numerator.basis.take_columns(p - d for p in pivots[d:])
+        self.basis = denominator.basis.hstack(self.lift)
+        self.dim = self.lift.cols
 
 
 def nerve_cohomology_oracle(sc: StrataComplex, a: int) -> int:

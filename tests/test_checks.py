@@ -124,7 +124,8 @@ class TestH1Suite:
     @pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.label())
     def test_one_quotient_beyond_the_page(self, monkeypatch, spec):
         # ker rho / im rho of H^0 of the double level is the page's quotient
-        # at (1, 0); only wm_h1_iso's source is formed by the suite
+        # at (1, 0); the suite forms one more, the whole quotient on the
+        # coordinates of wm_h1_iso's source
         e2 = page(build(spec))
         made = []
         init = QuotientSpace.__init__
