@@ -9,12 +9,14 @@ the selected suites on it in a fixed order.
 
 Every handler returns its exit code, its JSON payload and a function that
 builds its text, and ``main`` is the one writer: it writes the payload or
-the text, as ``--format`` asks, to stdout or to ``-o``.  A command that
-reads the second page of a complex that fails validation gives the
-``validate`` command's result.  An error is an ``error:`` line on stderr,
-followed by the pointer to the document schema only when the input
-document is malformed (a ``SchemaError``).  Integers on the command line,
-``--q``, ``--jumps`` and scenario parameters, are written ``-?[0-9]+``.
+the text, as ``--format`` asks, to stdout or to ``-o``.  ``scenario`` has
+no ``--format``: its text is the document, as ``StrataComplex.dumps``
+writes it.  A command that reads the second page of a complex that fails
+validation gives the ``validate`` command's result.  An error is an
+``error:`` line on stderr, followed by the pointer to the document schema
+only when the input document is malformed (a ``SchemaError``).  Integers on
+the command line, ``--q``, ``--jumps`` and scenario parameters, are written
+``-?[0-9]+``.
 
 ``main(argv)`` returns the exit code rather than exiting, so it can be
 called repeatedly in one process; the parser is built once per process, on
@@ -282,7 +284,8 @@ def _cmd_report(args):
 
 
 def _cmd_scenario(args):
-    return 0, scenarios.build(scenarios.parse_spec(args.kind)).to_json_dict(), None
+    # the document is its own text, written at the cost of its distinct strata
+    return 0, None, scenarios.build(scenarios.parse_spec(args.kind)).dumps
 
 
 @functools.cache
@@ -344,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="emit a builtin scenario as JSON")
     p.add_argument("kind", help="e.g. ngon:4, tetrahedron, cellular:1,2,1")
     p.add_argument("-o", "--output", help="write to this path instead of stdout")
-    p.set_defaults(func=_cmd_scenario, format="json")
+    p.set_defaults(func=_cmd_scenario, format="text")
     return parser
 
 

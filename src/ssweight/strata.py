@@ -37,6 +37,7 @@ Canonical text, not Python equality, keys them, since ``1``, ``1.0`` and
 checks each distinct stratum of each dimension, and each distinct
 ``(source stratum, target stratum, maps)``, once, and reports the verdicts
 again at every face or restriction that shares it, in the order of faces.
+``dumps`` writes the text of each stratum object and maps dict once.
 The complex memoises its levels, ``rho``, ``tau`` and the level pairings and
 Lefschetz maps with ``memoised``, so the relation checks, the first page and
 the suites share one assembly of each.
@@ -581,46 +582,60 @@ class StrataComplex:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        faces = []
-        for f in sorted(self.faces):
-            coh = self.faces[f]
-            entry = {
-                "indices": list(f),
-                "cohomology": {str(m): coh.dim_in(m) for m in coh.degrees()},
-                "pairing": {
-                    str(m): coh.pairing[m].to_strings()
-                    for m in sorted(coh.pairing)
-                    if coh.dim_in(m)
-                },
-                "lefschetz": {str(m): L.to_strings() for m, L in sorted(coh.lefschetz.items())},
-                "slope_pure": coh.slope_pure,
-            }
-            if coh.labels:
-                entry["labels"] = {
-                    str(m): list(names) for m, names in sorted(coh.labels.items())
-                }
-            faces.append(entry)
-        restrictions = []
-        for (a, b) in sorted(self.restrictions):
-            maps = self.restrictions[(a, b)]
-            restrictions.append(
-                {
-                    "from": list(a),
-                    "to": list(b),
-                    "maps": {str(m): mat.to_strings() for m, mat in sorted(maps.items())},
-                }
-            )
+        """The document as ``json.loads`` would return it.  Every call makes
+        fresh dicts and lists, and no two faces or restrictions share one,
+        even where they share a stratum or maps: a caller may edit one
+        entry in place without touching another."""
+        return {
+            **self._header(),
+            "faces": [
+                {"indices": list(f), **_stratum_fields(self.faces[f])} for f in sorted(self.faces)
+            ],
+            "restrictions": [
+                {"from": list(a), "to": list(b), **_maps_fields(self.restrictions[(a, b)])}
+                for (a, b) in sorted(self.restrictions)
+            ],
+        }
+
+    def _header(self) -> dict:
+        """The members of the document other than its faces and restrictions."""
         return {
             "schema_version": 1,
             "name": self.name,
             "dimension": self.n,
             "components": list(self.components),
-            "faces": faces,
-            "restrictions": restrictions,
         }
 
     def dumps(self) -> str:
-        return json_text(self.to_json_dict())
+        """``json_text(self.to_json_dict())``, byte for byte, at the cost of
+        the distinct strata and maps: the members a face entry takes from its
+        stratum are written once per stratum object, and the ``maps`` of a
+        restriction once per maps dict, and each face's ``indices`` and each
+        restriction's ``from`` and ``to`` are spliced into that text.  Only
+        text is shared, within one call: ``to_json_dict`` still gives every
+        entry dicts and lists of its own."""
+        # id of a stratum or maps dict -> its entry's text, cut at the indices
+        written: dict[int, list[str]] = {}
+
+        def entry(shared, fields, keys: tuple, values: tuple) -> str:
+            parts = written.get(id(shared))
+            if parts is None:
+                parts = written[id(shared)] = _spliced(fields(shared), keys, "\n    ")
+            out = [parts[0]]
+            for value, part in zip(values, parts[1:]):
+                out.append(_list(list(map(str, value)), "\n      "))
+                out.append(part)
+            return "".join(out)
+
+        faces = [
+            entry(self.faces[f], _stratum_fields, ("indices",), (f,)) for f in sorted(self.faces)
+        ]
+        restrictions = [
+            entry(self.restrictions[key], _maps_fields, ("from", "to"), key)
+            for key in sorted(self.restrictions)
+        ]
+        head, between, tail = _spliced(self._header(), ("faces", "restrictions"), "\n")
+        return head + _list(faces, "\n  ") + between + _list(restrictions, "\n  ") + tail
 
     @staticmethod
     def from_json_dict(doc: dict) -> "StrataComplex":
@@ -826,6 +841,54 @@ def json_text(value) -> str:
     out: list[str] = []
     _write_json(value, out, "\n")
     return "".join(out)
+
+
+def _stratum_fields(coh: StratumCohomology) -> dict:
+    """The members of a face entry that its stratum gives: all but ``indices``."""
+    fields = {
+        "cohomology": {str(m): coh.dim_in(m) for m in coh.degrees()},
+        "pairing": {
+            str(m): coh.pairing[m].to_strings() for m in sorted(coh.pairing) if coh.dim_in(m)
+        },
+        "lefschetz": {str(m): L.to_strings() for m, L in sorted(coh.lefschetz.items())},
+        "slope_pure": coh.slope_pure,
+    }
+    if coh.labels:
+        fields["labels"] = {str(m): list(names) for m, names in sorted(coh.labels.items())}
+    return fields
+
+
+def _maps_fields(maps: dict[int, RatMatrix]) -> dict:
+    """The members of a restriction entry that its maps give: all but
+    ``from`` and ``to``."""
+    return {"maps": {str(m): mat.to_strings() for m, mat in sorted(maps.items())}}
+
+
+def _spliced(fields: dict, keys: tuple, nl: str) -> list[str]:
+    """``json_text`` of the object ``fields`` with the further members
+    ``keys``, written at depth ``nl``, cut where the value of each of
+    ``keys`` goes: one more part than ``keys``."""
+    inner = nl + "  "
+    parts, out, sep = [], ["{"], inner
+    for key, x in sorted([*fields.items(), *((k, None) for k in keys)]):
+        out.append(sep + _ESCAPE(key) + ": ")
+        if key in keys:
+            parts.append("".join(out))
+            out = []
+        else:
+            _write_json(x, out, inner)
+        sep = "," + inner
+    out.append(nl + "}")
+    parts.append("".join(out))
+    return parts
+
+
+def _list(texts: list[str], nl: str) -> str:
+    """``json_text`` of a list at depth ``nl`` whose items are written ``texts``."""
+    if not texts:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
 def _write_json(v, out: list, nl: str) -> None:

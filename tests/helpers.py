@@ -13,13 +13,17 @@
 * ``swap_face``: break one face of a builtin whose faces share strata.
 * ``quotient_of``: a ``QuotientSpace`` from any numerator basis, and
   ``GeneralQuotient``, the reference model of a quotient by a second rule.
+* ``bench_inputs``: the benchmark's input module, loaded read-only, and
+  ``basis_changed``, a builtin in its seeded random coordinates.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from pathlib import Path
 
 from ssweight import scenarios
 from ssweight.checks import CheckResult, relation_checks
@@ -32,6 +36,24 @@ from ssweight.scenarios import (
     projective_space_cohomology,
 )
 from ssweight.strata import StrataComplex, StratumCohomology
+
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+
+
+def bench_inputs():
+    """``bench/inputs.py`` as a module of its own, read and never changed."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def basis_changed(label: str) -> dict:
+    """The document of the builtin ``label`` in the benchmark's seeded
+    random coordinates, where no two faces share a stratum."""
+    doc = scenarios.build(scenarios.parse_spec(label)).to_json_dict()
+    return bench_inputs().basis_change(doc, random.Random(f"7:{label}"))
 
 
 def swap_face(sc, face, **updates):

@@ -1,9 +1,16 @@
 """``json_text`` writes ``json.dumps(value, indent=2, sort_keys=True)`` byte
 for byte.  It is checked on every payload the CLI emits for the golden and
-failing-output tables, on every builtin document, and on drawn JSON values:
-non-ASCII and escape characters, empty containers, bools next to ints and
-big ints.  A value ``json`` rejects raises ``TypeError`` in both, and so do
-floats and keys that are not strings, which the program never writes."""
+failing-output tables, and on drawn JSON values: non-ASCII and escape
+characters, empty containers, bools next to ints and big ints.  A value
+``json`` rejects raises ``TypeError`` in both, and so do floats and keys
+that are not strings, which the program never writes.
+
+``StrataComplex.dumps`` writes each shared stratum and maps dict once and
+splices the rest in; it is checked against the same reference on documents
+that share in every way the program makes them: built, loaded back,
+basis-changed (nothing shared), products, a large ``N``-gon and a complex
+with one stratum swapped for an equal copy.  ``scenario`` writes
+``dumps()``, so its stdout is checked against the reference as well."""
 
 import json
 from fractions import Fraction
@@ -14,10 +21,10 @@ from hypothesis import strategies as st
 
 import test_failing_outputs as failing
 import test_golden_outputs as golden
-from helpers import SIGN_MUTANTS, sign_mutant
-from ssweight import cli, strata
-from ssweight.scenarios import build, builtin_specs
-from ssweight.strata import json_text
+from helpers import SIGN_MUTANTS, basis_changed, bench_inputs, sign_mutant, swap_face
+from ssweight import cli
+from ssweight.scenarios import build, builtin_specs, parse_spec
+from ssweight.strata import StrataComplex, json_text
 
 
 def reference(value) -> str:
@@ -34,7 +41,6 @@ def payloads(monkeypatch):
         return json_text(value)
 
     monkeypatch.setattr(cli, "json_text", recording)
-    monkeypatch.setattr(strata, "json_text", recording)
     return seen
 
 
@@ -47,7 +53,12 @@ JSON_COMMANDS = sorted(
 @pytest.mark.parametrize("argv", JSON_COMMANDS)
 def test_golden_payloads(capsys, payloads, argv):
     cli.main(argv.split(" "))
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    command, *rest = argv.split(" ")
+    if command == "scenario":
+        # the document is written by dumps(), not passed as a payload
+        assert out == reference(build(parse_spec(rest[0])).to_json_dict()) + "\n"
+        return
     assert payloads
     assert all(json_text(p) == reference(p) for p in payloads)
 
@@ -63,9 +74,36 @@ def test_failing_output_payloads(capsys, tmp_path, payloads, name, command):
     assert all(json_text(p) == reference(p) for p in payloads)
 
 
-@pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.label())
-def test_documents(spec):
-    sc = build(spec)
+BUILTINS = [s.label() for s in builtin_specs()]
+# a bare label is a built document, as the benchmark builds its rungs
+DOCUMENTS = [
+    *BUILTINS,
+    "ngon:640",
+    "tetrahedron x P1",
+    "ngon:10 x P2",
+    *(f"loaded {label}" for label in BUILTINS),
+    *(f"basis-changed {label}" for label in BUILTINS),
+    "swapped tetrahedron",
+]
+
+
+def _document(source: str) -> StrataComplex:
+    kind, _, label = source.partition(" ")
+    if kind == "loaded":
+        return StrataComplex.loads(build(parse_spec(label)).dumps())
+    if kind == "basis-changed":
+        return StrataComplex.from_json_dict(basis_changed(label))
+    if kind == "swapped":
+        # one face's stratum is an equal copy of the stratum it shared
+        sc = build(parse_spec(label))
+        swap_face(sc, (1, 2))
+        return sc
+    return bench_inputs().build_rung(source)
+
+
+@pytest.mark.parametrize("source", DOCUMENTS)
+def test_documents(source):
+    sc = _document(source)
     assert sc.dumps() == reference(sc.to_json_dict())
 
 

@@ -24,11 +24,9 @@ per object.
 """
 
 import contextlib
-import importlib.util
 import io
 import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -36,6 +34,8 @@ from helpers import (
     SIGN_MUTANTS,
     GeneralQuotient,
     HodgeLefschetzModule,
+    basis_changed,
+    bench_inputs,
     quotient_of,
     random_valid_complex,
     sign_mutant,
@@ -49,15 +49,6 @@ from ssweight.scenarios import build, builtin_specs, parse_spec
 from ssweight.spectral import E1Page, E2Page, power
 from ssweight.strata import StrataComplex
 
-INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-
-
-def _load_inputs():
-    spec = importlib.util.spec_from_file_location("bench_inputs", INPUTS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def _complex(source: str) -> StrataComplex:
     kind, _, name = source.partition(" ")
@@ -65,8 +56,7 @@ def _complex(source: str) -> StrataComplex:
         return build(parse_spec(name))
     if kind == "mutant":
         return StrataComplex.from_json_dict(sign_mutant(name))
-    doc = build(parse_spec(name)).to_json_dict()
-    return StrataComplex.from_json_dict(_load_inputs().basis_change(doc, random.Random(f"7:{name}")))
+    return StrataComplex.from_json_dict(basis_changed(name))
 
 
 SOURCES = [
@@ -335,7 +325,7 @@ def test_a_page_and_its_suites_check_no_subspace(monkeypatch, label):
 def _documents():
     """The builtins, the product rungs of the benchmark, the sign mutants and
     random valid configurations, as JSON documents."""
-    inputs = _load_inputs()
+    inputs = bench_inputs()
     labels = [s.label() for s in builtin_specs()]
     labels += [r for r in dict.fromkeys(inputs.CHECK_RUNGS + inputs.REPORT_RUNGS) if " x " in r]
     docs = [inputs.build_rung(label).dumps() for label in labels]

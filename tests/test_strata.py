@@ -6,8 +6,11 @@ from helpers import independent_rank, swap_face
 from ssweight.errors import MissingRestriction, SchemaError
 from ssweight.linalg import RatMatrix
 from ssweight.scenarios import (
+    build,
+    builtin_specs,
     good_reduction_pn,
     ngon,
+    parse_spec,
     projective_space_cohomology,
     point_cohomology,
     tetrahedron,
@@ -268,6 +271,38 @@ class TestSerialization:
         sc = StrataComplex("labelled", 1, ["Y1"], {(1,): coh}, {})
         back = StrataComplex.loads(sc.dumps())
         assert back.faces[(1,)].labels == {0: ["unit"], 2: ["pt"]}
+
+    @pytest.mark.parametrize("label", ["ngon:3", "ngon:80", "ngon:640", "ngon_x_p1:3", "ngon_x_p1:80"])
+    def test_dumps_formats_each_distinct_matrix_once(self, monkeypatch, label):
+        # every N-gon has two strata and one maps dict, and so does its
+        # product with P^1: the matrices they hold are formatted once each
+        sc = build(parse_spec(label))
+        strata = {id(coh): coh for coh in sc.faces.values()}.values()
+        maps = {id(m): m for m in sc.restrictions.values()}.values()
+        held = sum(map(len, maps))
+        for coh in strata:
+            held += len([m for m in coh.pairing if coh.dim_in(m)]) + len(coh.lefschetz)
+        formatted = []
+        to_strings = RatMatrix.to_strings
+        monkeypatch.setattr(RatMatrix, "to_strings", lambda self: formatted.append(self) or to_strings(self))
+        sc.dumps()
+        assert len(formatted) == held == (5 if label.startswith("ngon:") else 10)
+
+    @pytest.mark.parametrize("label", [*(s.label() for s in builtin_specs()), "ngon_x_p1:5"])
+    def test_entries_share_no_container(self, label):
+        # a caller may edit one face or restriction of the dict in place
+        # (the benchmark's basis change and mutations do) without touching
+        # another that shares its stratum or maps
+        doc = build(parse_spec(label)).to_json_dict()
+
+        def containers(value):
+            if isinstance(value, (dict, list)):
+                yield id(value)
+                for x in value.values() if isinstance(value, dict) else value:
+                    yield from containers(x)
+
+        entries = [set(containers(entry)) for entry in doc["faces"] + doc["restrictions"]]
+        assert len(set().union(*entries)) == sum(map(len, entries))
 
 
 class TestDisjointComponents:
