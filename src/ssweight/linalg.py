@@ -35,13 +35,14 @@ one shared instance per shape, all of whose rows are one empty dict, and
 an operation with a zero or empty operand visits no row: a product with a
 zero factor and ``scale(0)`` are that shared zero, a sum returns the other
 summand, a transposed zero and the columns taken from one are shared
-zeros, an ``hstack`` with no columns on one side is the other side, and
-the kernel of a zero matrix is the identity.  Kernels and solves read the
-reduced rows of the elimination directly, without forming the reduced
-matrix.  No elimination re-proves what a construction guarantees: a
-subspace built from a kernel basis, pivot columns, an intersection or the
-spans of a quotient of cycles runs no independence rank, and a map into a
-quotient of cycles without boundaries runs no solve.
+zeros, an ``hstack`` with no columns on one side is the other side, the
+kernel of a zero matrix is the identity, and a zero map or pairing induces
+the shared zero on any quotients.  Kernels and solves read the reduced
+rows of the elimination directly, without forming the reduced matrix.  No
+elimination re-proves what a construction guarantees: a subspace built
+from a kernel basis, pivot columns, an intersection or the spans of a
+quotient of cycles runs no independence rank, and a map into a quotient of
+cycles without boundaries runs no solve.
 
 Conventions: a linear map V -> W is a matrix with ``rows = dim W`` and
 ``cols = dim V`` acting on column vectors; a subspace is stored as a matrix
@@ -61,7 +62,7 @@ from __future__ import annotations
 import re
 import reprlib
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
@@ -739,20 +740,19 @@ class QuotientSpace:
     elimination, so equal inputs pick identical representatives.  Without
     boundaries the basis is ``cycles`` itself (``unit_coords``: ``x`` is
     the ``free`` entries themselves), and no elimination runs.  The
-    ``numerator`` and ``denominator`` subspaces are formed, unchecked,
-    when first read.
+    ``numerator`` and ``denominator`` are the unchecked subspaces of
+    ``cycles`` and ``boundaries``.
     """
-
-    unit_coords = False
 
     def __init__(self, cycles: RatMatrix, free: list, boundaries: RatMatrix):
         k = len(free)
         self.ambient_dim = cycles.rows
         self.free = free
-        self._spans = (cycles, boundaries)
-        if not boundaries.cols:
+        self.numerator = Subspace._trusted(self.ambient_dim, cycles)
+        self.denominator = Subspace._trusted(self.ambient_dim, boundaries)
+        self.unit_coords = not boundaries.cols
+        if self.unit_coords:
             self.lift = self.basis = cycles
-            self.unit_coords = True
             return
         flipped = [{} for _ in range(boundaries.cols)]
         for i, f in enumerate(free):
@@ -761,14 +761,6 @@ class QuotientSpace:
         last = {k - 1 - p for p in _make(boundaries.cols, k, 1, flipped).pivots()}
         self.lift = cycles.take_columns(j for j in range(k) if j not in last)
         self.basis = boundaries.hstack(self.lift)
-
-    @cached_property
-    def numerator(self) -> Subspace:
-        return Subspace._trusted(self.ambient_dim, self._spans[0])
-
-    @cached_property
-    def denominator(self) -> Subspace:
-        return Subspace._trusted(self.ambient_dim, self._spans[1])
 
     @property
     def dim(self) -> int:
@@ -788,15 +780,20 @@ def induced_map(m: RatMatrix, src: QuotientSpace, dst: QuotientSpace) -> RatMatr
     of the one ``X`` with ``dst.basis @ X = m @ src.basis``, read on the
     rows ``dst.free`` alone and checked by one product.  It is those rows
     of ``m @ src.basis`` when ``dst.unit_coords``, and one solve otherwise;
-    an identity basis is not multiplied by.
+    an identity basis is not multiplied by.  A zero ``m`` carries every
+    numerator and denominator into any other: it induces the shared zero,
+    with nothing formed or checked.
 
-    Raises ``NotWellDefined`` when ``dst.basis @ X`` misses ``m @ src.basis``
-    (``m`` does not carry numerator into numerator) or when an image of a
+    Raises ``ValueError`` when ``m`` does not fit the ambient spaces, and
+    ``NotWellDefined`` when ``dst.basis @ X`` misses ``m @ src.basis`` (``m``
+    does not carry numerator into numerator) or when an image of a
     src.denominator column has a nonzero lift coordinate (nor denominator
     into denominator).
     """
     if m.cols != src.ambient_dim or m.rows != dst.ambient_dim:
         raise ValueError("matrix shape does not match the ambient spaces")
+    if m.is_zero():
+        return RatMatrix.zeros(dst.dim, src.dim)
     y = m if src._is_whole else m @ src.basis
     if dst._is_whole:
         x = y
@@ -816,7 +813,13 @@ def induced_pairing(p: RatMatrix, left: QuotientSpace, right: QuotientSpace):
     """Gram matrix of the pairing ``p`` induced on ``left x right``, rows on
     ``left``: the lift block of ``left.basis^T p right.basis``, or None when
     a denominator row or column of that product is nonzero.  An identity
-    basis is not multiplied by, so between two such quotients it is ``p``."""
+    basis is not multiplied by, so between two such quotients it is ``p``;
+    a zero ``p`` induces the shared zero.  Raises ``ValueError`` when ``p``
+    does not fit the ambient spaces."""
+    if p.rows != left.ambient_dim or p.cols != right.ambient_dim:
+        raise ValueError("pairing shape does not match the ambient spaces")
+    if p.is_zero():
+        return RatMatrix.zeros(left.dim, right.dim)
     g = p if left._is_whole else left.basis.transpose() @ p
     if not right._is_whole:
         g = g @ right.basis

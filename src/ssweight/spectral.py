@@ -4,17 +4,18 @@ The first page of a configuration of dimension ``n`` has cells
 
     E1^{a,b} = (+)_{k >= max(a,0)} H^{2(a-k)+b}( level 2k-a+1 )
 
-for ``0 <= a+b <= 2n``; a cell is the list of its summands ``(k, level, degree, dim)``.
-The differential ``d1 = rho + tau`` raises ``a`` by one: ``rho`` sends
-summand ``k`` to summand ``k+1`` (level up), ``tau`` keeps ``k`` (level down,
-degree up two).  ``N`` sends summand ``k`` identically to summand ``k+1`` of
-the cell at ``(a+2, b-2)`` -- zero where that summand is truncated away --
-and ``L`` acts by the Lefschetz operators within each summand.  An
-operator into or out of a cell without summands is the shared zero matrix,
-formed without reading a block; every other one is assembled by
-``linalg.assemble_blocks`` with ``k`` as the summand key, so a block into a
-summand the target cell does not contain is dropped; with the adjoint convention for ``tau`` no further signs are needed
-and ``d1^2 = 0`` holds cell by cell.  The pairing of ``E1^{a,b}`` with
+for ``0 <= a+b <= 2n``; a cell is the list of its summands
+``(k, level, degree, dim)``.  The differential ``d1 = rho + tau`` raises
+``a`` by one: ``rho`` sends summand ``k`` to summand ``k+1`` (level up),
+``tau`` keeps ``k`` (level down, degree up two).  ``N`` sends summand ``k``
+identically to summand ``k+1`` of the cell at ``(a+2, b-2)`` -- zero where
+that summand is truncated away -- and ``L`` acts by the Lefschetz operators
+within each summand.  An operator into or out of a cell without summands
+is the shared zero matrix, formed without reading a block; every other one
+is assembled by ``linalg.assemble_blocks`` with ``k`` as the summand key,
+so a block into a summand the target cell does not contain is dropped.
+With the adjoint convention for ``tau`` no further signs are needed, and
+``d1^2 = 0`` holds cell by cell.  The pairing of ``E1^{a,b}`` with
 ``E1^{-a,2n-b}`` pairs summand ``k`` with summand ``k-a`` of the dual cell,
 which lies on the same level in the complementary degree.
 
@@ -159,9 +160,10 @@ class E2Page:
     reduced elimination of each ``d1`` gives the kernel basis of its source
     cell and, through its pivots, the image basis of its target cell, and a
     cell with boundaries adds one small elimination that picks its lift.
-    Cells outside ``e1.support()`` have no first-page summands; maps out of
-    or into them are zero without an ``induced_map`` call, since its
-    well-definedness checks are vacuous there.
+    Every induced map and pairing is ``induced_map`` or ``induced_pairing``
+    between the ``quotient`` of its two cells; a cell outside
+    ``e1.support()`` is the zero quotient of Q^0, and the zero operator out
+    of or into it induces the shared zero.
     """
 
     def __init__(self, e1):
@@ -185,8 +187,7 @@ class E2Page:
         return self.e1.cycle_generated
 
     def dim(self, a: int, b: int) -> int:
-        q = self._quotients.get((a, b))
-        return q.dim if q else 0
+        return self.quotient(a, b).dim
 
     def support(self):
         return sorted(key for key, q in self._quotients.items() if q.dim)
@@ -208,17 +209,11 @@ class E2Page:
 
     @memoised
     def induced_n(self, a: int, b: int) -> RatMatrix:
-        def compute(src, dst):
-            return induced_map(self.e1.nmap(a, b), src, dst)
-
-        return self._between((a, b), (a + 2, b - 2), compute)
+        return induced_map(self.e1.nmap(a, b), self.quotient(a, b), self.quotient(a + 2, b - 2))
 
     @memoised
     def induced_l(self, a: int, b: int) -> RatMatrix:
-        def compute(src, dst):
-            return induced_map(self.e1.lmap(a, b), src, dst)
-
-        return self._between((a, b), (a, b + 2), compute)
+        return induced_map(self.e1.lmap(a, b), self.quotient(a, b), self.quotient(a, b + 2))
 
     @memoised
     def pairing_at(self, a: int, b: int) -> RatMatrix:
@@ -228,25 +223,13 @@ class E2Page:
         with ker(d1) on the dual cell, which signals an adjointness violation
         upstream.
         """
-
-        def compute(there, here):
-            gram = induced_pairing(self.e1.pairing_at(a, b), here, there)
-            if gram is None:
-                raise InducedPairingIllDefined(
-                    f"im(d1) pairs nontrivially with ker(d1) at cell ({a}, {b})"
-                )
-            return gram
-
-        return self._between((-a, 2 * self.n - b), (a, b), compute)
-
-    def _between(self, src, dst, compute) -> RatMatrix:
-        """A matrix with columns on the cell ``src`` and rows on ``dst``,
-        ``compute(quotient at src, quotient at dst)``; zero without
-        computing when either cell has no first-page summands."""
-        q_src, q_dst = self._quotients.get(src), self._quotients.get(dst)
-        if q_src is None or q_dst is None:
-            return RatMatrix.zeros(self.dim(*dst), self.dim(*src))
-        return compute(q_src, q_dst)
+        there = self.quotient(-a, 2 * self.n - b)
+        gram = induced_pairing(self.e1.pairing_at(a, b), self.quotient(a, b), there)
+        if gram is None:
+            raise InducedPairingIllDefined(
+                f"im(d1) pairs nontrivially with ker(d1) at cell ({a}, {b})"
+            )
+        return gram
 
     def abutment(self) -> dict[int, int]:
         """dim H^q as the sum of E2 dimensions along each anti-diagonal."""

@@ -582,38 +582,19 @@ class StrataComplex:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """The document as ``json.loads`` would return it.  Every call makes
-        fresh dicts and lists, and no two faces or restrictions share one,
-        even where they share a stratum or maps: a caller may edit one
-        entry in place without touching another."""
-        return {
-            **self._header(),
-            "faces": [
-                {"indices": list(f), **_stratum_fields(self.faces[f])} for f in sorted(self.faces)
-            ],
-            "restrictions": [
-                {"from": list(a), "to": list(b), **_maps_fields(self.restrictions[(a, b)])}
-                for (a, b) in sorted(self.restrictions)
-            ],
-        }
-
-    def _header(self) -> dict:
-        """The members of the document other than its faces and restrictions."""
-        return {
-            "schema_version": 1,
-            "name": self.name,
-            "dimension": self.n,
-            "components": list(self.components),
-        }
+        """The document as ``json.loads`` returns it: the parse of
+        ``dumps()``, so every call makes fresh dicts and lists and no two
+        entries share one; a caller may edit one entry in place without
+        touching another."""
+        return json.loads(self.dumps())
 
     def dumps(self) -> str:
-        """``json_text(self.to_json_dict())``, byte for byte, at the cost of
-        the distinct strata and maps: the members a face entry takes from its
-        stratum are written once per stratum object, and the ``maps`` of a
-        restriction once per maps dict, and each face's ``indices`` and each
-        restriction's ``from`` and ``to`` are spliced into that text.  Only
-        text is shared, within one call: ``to_json_dict`` still gives every
-        entry dicts and lists of its own."""
+        """``json.dumps(doc, indent=2, sort_keys=True)`` of the document, byte
+        for byte: its header, one entry per face in sorted order (``indices``
+        and the members of its stratum) and one per restriction (``from``,
+        ``to`` and ``maps``).  The text of each distinct stratum object and
+        maps dict is written once per call, and each face's ``indices`` and
+        each restriction's ``from`` and ``to`` are spliced into it."""
         # id of a stratum or maps dict -> its entry's text, cut at the indices
         written: dict[int, list[str]] = {}
 
@@ -634,7 +615,13 @@ class StrataComplex:
             entry(self.restrictions[key], _maps_fields, ("from", "to"), key)
             for key in sorted(self.restrictions)
         ]
-        head, between, tail = _spliced(self._header(), ("faces", "restrictions"), "\n")
+        header = {
+            "schema_version": 1,
+            "name": self.name,
+            "dimension": self.n,
+            "components": list(self.components),
+        }
+        head, between, tail = _spliced(header, ("faces", "restrictions"), "\n")
         return head + _list(faces, "\n  ") + between + _list(restrictions, "\n  ") + tail
 
     @staticmethod

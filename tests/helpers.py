@@ -13,6 +13,8 @@
 * ``swap_face``: break one face of a builtin whose faces share strata.
 * ``quotient_of``: a ``QuotientSpace`` from any numerator basis, and
   ``GeneralQuotient``, the reference model of a quotient by a second rule.
+* ``document_model``: the document of a complex built entry by entry, the
+  reference model of ``StrataComplex.dumps``.
 * ``bench_inputs``: the benchmark's input module, loaded read-only, and
   ``basis_changed``, a builtin in its seeded random coordinates.
 """
@@ -110,6 +112,41 @@ class GeneralQuotient:
         self.lift = numerator.basis.take_columns(p - d for p in pivots[d:])
         self.basis = denominator.basis.hstack(self.lift)
         self.dim = self.lift.cols
+
+
+def document_model(sc: StrataComplex) -> dict:
+    """The document of ``sc`` as ``json.loads`` returns it, built entry by
+    entry from the fields of each face's stratum and each restriction's
+    maps, with its own dicts and lists, and matrices as ``Fraction`` strings:
+    the reference model of ``StrataComplex.dumps``."""
+
+    def strings(m: RatMatrix):
+        return [[str(x) for x in row] for row in m.entries]
+
+    def face_entry(indices, coh: StratumCohomology) -> dict:
+        entry = {
+            "indices": list(indices),
+            "cohomology": {str(m): d for m, d in coh.dims.items()},
+            # the pairings the stratum fills by graded symmetry are written too
+            "pairing": {str(m): strings(p) for m, p in coh.pairing.items() if coh.dims.get(m)},
+            "lefschetz": {str(m): strings(L) for m, L in coh.lefschetz.items()},
+            "slope_pure": coh.slope_pure,
+        }
+        if coh.labels:
+            entry["labels"] = {str(m): list(names) for m, names in coh.labels.items()}
+        return entry
+
+    return {
+        "schema_version": 1,
+        "name": sc.name,
+        "dimension": sc.n,
+        "components": list(sc.components),
+        "faces": [face_entry(f, sc.faces[f]) for f in sorted(sc.faces)],
+        "restrictions": [
+            {"from": list(a), "to": list(b), "maps": {str(m): strings(x) for m, x in maps.items()}}
+            for (a, b), maps in sorted(sc.restrictions.items())
+        ],
+    }
 
 
 def nerve_cohomology_oracle(sc: StrataComplex, a: int) -> int:

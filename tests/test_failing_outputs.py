@@ -33,9 +33,26 @@ a page that builds.  It compares ``hl_cohomology(e2)``, the second page of
 ``hl_cohomology(e2)`` is a whole quotient: no boundaries, every vector a
 cycle, and the identity as its basis.  Between whole quotients
 ``induced_map`` returns the operator and ``induced_pairing`` the pairing,
-so ``_same_complex`` compares each ``N``, ``L``, ``d`` and pairing of
-``e2`` with itself.  ``test_cohomology_of_a_page_is_the_page`` checks that
-premise on every builtin.
+and a zero operator or pairing comes back as the shared zero of its shape,
+which equals it.  So ``_same_complex`` compares each ``N``, ``L``, ``d``
+and pairing of ``e2`` with itself, or with an equal zero.
+``test_cohomology_of_a_page_is_the_page`` checks that premise on every
+builtin.
+
+``hl_parity`` and ``hl_d_squared`` cannot fail in ``check`` either, and the
+tests below check each premise on the builtins and the sign mutants:
+
+* ``hl_parity`` fails on a cell ``(a, b)`` with odd ``b``.  ``hl_suite``
+  runs only on a cycle-generated document, and a slope-pure stratum with
+  odd cohomology does not validate (``slope-pure-odd``).  So every stratum
+  has even degrees, every first-page cell ``(a, b)`` has ``b`` a degree
+  plus an even twist, and every second-page cell is a subquotient of a
+  first-page cell.
+* ``hl_d_squared`` fails where ``d1 o d1`` is not zero.  At ``V``, the
+  first page, ``check`` builds ``E2Page(e1)`` before any suite runs, and
+  it raises ``DifferentialNotSquareZero`` into the first cell where
+  ``d1 o d1`` is not zero, so the command exits 2 before ``hl_suite``.  At
+  ``H(V)``, the second page, ``d1`` is zero.
 """
 
 import hashlib
@@ -45,10 +62,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import SIGN_MUTANTS, sign_mutant
-from ssweight import checks, scenarios
+from ssweight import checks, hodge_lefschetz, scenarios
 from ssweight.cli import main
 from ssweight.hodge_lefschetz import hl_cohomology
+from ssweight.linalg import RatMatrix
 from ssweight.spectral import E1Page, E2Page
+from ssweight.strata import StrataComplex
 
 COMMANDS = (
     "validate",
@@ -324,3 +343,64 @@ def test_cohomology_of_a_page_is_the_page(spec):
     for op in ("nmap", "lmap", "d1", "pairing_at"):
         for (a, b) in e2.support():
             assert getattr(h, op)(a, b) is getattr(e2, op)(a, b), (op, a, b)
+
+
+def _complex(source: str) -> StrataComplex:
+    if source in SIGN_MUTANTS:
+        return StrataComplex.from_json_dict(sign_mutant(source))
+    return scenarios.build(scenarios.parse_spec(source))
+
+
+# the documents hl_suite runs on: every cycle-generated builtin and mutant
+MODULE_SOURCES = [
+    *(s.label() for s in scenarios.builtin_specs() if scenarios.build(s).cycle_generated),
+    *SIGN_MUTANTS,
+]
+
+
+def test_a_slope_pure_stratum_with_odd_cohomology_does_not_validate():
+    doc = scenarios.build(scenarios.parse_spec("elliptic_stratum")).to_json_dict()
+    for face in doc["faces"]:
+        face["slope_pure"] = True
+    report = StrataComplex.from_json_dict(doc).validate()
+    assert "slope-pure-odd" in {v.code for v in report.violations}
+
+
+@pytest.mark.parametrize("source", MODULE_SOURCES)
+def test_every_cell_of_a_checked_module_has_even_b(source):
+    # why hl_parity cannot fail: see the module docstring
+    sc = _complex(source)
+    assert sc.validate().ok and sc.cycle_generated
+    assert all(m % 2 == 0 for coh in sc.faces.values() for m in coh.degrees())
+    e1 = E1Page(sc)
+    e2 = E2Page(e1)
+    assert all(b % 2 == 0 for (a, b) in e1.support())
+    assert set(e2.support()) <= set(e1.support())
+
+
+@pytest.mark.parametrize("source", MODULE_SOURCES)
+def test_the_differentials_of_a_checked_module_square_to_zero(source):
+    # why hl_d_squared cannot fail: E2Page checks d1 o d1 into every cell of
+    # the first page, and the second page's d1 is zero
+    e1 = E1Page(_complex(source))
+    e2 = E2Page(e1)
+    assert all((e1.d1(a + 1, b) @ e1.d1(a, b)).is_zero() for (a, b) in e1.support())
+    assert all(e2.d1(a, b).is_zero() for (a, b) in e2.support())
+
+
+def test_a_differential_that_does_not_square_to_zero_exits_2(capsys, monkeypatch):
+    # every first-page d1 of tetrahedron made all ones: E2Page raises before
+    # any suite runs, so check --all exits 2 and hl_suite never runs
+    d1 = E1Page.d1
+
+    def ones(self, a, b):
+        m = d1(self, a, b)
+        return RatMatrix(m.rows, m.cols, [[1] * m.cols] * m.rows)
+
+    monkeypatch.setattr(E1Page, "d1", ones)
+    ran = []
+    monkeypatch.setattr(hodge_lefschetz, "hl_suite", lambda e2: ran.append(e2) or [])
+    assert main(["check", "--all", "--scenario", "tetrahedron"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: d1 o d1 != 0 into cell")
+    assert ran == []

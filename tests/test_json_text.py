@@ -6,11 +6,14 @@ characters, empty containers, bools next to ints and big ints.  A value
 that are not strings, which the program never writes.
 
 ``StrataComplex.dumps`` writes each shared stratum and maps dict once and
-splices the rest in; it is checked against the same reference on documents
-that share in every way the program makes them: built, loaded back,
-basis-changed (nothing shared), products, a large ``N``-gon and a complex
-with one stratum swapped for an equal copy.  ``scenario`` writes
-``dumps()``, so its stdout is checked against the reference as well."""
+splices the rest in; it is checked against the same reference, applied to
+``helpers.document_model`` (each entry built from its stratum's fields),
+on documents that share in every way the program makes them: built, loaded
+back, basis-changed (nothing shared), products, a large ``N``-gon and a
+complex with one stratum swapped for an equal copy.  ``to_json_dict`` is
+the parse of ``dumps()``, so it is checked against the model itself.
+``scenario`` writes ``dumps()``, so its stdout is checked against the
+reference as well."""
 
 import json
 from fractions import Fraction
@@ -21,7 +24,14 @@ from hypothesis import strategies as st
 
 import test_failing_outputs as failing
 import test_golden_outputs as golden
-from helpers import SIGN_MUTANTS, basis_changed, bench_inputs, sign_mutant, swap_face
+from helpers import (
+    SIGN_MUTANTS,
+    basis_changed,
+    bench_inputs,
+    document_model,
+    sign_mutant,
+    swap_face,
+)
 from ssweight import cli
 from ssweight.scenarios import build, builtin_specs, parse_spec
 from ssweight.strata import StrataComplex, json_text
@@ -57,7 +67,7 @@ def test_golden_payloads(capsys, payloads, argv):
     command, *rest = argv.split(" ")
     if command == "scenario":
         # the document is written by dumps(), not passed as a payload
-        assert out == reference(build(parse_spec(rest[0])).to_json_dict()) + "\n"
+        assert out == reference(document_model(build(parse_spec(rest[0])))) + "\n"
         return
     assert payloads
     assert all(json_text(p) == reference(p) for p in payloads)
@@ -104,7 +114,8 @@ def _document(source: str) -> StrataComplex:
 @pytest.mark.parametrize("source", DOCUMENTS)
 def test_documents(source):
     sc = _document(source)
-    assert sc.dumps() == reference(sc.to_json_dict())
+    assert sc.dumps() == reference(document_model(sc))
+    assert sc.to_json_dict() == document_model(sc)
 
 
 scalars = (

@@ -13,6 +13,7 @@ from ssweight.linalg import (
     assemble_blocks,
     image,
     induced_map,
+    induced_pairing,
     kernel,
     signature,
 )
@@ -238,6 +239,37 @@ class TestQuotient:
     def test_zero_map(self):
         q = coordinate_quotient(3, 2, 0)
         assert induced_map(RatMatrix.zeros(3, 3), q, q).is_zero()
+
+    def test_zero_map_into_boundaries_forms_nothing(self, monkeypatch):
+        # a zero map carries every numerator and denominator into any other,
+        # so it induces the shared zero with no product, solve or elimination
+        src, dst = coordinate_quotient(3, 3, 1), coordinate_quotient(4, 3, 1)
+        calls = []
+
+        def counted(method):
+            def call(*args, **kwargs):
+                calls.append(method.__name__)
+                return method(*args, **kwargs)
+
+            return call
+
+        for name in ("__matmul__", "solve", "_eliminate"):
+            monkeypatch.setattr(RatMatrix, name, counted(getattr(RatMatrix, name)))
+        assert induced_map(RatMatrix.zeros(4, 3), src, dst) is RatMatrix.zeros(dst.dim, src.dim)
+        assert induced_map(RatMatrix(4, 3, [[0] * 3] * 4), src, dst) is RatMatrix.zeros(2, 2)
+        assert calls == []
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (3, 3), (0, 0)])
+    def test_mis_shaped_zero_raises(self, shape):
+        src, dst = coordinate_quotient(3, 3, 1), coordinate_quotient(4, 3, 1)
+        with pytest.raises(ValueError, match="shape"):
+            induced_map(RatMatrix.zeros(*shape), src, dst)
+        with pytest.raises(ValueError, match="shape"):
+            induced_pairing(RatMatrix.zeros(*shape), dst, src)
+
+    def test_zero_pairing_gives_the_zero_gram(self):
+        left, right = coordinate_quotient(4, 3, 1), coordinate_quotient(3, 2, 0)
+        assert induced_pairing(RatMatrix.zeros(4, 3), left, right) is RatMatrix.zeros(2, 2)
 
     def test_not_well_defined(self):
         src = coordinate_quotient(2, 2, 0)
