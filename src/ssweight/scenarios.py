@@ -51,21 +51,6 @@ class ScenarioSpec:
         return f"{self.kind}:{','.join(map(str, values))}"
 
 
-KINDS = (
-    "good_reduction_pn",
-    "ngon",
-    "ngon_x_p1",
-    "tetrahedron",
-    "elliptic_stratum",
-    "cellular",
-)
-
-
-# the parameter of each kind that takes one, and its default
-_PARAMETER = {"good_reduction_pn": ("n", 2), "ngon": ("N", 3), "ngon_x_p1": ("N", 3),
-              "cellular": ("cells", ())}
-
-
 def parse_spec(text: str) -> ScenarioSpec:
     """Parse CLI syntax ``kind`` or ``kind:p1,p2,...``."""
     kind, colon, rest = text.partition(":")
@@ -77,7 +62,7 @@ def parse_spec(text: str) -> ScenarioSpec:
         raise InvalidParameters(
             f"scenario parameters must be comma-separated integers, not {_quoted(rest)}"
         ) from None
-    name, default = _PARAMETER.get(kind, (None, None))
+    _, name, default = _KINDS[kind]
     if kind == "cellular":
         if not args:
             raise InvalidParameters("cellular needs cell counts, e.g. cellular:1,2,1")
@@ -91,23 +76,12 @@ def parse_spec(text: str) -> ScenarioSpec:
 
 def build(spec: ScenarioSpec) -> StrataComplex:
     """The complex of ``spec``; a parameter its kind does not take is an error."""
-    name, default = _PARAMETER.get(spec.kind, (None, None))
+    builder, name, default = _KINDS.get(spec.kind, (None, None, None))
     if spec.params.keys() - {name}:
         raise InvalidParameters(f"scenario {spec.kind} does not take {_quoted(spec.params)}")
-    value = spec.params.get(name, default)
-    if spec.kind == "good_reduction_pn":
-        return good_reduction_pn(value)
-    if spec.kind == "ngon":
-        return ngon(value)
-    if spec.kind == "ngon_x_p1":
-        return ngon(value).product_with_factor(projective_space_cohomology(1))
-    if spec.kind == "tetrahedron":
-        return tetrahedron()
-    if spec.kind == "elliptic_stratum":
-        return elliptic_stratum()
-    if spec.kind == "cellular":
-        return cellular(value)
-    raise InvalidParameters(f"unknown scenario kind {spec.kind!r}")
+    if builder is None:
+        raise InvalidParameters(f"unknown scenario kind {spec.kind!r}")
+    return builder(spec.params.get(name, default)) if name else builder()
 
 
 def builtin_specs() -> list[ScenarioSpec]:
@@ -242,6 +216,10 @@ def ngon(N: int) -> StrataComplex:
     )
 
 
+def ngon_x_p1(N: int) -> StrataComplex:
+    return ngon(N).product_with_factor(projective_space_cohomology(1))
+
+
 def elliptic_stratum() -> StrataComplex:
     two_points = point_cohomology(2)
     ones = {0: RatMatrix.from_rows([[1], [1]])}
@@ -338,3 +316,16 @@ def cellular(cells) -> StrataComplex:
         faces={(1,): coh},
         restrictions={},
     )
+
+
+# each kind: its builder, the name of its one parameter (None for a kind
+# that takes none) and that parameter's default
+_KINDS = {
+    "good_reduction_pn": (good_reduction_pn, "n", 2),
+    "ngon": (ngon, "N", 3),
+    "ngon_x_p1": (ngon_x_p1, "N", 3),
+    "tetrahedron": (tetrahedron, None, None),
+    "elliptic_stratum": (elliptic_stratum, None, None),
+    "cellular": (cellular, "cells", ()),
+}
+KINDS = tuple(_KINDS)

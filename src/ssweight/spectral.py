@@ -197,7 +197,6 @@ class E2Page:
         the zero quotient of Q^0 off ``e1.support()``."""
         return self._quotients.get((a, b), _NO_CELL)
 
-    @memoised
     def d1(self, a: int, b: int) -> RatMatrix:
         return RatMatrix.zeros(self.dim(a + 1, b), self.dim(a, b))
 
@@ -264,20 +263,16 @@ def compute_e2(e1: E1Page) -> E2Page:
     return E2Page(e1)
 
 
+@memoised
 def power(cx, op: str, a: int, b: int, r: int) -> RatMatrix:
     """``N^r`` (``op`` "n") or ``L^r`` (``op`` "l") out of the cell (a, b) of
-    a page or module: the identity for ``r < 1``, the operator itself for
-    ``r = 1``, and above that one product onto ``N^(r-1)`` or ``L^(r-1)``,
-    formed once per complex and kept in its memo."""
+    a page or module, kept in the memo of ``cx``: the identity for ``r < 1``,
+    the operator itself for ``r = 1``, and above that one product onto
+    ``N^(r-1)`` or ``L^(r-1)``, so each power is formed once per complex."""
     if r < 1:
         return RatMatrix.identity(cx.dim(a, b))
     if r == 1:
         return cx.nmap(a, b) if op == "n" else cx.lmap(a, b)
-    return _product(cx, op, a, b, r)
-
-
-@memoised
-def _product(cx, op: str, a: int, b: int, r: int) -> RatMatrix:
     s = r - 1
     below = power(cx, op, a, b, s)  # first, so the operators are read in order
     if op == "n":

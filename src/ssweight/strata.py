@@ -61,6 +61,9 @@ _NO_MAPS: dict[int, RatMatrix] = {}
 _DEGREE = re.compile(r"0|[1-9][0-9]*")
 # the C string escaper of ``json.dumps``'s default ``ensure_ascii``
 _ESCAPE = json.encoder.encode_basestring_ascii
+# a value ``_write_json`` writes as a raw NUL, which no escaped string holds:
+# ``dumps`` cuts a written text there to splice other text in
+_CUT = object()
 
 
 # the C encoder of ``_canonical``, built once with the settings of
@@ -84,8 +87,7 @@ _CANONICAL = json.encoder.c_make_encoder(
 def memoised(method):
     """``method(self, *args)``, formed on the first call and kept in
     ``self._memo`` under ``(method name, *args)``: one memo per object, made
-    on its first use and freed with the object.  Threads that race on one
-    missing entry may each form it; the memo keeps one of the equal results."""
+    on its first use and freed with the object."""
     name = (method.__name__,)
 
     @functools.wraps(method)
@@ -592,16 +594,20 @@ class StrataComplex:
         """``json.dumps(doc, indent=2, sort_keys=True)`` of the document, byte
         for byte: its header, one entry per face in sorted order (``indices``
         and the members of its stratum) and one per restriction (``from``,
-        ``to`` and ``maps``).  The text of each distinct stratum object and
-        maps dict is written once per call, and each face's ``indices`` and
-        each restriction's ``from`` and ``to`` are spliced into it."""
+        ``to`` and ``maps``).  ``_write_json`` writes the text of each
+        distinct stratum object and maps dict once per call, with ``_CUT``
+        at ``indices`` or at ``from`` and ``to``, and the header with
+        ``_CUT`` at ``faces`` and ``restrictions``; each text is split at
+        those NULs, and each entry's lists are spliced in there."""
         # id of a stratum or maps dict -> its entry's text, cut at the indices
         written: dict[int, list[str]] = {}
 
         def entry(shared, fields, keys: tuple, values: tuple) -> str:
             parts = written.get(id(shared))
             if parts is None:
-                parts = written[id(shared)] = _spliced(fields(shared), keys, "\n    ")
+                text: list[str] = []
+                _write_json({**fields(shared), **dict.fromkeys(keys, _CUT)}, text, "\n    ")
+                parts = written[id(shared)] = "".join(text).split("\0")
             out = [parts[0]]
             for value, part in zip(values, parts[1:]):
                 out.append(_list(list(map(str, value)), "\n      "))
@@ -620,8 +626,10 @@ class StrataComplex:
             "name": self.name,
             "dimension": self.n,
             "components": list(self.components),
+            "faces": _CUT,
+            "restrictions": _CUT,
         }
-        head, between, tail = _spliced(header, ("faces", "restrictions"), "\n")
+        head, between, tail = json_text(header).split("\0")
         return head + _list(faces, "\n  ") + between + _list(restrictions, "\n  ") + tail
 
     @staticmethod
@@ -822,7 +830,8 @@ def json_text(value) -> str:
     one recursive writer: with an indent ``json`` falls back to its pure
     Python encoder, and this writer escapes strings with the C one.  It
     writes what the program emits: ``None``, bools, ints, strings, lists,
-    tuples and dicts with string keys.  Any other value raises
+    tuples and dicts with string keys, and ``_CUT`` as a raw NUL, where
+    ``dumps`` cuts the text.  Any other value raises
     ``TypeError``, as ``json.dumps`` does for the values it rejects; so do
     floats and other keys, which the program never writes."""
     out: list[str] = []
@@ -849,25 +858,6 @@ def _maps_fields(maps: dict[int, RatMatrix]) -> dict:
     """The members of a restriction entry that its maps give: all but
     ``from`` and ``to``."""
     return {"maps": {str(m): mat.to_strings() for m, mat in sorted(maps.items())}}
-
-
-def _spliced(fields: dict, keys: tuple, nl: str) -> list[str]:
-    """``json_text`` of the object ``fields`` with the further members
-    ``keys``, written at depth ``nl``, cut where the value of each of
-    ``keys`` goes: one more part than ``keys``."""
-    inner = nl + "  "
-    parts, out, sep = [], ["{"], inner
-    for key, x in sorted([*fields.items(), *((k, None) for k in keys)]):
-        out.append(sep + _ESCAPE(key) + ": ")
-        if key in keys:
-            parts.append("".join(out))
-            out = []
-        else:
-            _write_json(x, out, inner)
-        sep = "," + inner
-    out.append(nl + "}")
-    parts.append("".join(out))
-    return parts
 
 
 def _list(texts: list[str], nl: str) -> str:
@@ -914,6 +904,8 @@ def _write_json(v, out: list, nl: str) -> None:
                 _write_json(x, out, inner)
                 sep = "," + inner
             out.append(nl + "]")
+    elif v is _CUT:
+        out.append("\0")
     else:
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 

@@ -53,15 +53,31 @@ tests below check each premise on the builtins and the sign mutants:
   it raises ``DifferentialNotSquareZero`` into the first cell where
   ``d1 o d1`` is not zero, so the command exits 2 before ``hl_suite``.  At
   ``H(V)``, the second page, ``d1`` is zero.
+
+``log_hl_corner_dims`` cannot fail on a validated document.  At ``r`` and
+``b`` it compares ``dim E2^{a,b}``, where ``a = n-r-b``, with the dimension
+of the dual corner ``(b+r-n, 2n-b)``, which is ``(-a, 2n-b)``.  Validation
+makes every stratum's pairing perfect, so the first-page pairing of
+``E1^{a,b}`` with ``E1^{-a,2n-b}`` is perfect: it pairs summand ``k`` with
+summand ``k-a`` of the dual cell, on the same level in the complementary
+degree.  ``tau`` is formed as the exact adjoint of ``rho``,
+``<tau x, y> = <x, rho y>``, so ``d1 = rho + tau`` is its own adjoint under
+that pairing: ``<d1 x, y> = <x, d1 y>``.  Then the image of ``d1`` pairs to
+zero with the kernel of ``d1`` on the dual cell, the pairing induces a
+perfect pairing of ``E2^{a,b}`` with ``E2^{-a,2n-b}``, and the two have one
+dimension.  ``test_a_validated_document_has_a_self_dual_second_page``
+checks both premises and the conclusion (``helpers.duality_check``) on the
+builtins, the sign mutants and twelve ``random_valid_complex`` documents.
 """
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import SIGN_MUTANTS, sign_mutant
+from helpers import SIGN_MUTANTS, duality_check, random_valid_complex, sign_mutant
 from ssweight import checks, hodge_lefschetz, scenarios
 from ssweight.cli import main
 from ssweight.hodge_lefschetz import hl_cohomology
@@ -348,6 +364,8 @@ def test_cohomology_of_a_page_is_the_page(spec):
 def _complex(source: str) -> StrataComplex:
     if source in SIGN_MUTANTS:
         return StrataComplex.from_json_dict(sign_mutant(source))
+    if source.startswith("random:"):
+        return random_valid_complex(random.Random(int(source[7:])))
     return scenarios.build(scenarios.parse_spec(source))
 
 
@@ -404,3 +422,23 @@ def test_a_differential_that_does_not_square_to_zero_exits_2(capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: d1 o d1 != 0 into cell")
     assert ran == []
+
+
+# every builtin, every sign mutant and twelve random valid complexes
+DUALITY_SOURCES = [*(s.label() for s in scenarios.builtin_specs()), *SIGN_MUTANTS]
+DUALITY_SOURCES += [f"random:{seed}" for seed in range(12)]
+
+
+@pytest.mark.parametrize("source", DUALITY_SOURCES)
+def test_a_validated_document_has_a_self_dual_second_page(source):
+    # why log_hl_corner_dims cannot fail: see the module docstring
+    sc = _complex(source)
+    assert sc.validate().ok
+    n, e1 = sc.n, E1Page(sc)
+    for (a, b) in e1.support():
+        pairing = e1.pairing_at(a, b)
+        assert pairing.rank() == e1.dim(a, b) == e1.dim(-a, 2 * n - b), (a, b)
+        adjoint = e1.d1(a, b).transpose() @ e1.pairing_at(a + 1, b)
+        assert adjoint == pairing @ e1.d1(-a - 1, 2 * n - b), (a, b)
+    results = duality_check(E2Page(e1))
+    assert results and all(r.status == "pass" for r in results)

@@ -10,10 +10,11 @@ splices the rest in; it is checked against the same reference, applied to
 ``helpers.document_model`` (each entry built from its stratum's fields),
 on documents that share in every way the program makes them: built, loaded
 back, basis-changed (nothing shared), products, a large ``N``-gon and a
-complex with one stratum swapped for an equal copy.  ``to_json_dict`` is
-the parse of ``dumps()``, so it is checked against the model itself.
-``scenario`` writes ``dumps()``, so its stdout is checked against the
-reference as well."""
+complex with one stratum swapped for an equal copy, and one whose name and
+a component hold a NUL, the character ``dumps`` cuts its texts at.
+``to_json_dict`` is the parse of ``dumps()``, so it is checked against the
+model itself.  ``scenario`` writes ``dumps()``, so its stdout is checked
+against the reference as well."""
 
 import json
 from fractions import Fraction
@@ -94,6 +95,7 @@ DOCUMENTS = [
     *(f"loaded {label}" for label in BUILTINS),
     *(f"basis-changed {label}" for label in BUILTINS),
     "swapped tetrahedron",
+    "nul tetrahedron",
 ]
 
 
@@ -107,6 +109,10 @@ def _document(source: str) -> StrataComplex:
         # one face's stratum is an equal copy of the stratum it shared
         sc = build(parse_spec(label))
         swap_face(sc, (1, 2))
+        return sc
+    if kind == "nul":
+        sc = build(parse_spec(label))
+        sc.name, sc.components[0] = "tetra\0hedron", "S\x001"
         return sc
     return bench_inputs().build_rung(source)
 

@@ -420,7 +420,8 @@ def test_one_product_per_operator_power(monkeypatch, label):
     assert len(products) == len(chain)
 
 
-# the memoised methods of a complex and of its two pages
+# the memoised methods of a complex and of its two pages; the second page's
+# d1 is the shared zero of its shape, so it too returns one object
 MEMOISED = {
     "strata": ("level", "rho", "tau", "level_pairing", "level_lefschetz"),
     "e1": ("d1", "nmap", "lmap", "pairing_at"),

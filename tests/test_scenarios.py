@@ -98,8 +98,12 @@ class TestParse:
         assert parse_spec(spec.label()) == spec
 
     def test_unknown_kind(self):
-        with pytest.raises(InvalidParameters):
+        known = "good_reduction_pn, ngon, ngon_x_p1, tetrahedron, elliptic_stratum, cellular"
+        message = f"^unknown scenario kind 'banana'; known: {known}$"
+        with pytest.raises(InvalidParameters, match=message):
             parse_spec("banana")
+        with pytest.raises(InvalidParameters, match="^unknown scenario kind 'banana'$"):
+            build(ScenarioSpec("banana"))
 
     @pytest.mark.parametrize("spec", ["ngon:", "tetrahedron:", "cellular:", "ngon:3,"])
     def test_empty_parameter_after_a_colon(self, spec):
@@ -109,11 +113,16 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "spec",
-        [ScenarioSpec("ngon", {"M": 4}), ScenarioSpec("tetrahedron", {"N": 3})],
-        ids=["ngon-M", "tetrahedron-N"],
+        [
+            ScenarioSpec("ngon", {"M": 4}),
+            ScenarioSpec("tetrahedron", {"N": 3}),
+            # the parameter is named before the kind is looked up
+            ScenarioSpec("nope", {"x": 1}),
+        ],
+        ids=["ngon-M", "tetrahedron-N", "nope-x"],
     )
     def test_build_rejects_a_parameter_the_kind_does_not_take(self, spec):
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(InvalidParameters, match=f"^scenario {spec.kind} does not take "):
             build(spec)
 
     def test_surplus_parameters(self):
