@@ -69,12 +69,12 @@ class E1Page:
         self.cells: dict[tuple[int, int], list[Summand]] = {}
         # levels ascend, so every cell lists its summands by increasing k
         for lvl in range(1, sc.max_level + 1):
-            gs = sc.level(lvl)
-            for m in sorted(gs.dims):
+            for m in sc.level(lvl):
+                dim = sc.level_dim(lvl, m)
                 for k in range(lvl):
                     a = 2 * k + 1 - lvl
                     b = m + 2 * (lvl - k - 1)
-                    self.cells.setdefault((a, b), []).append(Summand(k, lvl, m, gs.dims[m]))
+                    self.cells.setdefault((a, b), []).append(Summand(k, lvl, m, dim))
 
     def cell(self, a: int, b: int) -> list[Summand]:
         return self.cells.get((a, b), [])

@@ -4,8 +4,10 @@ A configuration is stored as the nerve of its irreducible components together
 with the graded cohomology of every stratum: for a set ``I`` of component
 indices the stratum is the ``|I|``-fold intersection, of dimension
 ``n + 1 - |I|``.  The level-``k`` space is the disjoint union of all strata
-with ``|I| = k``; in degree ``m`` its summands are the ``(face, dim)`` pairs
-of the faces with nonzero ``H^m``.  Every map below is assembled by
+with ``|I| = k``, and a level is its table of summands: ``level(k)`` maps
+each degree ``m`` to the ``(face, dim)`` pairs of the faces with nonzero
+``H^m``, in sorted order, and a level off ``1..max_level`` is ``{}``.
+``level_dim`` sums a degree's summands.  Every map below is assembled by
 ``linalg.assemble_blocks`` from blocks keyed by face, and the Kunneth
 product keys its summands ``H^{m1} (x) H^{m2}`` by ``(m1, m2)``.
 
@@ -23,6 +25,10 @@ Three families of maps live on this data:
   and the spectral sequence never uses it.
 * ``lefschetz`` -- cup product with an ample class, degree +2 on each
   stratum, required to commute with restrictions and to be self-adjoint.
+
+``validate`` checks these relations as one ordered table of maps that must
+vanish at each level and degree: ``rho-squared``, ``tau-squared``,
+``anticommutation``, ``lefschetz-rho`` and ``lefschetz-tau``.
 
 Pairing matrices are stored per degree ``m`` as the matrix of
 ``H^m x H^{2d-m} -> Q`` where ``d`` is the stratum dimension; the complement
@@ -176,17 +182,6 @@ class StratumCohomology:
 
 
 @dataclass
-class GradedSpace:
-    """Direct sum of the degree-``m`` cohomology over the faces of one level."""
-
-    dims: dict[int, int]
-    summands: dict[int, list[tuple[Face, int]]]  # m -> [(face, dim)], dim != 0
-
-    def dim_in(self, m: int) -> int:
-        return self.dims.get(m, 0)
-
-
-@dataclass
 class Violation:
     code: str
     location: str
@@ -255,32 +250,24 @@ class StrataComplex:
         return sorted(f for f in self.faces if len(f) == k)
 
     @memoised
-    def level(self, k: int) -> GradedSpace:
-        """Direct sum over faces with ``|I| = k``, keyed by face."""
-        if k < 1:
-            raise ValueError("levels are indexed from 1")
-        faces = self.faces_at(k)
-        dims: dict[int, int] = {}
-        summands: dict[int, list[tuple[Face, int]]] = {}
-        for m in sorted({m for f in faces for m in self.faces[f].degrees()}):
-            table = [(f, self.faces[f].dim_in(m)) for f in faces if self.faces[f].dim_in(m)]
-            total = sum(d for _, d in table)
-            if total:
-                dims[m] = total
-                summands[m] = table
-        return GradedSpace(dims, summands)
+    def level(self, k: int) -> dict[int, list[tuple[Face, int]]]:
+        """The summands of the direct sum of the strata with ``|I| = k``:
+        degree ``m`` -> ``[(face, dim H^m)]`` over the faces with nonzero
+        ``H^m``, degrees ascending and faces sorted.  A level off
+        ``1..max_level`` has no faces, so it is ``{}``."""
+        out: dict[int, list[tuple[Face, int]]] = {}
+        for f in self.faces_at(k):
+            for m in self.faces[f].degrees():
+                out.setdefault(m, []).append((f, self.faces[f].dim_in(m)))
+        return {m: out[m] for m in sorted(out)}
 
     def _summands(self, k: int, m: int) -> list[tuple[Face, int]]:
-        """The ``(face, dim)`` summands of H^m(level k); none outside the
-        levels ``1..max_level``, whose cached spaces are empty."""
-        if k < 1:
-            return []
-        return self.level(k).summands.get(m, [])
+        """The ``(face, dim)`` summands of H^m(level k)."""
+        return self.level(k).get(m, [])
 
     def level_dim(self, k: int, m: int) -> int:
-        if k < 1:
-            return 0
-        return self.level(k).dim_in(m)
+        """``dim H^m(level k)``: the sum over its summands, 0 off the levels."""
+        return sum(d for _, d in self._summands(k, m))
 
     # -- assembled matrices --------------------------------------------------
 
@@ -339,7 +326,7 @@ class StrataComplex:
         pairings on level ``k-1``.
         """
         cols = self.level_dim(k, m)
-        rows = self.level_dim(k - 1, m + 2) if k >= 2 else 0
+        rows = self.level_dim(k - 1, m + 2)
         if rows == 0 or cols == 0:
             return RatMatrix.zeros(rows, cols)
         mc = 2 * (self.n + 1 - k) - m
@@ -438,44 +425,24 @@ class StrataComplex:
                 _emit(v, f"restriction {_face_str(sub)} -> {_face_str(f)}", seen[key])
 
     def _check_relations(self, v):
-        degrees = sorted({m for f in self.faces for m in self.faces[f].degrees()})
-        top = self.max_level
+        rho, tau, L = self.rho, self.tau, self.level_lefschetz
         try:
-            for k in range(1, top + 1):
-                for m in degrees:
-                    if self.level_dim(k, m) == 0:
-                        continue
+            for k in range(1, self.max_level + 1):
+                for m in self.level(k):
+                    # (code, message, a map that must vanish), in report order
+                    rows = [
+                        ("rho-squared", "rho o rho != 0", rho(k + 1, m) @ rho(k, m)),
+                        ("tau-squared", "tau o tau != 0", tau(k - 1, m + 2) @ tau(k, m)),
+                    ]
+                    if k >= 2:  # on level 1 the mixed relation has no meaning
+                        mixed = rho(k - 1, m + 2) @ tau(k, m) + tau(k + 1, m) @ rho(k, m)
+                        rows.append(("anticommutation", "rho tau + tau rho != 0", mixed))
+                    lr = L(k + 1, m) @ rho(k, m) - rho(k, m + 2) @ L(k, m)
+                    rows.append(("lefschetz-rho", "[L, rho] != 0", lr))
+                    lt = L(k - 1, m + 2) @ tau(k, m) - tau(k, m + 2) @ L(k, m)
+                    rows.append(("lefschetz-tau", "[L, tau] != 0", lt))
                     loc = f"level {k} degree {m}"
-                    rr = self.rho(k + 1, m) @ self.rho(k, m)
-                    if not rr.is_zero():
-                        v.append(Violation("rho-squared", loc, "rho o rho != 0"))
-                    tt = self.tau(k - 1, m + 2) @ self.tau(k, m) if k >= 2 else None
-                    if tt is not None and not tt.is_zero():
-                        v.append(Violation("tau-squared", loc, "tau o tau != 0"))
-                    if k >= 2:
-                        mixed = self.rho(k - 1, m + 2) @ self.tau(k, m) + self.tau(
-                            k + 1, m
-                        ) @ self.rho(k, m)
-                        if not mixed.is_zero():
-                            v.append(
-                                Violation(
-                                    "anticommutation",
-                                    loc,
-                                    "rho tau + tau rho != 0",
-                                )
-                            )
-                    # lefschetz commutes with rho and tau
-                    lr = self.level_lefschetz(k + 1, m) @ self.rho(k, m) - self.rho(
-                        k, m + 2
-                    ) @ self.level_lefschetz(k, m)
-                    if not lr.is_zero():
-                        v.append(Violation("lefschetz-rho", loc, "[L, rho] != 0"))
-                    if k >= 2:
-                        lt = self.level_lefschetz(k - 1, m + 2) @ self.tau(k, m) - self.tau(
-                            k, m + 2
-                        ) @ self.level_lefschetz(k, m)
-                        if not lt.is_zero():
-                            v.append(Violation("lefschetz-tau", loc, "[L, tau] != 0"))
+                    v.extend(Violation(code, loc, msg) for code, msg, x in rows if not x.is_zero())
         except MissingRestriction as exc:
             v.append(Violation("missing-restriction", "relations", str(exc)))
 

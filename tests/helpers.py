@@ -10,6 +10,8 @@
   components, and products).
 * ``SIGN_MUTANTS``: builtins with some matrices of some faces negated, which
   still validate but fail checks.
+* ``RELATION_MUTANTS``: documents that pass every structural check of
+  ``validate`` and fail its level relations.
 * ``swap_face``: break one face of a builtin whose faces share strata.
 * ``quotient_of``: a ``QuotientSpace`` from any numerator basis, and
   ``GeneralQuotient``, the reference model of a quotient by a second rule.
@@ -397,4 +399,56 @@ def sign_mutant(name: str) -> dict:
                 m: [[str(-Fraction(x)) for x in row] for row in rows]
                 for m, rows in face[key].items()
             }
+    return doc
+
+
+# document -> the (code, location) of each level relation it fails, in the
+# order validate reports them
+RELATION_MUTANTS = {
+    # the restriction {1,2} -> {1,2,3} doubled in degree 0
+    "tetrahedron/restriction-double": [
+        ("rho-squared", "level 1 degree 0"),
+        ("anticommutation", "level 2 degree 0"),
+        ("tau-squared", "level 3 degree 0"),
+    ],
+    # the pairing of the triple point {1,2,3} negated
+    "tetrahedron/point-sign": [("anticommutation", "level 2 degree 0")],
+    # two P^3 meeting in a stratum with H^2 alone
+    "two-p3/h2-only": [
+        ("lefschetz-rho", "level 1 degree 0"),
+        ("lefschetz-tau", "level 2 degree 2"),
+    ],
+}
+
+
+def relation_mutant(name: str) -> dict:
+    """The document ``name`` of ``RELATION_MUTANTS``, as JSON.  Each passes
+    the structural checks: a changed restriction or pairing keeps its shape
+    and perfectness, and ``two-p3/h2-only`` gives its double stratum no
+    ``H^0``, a degree in which no restriction is checked."""
+    one = [["1"]]
+    if name == "two-p3/h2-only":
+        p3 = {
+            "cohomology": {str(2 * c): 1 for c in range(4)},
+            "pairing": {str(2 * c): one for c in range(4)},
+            "lefschetz": {str(2 * c): one for c in range(3)},
+            "slope_pure": True,
+        }
+        meet = {"cohomology": {"2": 1}, "pairing": {"2": one}, "lefschetz": {}, "slope_pure": True}
+        return {
+            "schema_version": 1,
+            "name": name,
+            "dimension": 3,
+            "components": ["P1", "P2"],
+            "faces": [{"indices": [1], **p3}, {"indices": [2], **p3}, {"indices": [1, 2], **meet}],
+            "restrictions": [
+                {"from": [c], "to": [1, 2], "maps": {"2": one}} for c in (1, 2)
+            ],
+        }
+    doc = scenarios.build(scenarios.parse_spec("tetrahedron")).to_json_dict()
+    if name == "tetrahedron/restriction-double":
+        entry = next(r for r in doc["restrictions"] if (r["from"], r["to"]) == ([1, 2], [1, 2, 3]))
+        entry["maps"] = {"0": [["2"]]}
+    else:
+        next(f for f in doc["faces"] if f["indices"] == [1, 2, 3])["pairing"] = {"0": [["-1"]]}
     return doc

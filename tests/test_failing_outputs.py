@@ -27,6 +27,27 @@ So every suite flag has at least one pinned failure, with its locations and
 witness vectors.  The table holds the SHA-256 of stdout and the exit code,
 in text and JSON, like ``test_golden_outputs``.
 
+``validate`` checks five level relations, one ordered table of maps that
+must vanish.  Each ``helpers.RELATION_MUTANTS`` document passes the
+structural checks and fails some of them, and ``RELATION_GOLDEN`` pins its
+``validate`` output, exit 1:
+
+* ``tetrahedron/restriction-double``, the restriction ``{1,2} -> {1,2,3}``
+  doubled: ``rho-squared`` (level 1, degree 0), ``anticommutation`` (level
+  2, degree 0) and ``tau-squared`` (level 3, degree 0);
+* ``tetrahedron/point-sign``, the pairing of the point ``{1,2,3}`` negated:
+  ``anticommutation`` alone;
+* ``two-p3/h2-only``, two ``P^3`` meeting in a stratum with ``H^2`` alone:
+  ``lefschetz-rho`` (level 1, degree 0) and ``lefschetz-tau`` (level 2,
+  degree 2).  No restriction is checked in a degree where its target has
+  no cohomology, so only the level relation sees the missing ``H^0``.
+
+``check`` and ``e2`` on each of them print its ``validate`` output, and
+``report`` fails it as ``input_valid``; no suite runs.
+With every map read as nonzero, ``validate`` reports every row of the table
+at every level and degree, in table order
+(``test_every_relation_row_is_reported_in_table_order``).
+
 ``hl_cohomology_fixpoint`` has no pinned failure, because it cannot fail on
 a page that builds.  It compares ``hl_cohomology(e2)``, the second page of
 ``e2``, with ``e2``.  The differential of ``e2`` is zero, so every cell of
@@ -68,6 +89,31 @@ perfect pairing of ``E2^{a,b}`` with ``E2^{-a,2n-b}``, and the two have one
 dimension.  ``test_a_validated_document_has_a_self_dual_second_page``
 checks both premises and the conclusion (``helpers.duality_check``) on the
 builtins, the sign mutants and twelve ``random_valid_complex`` documents.
+
+``hl_commute_Ld``, ``hl_commute_Nd`` and ``hl_commute_NL`` cannot fail on
+a document that validates.  At ``H(V)``, the second page, ``d`` is zero, so
+``[L, d]`` and ``[N, d]`` are zero; ``N`` and ``L`` are induced by the
+first-page operators, an induced map of a product is the product of the
+induced maps, and the first-page ``N`` and ``L`` commute, so the induced
+ones do.  At ``V``, the first page:
+
+* ``hl_commute_Ld``: ``L`` keeps each summand ``k`` and acts by the
+  Lefschetz map of its level and degree, so ``[L, d1]`` is, block by block,
+  the validator's ``lefschetz-rho`` map (from ``rho``) and ``lefschetz-tau``
+  map (from ``tau``).  A document where one is not zero fails validation,
+  and ``check`` exits 1 with that report before any suite runs.
+* ``hl_commute_Nd`` and ``hl_commute_NL`` hold on the first page of every
+  document, valid or not.  ``N`` is the identity from summand ``k`` to
+  summand ``k+1``, on the same level and degree.  So both sides of
+  ``[N, d1]`` apply one ``rho`` or ``tau`` block, and both sides of
+  ``[N, L]`` one Lefschetz block, between the same two summands, and a
+  summand truncated away drops both sides.
+
+The tests below check on the builtins, the sign mutants and the relation
+mutants that ``[L, d1]`` is zero exactly where no Lefschetz row of the
+validator fails, that ``[N, d1]`` and ``[N, L]`` are zero on every first
+page, and that the induced ``N`` and ``L`` of every second page compose as
+the first-page products do.
 """
 
 import hashlib
@@ -77,11 +123,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import SIGN_MUTANTS, duality_check, random_valid_complex, sign_mutant
+from helpers import (
+    RELATION_MUTANTS,
+    SIGN_MUTANTS,
+    duality_check,
+    page_relations,
+    random_valid_complex,
+    relation_mutant,
+    sign_mutant,
+)
 from ssweight import checks, hodge_lefschetz, scenarios
 from ssweight.cli import main
 from ssweight.hodge_lefschetz import hl_cohomology
-from ssweight.linalg import RatMatrix
+from ssweight.linalg import RatMatrix, induced_map
 from ssweight.spectral import E1Page, E2Page
 from ssweight.strata import StrataComplex
 
@@ -252,6 +306,22 @@ FAILURES = {
     ],
 }
 
+# (document, format) -> (sha256 of the validate command's stdout, exit code)
+RELATION_GOLDEN = {
+    ("tetrahedron/restriction-double", "text"):
+        ("761ec50cbacedecbc83bf50136df216ec544143e8b0109d1a8e7611a08d0d202", 1),
+    ("tetrahedron/restriction-double", "json"):
+        ("2bf8e8597134c58d422aee1d927f4a5d3c7d66f829d25c93e52f20d55021c186", 1),
+    ("tetrahedron/point-sign", "text"):
+        ("26ebaf44d0bf8a67f20eb7643fd242f020243b102472317e64389718bce03d29", 1),
+    ("tetrahedron/point-sign", "json"):
+        ("32503eb7a3d9f77eb6020f2a942b434cb4548e4d3b626df833f1fdedcf7882b9", 1),
+    ("two-p3/h2-only", "text"):
+        ("05f0dec2c2172ca79a53c3fbc13c6f9c7b9ab3adbae14cc9cfb2943199a70faa", 1),
+    ("two-p3/h2-only", "json"):
+        ("9628585d12ebf98e32be89b4b7ff2d8d08670f3b8f29978fbc612ce5a7d66e88", 1),
+}
+
 POSITIVITY_FAILURES = {
     "ngon:5": ["hl_positivity[i=0,j=1,stage=V]"],
     "ngon_x_p1:3": ["hl_positivity[i=0,j=0,stage=V]", "hl_positivity[i=0,j=2,stage=V]"],
@@ -269,6 +339,17 @@ def documents(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def relation_documents(tmp_path_factory):
+    root = tmp_path_factory.mktemp("relations")
+    paths = {}
+    for name in RELATION_MUTANTS:
+        path = root / (name.replace("/", "-") + ".json")
+        path.write_text(json.dumps(relation_mutant(name)), encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
 def _digest(capsys, path, command, fmt):
     code = main([*command.split(" "), "--input", path, "--format", fmt])
     out = capsys.readouterr().out
@@ -280,6 +361,50 @@ def _digest(capsys, path, command, fmt):
 @pytest.mark.parametrize("spec", SIGN_MUTANTS)
 def test_output_digest(capsys, documents, spec, command, fmt):
     assert _digest(capsys, documents[spec], command, fmt) == GOLDEN[spec, command, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("spec", RELATION_MUTANTS)
+def test_relation_output_digest(capsys, relation_documents, spec, fmt):
+    assert _digest(capsys, relation_documents[spec], "validate", fmt) == RELATION_GOLDEN[spec, fmt]
+
+
+@pytest.mark.parametrize("spec", RELATION_MUTANTS)
+def test_relation_failures(capsys, relation_documents, spec):
+    assert main(["validate", "--input", relation_documents[spec], "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(v["code"], v["location"]) for v in payload["violations"]] == RELATION_MUTANTS[spec]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["check --all", "e2"])
+@pytest.mark.parametrize("spec", RELATION_MUTANTS)
+def test_a_command_on_a_relation_mutant_prints_its_validation(
+    capsys, relation_documents, spec, command, fmt
+):
+    assert _digest(capsys, relation_documents[spec], command, fmt) == RELATION_GOLDEN[spec, fmt]
+
+
+@pytest.mark.parametrize("spec", RELATION_MUTANTS)
+def test_report_on_a_relation_mutant_fails_only_its_validation(capsys, relation_documents, spec):
+    assert main(["report", "--input", relation_documents[spec], "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(r["name"], r["status"]) for r in payload["results"]] == [("input_valid", "fail")]
+    violations = payload["data"]["validation"]["violations"]
+    assert [(v["code"], v["location"]) for v in violations] == RELATION_MUTANTS[spec]
+
+
+def test_every_relation_row_is_reported_in_table_order(monkeypatch):
+    # every relation map read as nonzero: validate reports each row of the
+    # table at each level and degree of ngon:3, anticommutation from level 2
+    monkeypatch.setattr(RatMatrix, "is_zero", lambda self: False)
+    report = scenarios.ngon(3).validate()
+    rows = ["rho-squared", "tau-squared", "lefschetz-rho", "lefschetz-tau"]
+    expected = [(code, "level 1 degree 0") for code in rows]
+    expected += [(code, "level 1 degree 2") for code in rows]
+    rows.insert(2, "anticommutation")
+    expected += [(code, "level 2 degree 0") for code in rows]
+    assert [(v.code, v.location) for v in report.violations] == expected
 
 
 def _failed(capsys, path, command):
@@ -364,6 +489,8 @@ def test_cohomology_of_a_page_is_the_page(spec):
 def _complex(source: str) -> StrataComplex:
     if source in SIGN_MUTANTS:
         return StrataComplex.from_json_dict(sign_mutant(source))
+    if source in RELATION_MUTANTS:
+        return StrataComplex.from_json_dict(relation_mutant(source))
     if source.startswith("random:"):
         return random_valid_complex(random.Random(int(source[7:])))
     return scenarios.build(scenarios.parse_spec(source))
@@ -442,3 +569,42 @@ def test_a_validated_document_has_a_self_dual_second_page(source):
         assert adjoint == pairing @ e1.d1(-a - 1, 2 * n - b), (a, b)
     results = duality_check(E2Page(e1))
     assert results and all(r.status == "pass" for r in results)
+
+
+# every builtin, every sign mutant and every relation mutant
+FIRST_PAGE_SOURCES = [*(s.label() for s in scenarios.builtin_specs()), *SIGN_MUTANTS]
+FIRST_PAGE_SOURCES += list(RELATION_MUTANTS)
+
+
+def _first_page_failures(sc) -> set:
+    return {r.name for r in page_relations(E1Page(sc)) if r.status == "fail"}
+
+
+@pytest.mark.parametrize("source", FIRST_PAGE_SOURCES)
+def test_L_commutes_with_d1_where_the_validator_finds_no_lefschetz_row(source):
+    # why hl_commute_Ld cannot fail at V: see the module docstring
+    sc = _complex(source)
+    codes = {v.code for v in sc.validate().violations}
+    lefschetz_rows = codes & {"lefschetz-rho", "lefschetz-tau"}
+    assert ("L_commutes_d1" in _first_page_failures(sc)) == bool(lefschetz_rows)
+
+
+@pytest.mark.parametrize("source", FIRST_PAGE_SOURCES)
+def test_N_commutes_with_d1_and_L_on_every_first_page(source):
+    # why hl_commute_Nd and hl_commute_NL cannot fail at V, even on the
+    # relation mutants, which do not validate
+    assert not _first_page_failures(_complex(source)) & {"N_commutes_d1", "N_commutes_L"}
+
+
+@pytest.mark.parametrize("source", MODULE_SOURCES)
+def test_the_induced_N_and_L_compose_as_the_first_page_operators(source):
+    # why hl_commute_NL cannot fail at H(V): N L and L N are one map on the
+    # first page, and each induces the product of the induced maps
+    e1 = E1Page(_complex(source))
+    e2 = E2Page(e1)
+    for (a, b) in e2.support():
+        q, there = e2.quotient(a, b), e2.quotient(a + 2, b)
+        nl = e1.nmap(a, b + 2) @ e1.lmap(a, b)
+        assert nl == e1.lmap(a + 2, b - 2) @ e1.nmap(a, b), (a, b)
+        assert induced_map(nl, q, there) == e2.nmap(a, b + 2) @ e2.lmap(a, b), (a, b)
+        assert induced_map(nl, q, there) == e2.lmap(a + 2, b - 2) @ e2.nmap(a, b), (a, b)

@@ -185,6 +185,6 @@ def test_a_value_json_cannot_hold_is_a_schema_error():
 def test_level_maps_are_built_once(spec):
     sc = StrataComplex.from_json_dict(builtin(spec))
     for k in range(1, sc.max_level + 1):
-        for m in sc.level(k).dims:
+        for m in sc.level(k):
             assert sc.level_pairing(k, m) is sc.level_pairing(k, m)
             assert sc.level_lefschetz(k, m) is sc.level_lefschetz(k, m)

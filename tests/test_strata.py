@@ -85,14 +85,37 @@ class TestValidate:
 
 class TestLevels:
     def test_ngon_level1(self):
-        gs = ngon(3).level(1)
-        assert gs.dims == {0: 3, 2: 3}
+        sc = ngon(3)
+        components = [((1,), 1), ((2,), 1), ((3,), 1)]
+        assert sc.level(1) == {0: components, 2: components}
+        assert [sc.level_dim(1, m) for m in range(4)] == [3, 0, 3, 0]
 
     def test_ngon_level2(self):
-        assert ngon(3).level(2).dims == {0: 3}
+        assert ngon(3).level(2) == {0: [((1, 2), 1), ((1, 3), 1), ((2, 3), 1)]}
+        assert ngon(3).level_dim(2, 0) == 3
 
     def test_level_beyond_faces_is_zero(self):
         assert ngon(3).level_dim(3, 0) == 0
+
+    @pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.label())
+    def test_a_level_off_the_faces_is_empty(self, spec):
+        sc = build(spec)
+        for k in (0, -1, sc.max_level + 1):
+            assert sc.level(k) == {}
+            assert sc.level_dim(k, 0) == 0
+            assert sc.tau(k, 0).cols == 0
+
+    @pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.label())
+    def test_each_degree_lists_its_faces_in_sorted_order(self, spec):
+        sc = build(spec)
+        for k in range(1, sc.max_level + 1):
+            table = sc.level(k)
+            assert list(table) == sorted(table)
+            for m, summands in table.items():
+                faces = [f for f, _ in summands]
+                assert faces == sorted(f for f in sc.faces_at(k) if sc.faces[f].dim_in(m))
+                assert all(d == sc.faces[f].dim_in(m) > 0 for f, d in summands)
+                assert sc.level_dim(k, m) == sum(d for _, d in summands)
 
 
 class TestRhoTau:
@@ -153,7 +176,7 @@ class TestProduct:
         prod = ngon(3).product_with_factor(projective_space_cohomology(1))
         assert prod.n == 2
         # oracle: Kunneth count for a curve times a line
-        assert prod.level(1).dims == {0: 3, 2: 6, 4: 3}
+        assert [prod.level_dim(1, m) for m in range(6)] == [3, 0, 6, 0, 3, 0]
         for f in prod.faces_at(1):
             assert prod.faces[f].dims == {0: 1, 2: 2, 4: 1}
         assert prod.validate().ok
@@ -161,13 +184,13 @@ class TestProduct:
     def test_product_with_point_is_isomorphic(self):
         prod = ngon(3).product_with_factor(point_cohomology(1))
         assert prod.n == 1
-        assert prod.level(1).dims == ngon(3).level(1).dims
+        assert prod.level(1) == ngon(3).level(1)
         assert prod.validate().ok
 
     def test_pn_times_p1_pascal_dims(self):
         prod = good_reduction_pn(2).product_with_factor(projective_space_cohomology(1))
         # oracle: product of Betti numbers (1,1,1) x (1,1)
-        assert [prod.level(1).dims.get(2 * c, 0) for c in range(4)] == [1, 2, 2, 1]
+        assert [prod.level_dim(1, 2 * c) for c in range(5)] == [1, 2, 2, 1, 0]
         assert prod.validate().ok
 
     def test_product_with_elliptic_factor_validates(self):
