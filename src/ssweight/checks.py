@@ -6,7 +6,8 @@ Every statement is instantiated as a matrix computation and reported as a
 the failure (a kernel vector of a map claimed bijective, a null vector of a
 pairing claimed non-degenerate, or the offending dimensions); witnesses are
 re-multiplied through before the result is emitted.  Checks on zero spaces
-pass with a "vacuous" note, matching mathematical convention.
+pass with a "vacuous" note, matching mathematical convention, and a name
+that no cell of a suite asks for passes once (``default_pass``).
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ class CheckResult:
         return f"{self.status.upper():7s} {self.name}[{loc}]{tail}"
 
 
+def default_pass(results: list[CheckResult], names, location: dict, note: str = ""):
+    """Append one pass at a copy of ``location``, with ``note``, for each of
+    ``names``, in order, that no result in ``results`` reports."""
+    reported = {r.name for r in results}
+    results += [CheckResult(name, dict(location), "pass", note) for name in names
+                if name not in reported]
+    return results
+
+
 def bijectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResult:
     """Pass iff the matrix is square of full rank; witnesses verified."""
     src, dst = matrix.cols, matrix.rows
@@ -96,17 +106,10 @@ def injectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResu
 
 
 def nondegeneracy_check(name: str, location: dict, gram: RatMatrix) -> CheckResult:
-    """Pass iff the (square) Gram matrix of a restricted pairing is invertible."""
+    """Pass iff the Gram matrix of a restricted pairing is invertible.  It is
+    square by construction: ``B^T G B`` with ``G = _twisted_gram(sc, k, q)``."""
     if gram.rows == 0:
         return CheckResult(name, location, "pass", note="vacuous (zero space)")
-    if gram.rows != gram.cols:
-        return CheckResult(
-            name,
-            location,
-            "fail",
-            note="pairing is not between spaces of equal dimension",
-            witness={"rows": gram.rows, "cols": gram.cols},
-        )
     r = gram.rank()
     if r == gram.rows:
         return CheckResult(name, location, "pass", witness={"dim": gram.rows})
@@ -141,11 +144,7 @@ def relation_checks(cx, names: dict, where, everywhere: dict) -> list[CheckResul
         for key, name in names.items():
             if not values[key].is_zero():
                 results.append(CheckResult(name, where(a, b), "fail"))
-    failed = {r.name for r in results}
-    for name in names.values():
-        if name not in failed:
-            results.append(CheckResult(name, dict(everywhere), "pass"))
-    return results
+    return default_pass(results, names.values(), everywhere)
 
 
 # -- log hard Lefschetz and weight-monodromy on the second page ---------------
@@ -188,11 +187,7 @@ def check_log_hl(e2: E2Page, r: int) -> list[CheckResult]:
                 witness={"dim": d_src, "dual_corner_dim": d_dual},
             )
         )
-    if not bs:
-        results.append(
-            CheckResult("log_hard_lefschetz", {"r": r}, "pass", note="vacuous (no cells)")
-        )
-    return results
+    return default_pass(results, ["log_hard_lefschetz"], {"r": r}, "vacuous (no cells)")
 
 
 def check_log_hl_all(e2: E2Page) -> list[CheckResult]:
@@ -213,26 +208,16 @@ def check_wm(e2: E2Page) -> list[CheckResult]:
         results.append(
             bijectivity_check("weight_monodromy", {"r": r, "w": w}, matrix)
         )
-    if not pairs:
-        results.append(
-            CheckResult(
-                "weight_monodromy",
-                {},
-                "pass",
-                note="vacuous (single-column page, N = 0)",
-            )
-        )
-    return results
+    return default_pass(results, ["weight_monodromy"], {}, "vacuous (single-column page, N = 0)")
 
 
 # -- the degree-one suite ------------------------------------------------------
 
 
-def _twisted_gram(sc: StrataComplex, k: int, q: int) -> RatMatrix | None:
-    """Gram of <x, y> = pairing(L^{n+1-k-q} x, y) on H^q(level k)."""
+def _twisted_gram(sc: StrataComplex, k: int, q: int) -> RatMatrix:
+    """Gram of <x, y> = pairing(L^p x, y) on H^q(level k), p = n+1-k-q >= 0;
+    square, since the pairing puts H^q against the degree q+2p of L^p x."""
     p = sc.n + 1 - k - q
-    if p < 0:
-        return None
     lpow = sc.lefschetz_power(k, q, p)
     top = sc.level_pairing(k, q + 2 * p)
     return lpow.transpose() @ top
@@ -277,31 +262,21 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
     im_tau = image(tau20)
     primitive = kernel(sc.lefschetz_power(1, 2, n - 1))
     meet = im_tau.intersection(primitive)
-    gram2 = _twisted_gram(sc, 1, 2) if meet.dim else None
-    if meet.dim == 0:
-        results.append(
-            CheckResult(
-                "pairing_on_im_tau_primitive",
-                {"k": 1, "q": 2},
-                "pass",
-                note="vacuous (intersection is zero)",
-            )
-        )
+    complement = im_tau
+    if meet.dim:  # L^{n-1} is the identity on H^2 at n = 1, so here n >= 2
+        gram2 = _twisted_gram(sc, 1, 2)
+        results.append(nondegeneracy_check(
+            "pairing_on_im_tau_primitive", {"k": 1, "q": 2}, _restricted_gram(gram2, meet.basis)
+        ))
+        complement = im_tau.annihilated_by(meet.basis.transpose() @ gram2)
     else:
-        results.append(
-            nondegeneracy_check(
-                "pairing_on_im_tau_primitive",
-                {"k": 1, "q": 2},
-                _restricted_gram(gram2, meet.basis),
-            )
-        )
+        results.append(CheckResult(
+            "pairing_on_im_tau_primitive", {"k": 1, "q": 2}, "pass",
+            note="vacuous (intersection is zero)",
+        ))
 
     # im(tau rho) is the orthocomplement of im(tau) ∩ P^2 inside im(tau)
     im_tau_rho = image(tau20 @ sc.rho(1, 0))
-    if meet.dim == 0:
-        complement = im_tau
-    else:
-        complement = im_tau.annihilated_by(meet.basis.transpose() @ gram2)
     results.append(_subspace_equality_check(
         "im_tau_rho_is_orthocomplement", {"k": 1, "q": 2}, im_tau_rho, complement
     ))

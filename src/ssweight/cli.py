@@ -12,10 +12,11 @@ builds its text, and ``main`` is the one writer: it writes the payload or
 the text, as ``--format`` asks, to stdout or to ``-o``.  ``scenario`` has
 no ``--format``: its text is the document, as ``StrataComplex.dumps``
 writes it.  A command that reads the second page of a complex that fails
-validation gives the ``validate`` command's result.  An error is an
-``error:`` line on stderr, followed by the pointer to the document schema
-only when the input document is malformed (a ``SchemaError``).  Integers on
-the command line, ``--q``, ``--jumps`` and scenario parameters, are written
+validation gives the ``validate`` command's result, and ``report`` fails it
+with the ``validate`` text under its own.  An error is an ``error:`` line
+on stderr, followed by the pointer to the document schema only when the
+input document is malformed (a ``SchemaError``).  Integers on the command
+line, ``--q``, ``--jumps`` and scenario parameters, are written
 ``-?[0-9]+``.
 
 ``main(argv)`` returns the exit code rather than exiting, so it can be
@@ -271,6 +272,8 @@ def _cmd_report(args):
 
     def text():
         lines = [report.title, f"overall: {'pass' if report.passed else 'fail'}"]
+        if not report.validation.ok:
+            lines.append(report.validation.summary())
         for entry in report.data.get("degrees", []):
             hs = entry.get("hodge_symmetry", {})
             slopes = entry.get("slopes")

@@ -30,7 +30,7 @@ that taking cohomology once more changes nothing.
 
 from __future__ import annotations
 
-from .checks import CheckResult, bijectivity_check, relation_checks
+from .checks import CheckResult, bijectivity_check, default_pass, relation_checks
 from .errors import NotCycleGenerated
 from .linalg import RatMatrix, kernel, kernel_witness, signature
 from .spectral import E1Page, E2Page, power
@@ -98,19 +98,14 @@ def check_hl_axioms(v, stage: str = "") -> list[CheckResult]:
             continue
         seen.add((a, b))
         p = v.pairing_at(a, b)
-        if p.rows != p.cols or (p.rows and p.rank() != p.rows):
-            wit = {"rows": p.rows, "cols": p.cols}
-            if p.rows == p.cols and p.rows:
-                wit["null_vector"] = kernel_witness(p.transpose())
-            results.append(
-                CheckResult("hl_pairing_perfect", at(a, b), "fail", witness=wit)
-            )
+        square = p.rows == p.cols
+        if square and (p.rows == 0 or p.rank() == p.rows):
+            status, wit = "pass", {"dim": p.rows}
         else:
-            results.append(
-                CheckResult(
-                    "hl_pairing_perfect", at(a, b), "pass", witness={"dim": p.rows}
-                )
-            )
+            status, wit = "fail", {"rows": p.rows, "cols": p.cols}
+            if square:  # and nonzero, since a 0x0 pairing is perfect
+                wit["null_vector"] = kernel_witness(p.transpose())
+        results.append(CheckResult("hl_pairing_perfect", at(a, b), status, witness=wit))
         s = _sign_match(p, v.pairing_at(*dual).transpose())
         results.append(
             CheckResult(
@@ -140,9 +135,7 @@ def check_hl_axioms(v, stage: str = "") -> list[CheckResult]:
                 results.append(
                     CheckResult(name, at(a, b), "pass", witness={"sign": s})
                 )
-    for name in ("hl_adjoint_N", "hl_adjoint_L", "hl_adjoint_d"):
-        if not any(r.name == name for r in results):
-            results.append(CheckResult(name, dict(loc0), "pass", note="vacuous"))
+    default_pass(results, ("hl_adjoint_N", "hl_adjoint_L", "hl_adjoint_d"), loc0, "vacuous")
 
     # positivity on primitive bidegrees: (i, j) >= 0 with V^{-i,-j} at
     # (a, b) = (-i, n+i-j)
@@ -185,9 +178,7 @@ def check_hl_axioms(v, stage: str = "") -> list[CheckResult]:
                     witness=wit,
                 )
             )
-    if not any(r.name == "hl_positivity" for r in results):
-        results.append(CheckResult("hl_positivity", dict(loc0), "pass", note="vacuous"))
-    return results
+    return default_pass(results, ["hl_positivity"], loc0, "vacuous")
 
 
 def hl_from_strata(e1: E1Page) -> E1Page:

@@ -29,7 +29,7 @@ from .checks import CheckResult, check_log_hl
 from .errors import InvalidParameters, NonIntegralSlopes, SlopesUnavailable
 from .linalg import _format, _quoted, rat
 from .spectral import E2Page, build_e1, compute_e2
-from .strata import StrataComplex
+from .strata import StrataComplex, ValidationReport
 
 
 @dataclass(frozen=True)
@@ -248,6 +248,7 @@ def hodge_from_ordinary(sl: SlopeMultiset) -> HodgeVector:
 @dataclass
 class Report:
     title: str
+    validation: ValidationReport
     results: list[CheckResult] = field(default_factory=list)
     data: dict = field(default_factory=dict)
 
@@ -274,8 +275,8 @@ def hodge_symmetry_report(sc: StrataComplex) -> Report:
     principle licensing it; a step whose prerequisite failed is reported
     skipped, never silently assumed.
     """
-    report = Report(title=f"hodge symmetry report for {sc.name}")
     validation = sc.validate()
+    report = Report(f"hodge symmetry report for {sc.name}", validation)
     report.data["validation"] = validation.to_dict()
     if not validation.ok:
         report.results.append(

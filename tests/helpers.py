@@ -12,6 +12,8 @@
   still validate but fail checks.
 * ``RELATION_MUTANTS``: documents that pass every structural check of
   ``validate`` and fail its level relations.
+* ``complex_of``: the complex of a builtin label, a mutant name or
+  ``random:<seed>``.
 * ``swap_face``: break one face of a builtin whose faces share strata.
 * ``quotient_of``: a ``QuotientSpace`` from any numerator basis, and
   ``GeneralQuotient``, the reference model of a quotient by a second rule.
@@ -452,3 +454,16 @@ def relation_mutant(name: str) -> dict:
     else:
         next(f for f in doc["faces"] if f["indices"] == [1, 2, 3])["pairing"] = {"0": [["-1"]]}
     return doc
+
+
+def complex_of(source: str) -> StrataComplex:
+    """The complex named by a test source: a ``SIGN_MUTANTS`` or
+    ``RELATION_MUTANTS`` name, ``random:<seed>`` for a
+    ``random_valid_complex``, or a builtin label."""
+    if source in SIGN_MUTANTS:
+        return StrataComplex.from_json_dict(sign_mutant(source))
+    if source in RELATION_MUTANTS:
+        return StrataComplex.from_json_dict(relation_mutant(source))
+    if source.startswith("random:"):
+        return random_valid_complex(random.Random(int(source[7:])))
+    return scenarios.build(scenarios.parse_spec(source))

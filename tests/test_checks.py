@@ -1,9 +1,11 @@
 import pytest
 
-from helpers import HodgeLefschetzModule, graph_curve, swap_face
+from helpers import SIGN_MUTANTS, HodgeLefschetzModule, complex_of, graph_curve, swap_face
+from ssweight import checks
 from ssweight.errors import InvalidParameters, SsweightError
-from ssweight.hodge_lefschetz import check_hl_axioms
+from ssweight.hodge_lefschetz import check_hl_axioms, hl_suite
 from ssweight.linalg import QuotientSpace, RatMatrix
+from ssweight.polygons import hodge_symmetry_report
 from ssweight.scenarios import (
     build,
     builtin_specs,
@@ -14,11 +16,13 @@ from ssweight.scenarios import (
 )
 from ssweight.spectral import build_e1, compute_e2
 from ssweight.checks import (
+    CheckResult,
     bijectivity_check,
     check_h1_suite,
     check_log_hl,
     check_log_hl_all,
     check_wm,
+    default_pass,
     injectivity_check,
     nondegeneracy_check,
 )
@@ -26,6 +30,62 @@ from ssweight.checks import (
 
 def page(sc):
     return compute_e2(build_e1(sc))
+
+
+# every builtin and every sign mutant: the documents whose pages build
+PAGE_SOURCES = [*(s.label() for s in builtin_specs()), *SIGN_MUTANTS]
+
+
+class TestDefaultPass:
+    def test_each_name_no_result_reports_passes_once_in_order(self):
+        location = {"stage": "V"}
+        results = [CheckResult("b", {"i": 0}, "fail")]
+        assert default_pass(results, ["a", "b", "c"], location, "vacuous") is results
+        assert [(r.name, r.location, r.status, r.note) for r in results] == [
+            ("b", {"i": 0}, "fail", ""),
+            ("a", {"stage": "V"}, "pass", "vacuous"),
+            ("c", {"stage": "V"}, "pass", "vacuous"),
+        ]
+        # each pass holds a copy of the location, none the location itself
+        assert results[1].location is not location
+        assert results[1].location is not results[2].location
+
+    @pytest.mark.parametrize("source", PAGE_SOURCES)
+    def test_no_two_results_share_a_location(self, source):
+        # report writes q_reported into check_log_hl's locations, so a
+        # shared dict would carry one degree's entry into another's results
+        sc = complex_of(source)
+        e2 = page(sc)
+        results = check_log_hl_all(e2) + check_wm(e2) + check_h1_suite(e2)
+        if sc.cycle_generated:
+            results += hl_suite(e2)
+        results += hodge_symmetry_report(sc).results
+        assert len({id(r.location) for r in results}) == len(results)
+
+
+# the premise of nondegeneracy_check, which has no branch for a Gram that is
+# not square: builtins, sign mutants and twelve random valid complexes
+GRAM_SOURCES = [*PAGE_SOURCES, *(f"random:{seed}" for seed in range(12))]
+
+
+@pytest.mark.parametrize("source", GRAM_SOURCES)
+def test_the_suite_reads_only_square_twisted_grams(monkeypatch, source):
+    sc = complex_of(source)
+    assert sc.validate().ok and sc.n >= 1
+    reads, twisted_gram = [], checks._twisted_gram
+
+    def spy(sc, k, q):
+        gram = twisted_gram(sc, k, q)
+        reads.append((k, q))
+        assert sc.n + 1 - k - q >= 0, (k, q)
+        assert gram.rows == gram.cols == sc.level_dim(k, q), (k, q)
+        return gram
+
+    monkeypatch.setattr(checks, "_twisted_gram", spy)
+    check_h1_suite(page(sc))
+    assert [k for k, q in reads if q == 0] == list(range(1, sc.max_level + 1))
+    # H^2 of the component level is read only where im tau meets P^2
+    assert ((1, 2) in reads) == (source == "tetrahedron")
 
 
 class TestLogHL:

@@ -43,7 +43,9 @@ structural checks and fails some of them, and ``RELATION_GOLDEN`` pins its
   no cohomology, so only the level relation sees the missing ``H^0``.
 
 ``check`` and ``e2`` on each of them print its ``validate`` output, and
-``report`` fails it as ``input_valid``; no suite runs.
+``report`` fails it as ``input_valid``; no suite runs.  ``report``'s text
+is its title, ``overall: fail`` and the ``validate`` text of the report's
+own validation (``RELATION_REPORT_TEXT``).
 With every map read as nonzero, ``validate`` reports every row of the table
 at every level and degree, in table order
 (``test_every_relation_row_is_reported_in_table_order``).
@@ -114,11 +116,35 @@ mutants that ``[L, d1]`` is zero exactly where no Lefschetz row of the
 validator fails, that ``[N, d1]`` and ``[N, L]`` are zero on every first
 page, and that the induced ``N`` and ``L`` of every second page compose as
 the first-page products do.
+
+``hl_adjoint_N``, ``hl_adjoint_L`` and ``hl_adjoint_d`` cannot fail on a
+document that validates.  Each compares ``<Tx, y>`` with ``<x, Ty>``, as
+Gram matrices, for ``T`` out of one cell.  At ``V``, the first page:
+
+* ``hl_adjoint_d``: ``tau`` is the exact adjoint of ``rho``, so ``d1`` is
+  its own adjoint (see ``log_hl_corner_dims``);
+  ``test_a_validated_document_has_a_self_dual_second_page`` checks
+  ``d1^T P = P d1`` at every cell.
+* ``hl_adjoint_L``: ``L`` and the pairing act within the strata of one
+  level, so the identity is, stratum by stratum, ``<Lx, y> = <x, Ly>``,
+  which the validator checks as ``lefschetz-adjoint``.  A document where it
+  fails does not validate, and ``check`` exits 1 before any suite runs.
+* ``hl_adjoint_N`` holds on the first page of every document, valid or
+  not.  Summand ``j`` of the dual cell ``(-a-2, 2n-b+2)``, on level ``l``,
+  reaches summand ``j+a+1`` of ``(a, b)`` on both sides, through identity
+  blocks of ``N`` and one block of the level-``l`` pairing, and both sides
+  drop it exactly when ``j+a+1 < 0``.
+
+At ``H(V)``, the second page, ``N``, ``L``, ``d`` and the pairing are
+induced on representatives, so an identity between cycles of the first
+page holds on the second.  The tests below check ``N`` on every first page,
+the three identities on both pages of the builtins, the sign mutants and
+twelve random valid complexes, and that a stratum whose ``L`` is not
+self-adjoint fails ``lefschetz-adjoint`` and the first-page identity.
 """
 
 import hashlib
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -126,9 +152,9 @@ import pytest
 from helpers import (
     RELATION_MUTANTS,
     SIGN_MUTANTS,
+    complex_of,
     duality_check,
     page_relations,
-    random_valid_complex,
     relation_mutant,
     sign_mutant,
 )
@@ -322,6 +348,16 @@ RELATION_GOLDEN = {
         ("9628585d12ebf98e32be89b4b7ff2d8d08670f3b8f29978fbc612ce5a7d66e88", 1),
 }
 
+# document -> (sha256 of the report command's text stdout, exit code)
+RELATION_REPORT_TEXT = {
+    "tetrahedron/restriction-double":
+        ("452d0c8de8d768c83a84eb725b07cf8e26103608eeea4e5a22d60c1e59b8bc7f", 1),
+    "tetrahedron/point-sign":
+        ("6a328fd59d28c8e6e1d68c4911758f374c66e737f5a7fabb7fa851d3043f0a5a", 1),
+    "two-p3/h2-only":
+        ("7f9ef3ae76129758a7d9d591ca7ae07442ae7607deef19fafb5456c31103acfc", 1),
+}
+
 POSITIVITY_FAILURES = {
     "ngon:5": ["hl_positivity[i=0,j=1,stage=V]"],
     "ngon_x_p1:3": ["hl_positivity[i=0,j=0,stage=V]", "hl_positivity[i=0,j=2,stage=V]"],
@@ -392,6 +428,23 @@ def test_report_on_a_relation_mutant_fails_only_its_validation(capsys, relation_
     assert [(r["name"], r["status"]) for r in payload["results"]] == [("input_valid", "fail")]
     violations = payload["data"]["validation"]["violations"]
     assert [(v["code"], v["location"]) for v in violations] == RELATION_MUTANTS[spec]
+
+
+@pytest.mark.parametrize("spec", RELATION_MUTANTS)
+def test_report_text_on_a_relation_mutant_prints_its_violations(
+    capsys, relation_documents, spec, monkeypatch
+):
+    path = relation_documents[spec]
+    assert _digest(capsys, path, "report", "text") == RELATION_REPORT_TEXT[spec]
+    main(["validate", "--input", path])
+    validate_text = capsys.readouterr().out
+    # the violations are those of the report's own validation, run once
+    validated, validate = [], StrataComplex.validate
+    monkeypatch.setattr(StrataComplex, "validate", lambda sc: validated.append(sc) or validate(sc))
+    assert main(["report", "--input", path]) == 1
+    head = f"hodge symmetry report for {relation_mutant(spec)['name']}\noverall: fail\n"
+    assert capsys.readouterr().out == head + validate_text
+    assert len(validated) == 1
 
 
 def test_every_relation_row_is_reported_in_table_order(monkeypatch):
@@ -486,16 +539,6 @@ def test_cohomology_of_a_page_is_the_page(spec):
             assert getattr(h, op)(a, b) is getattr(e2, op)(a, b), (op, a, b)
 
 
-def _complex(source: str) -> StrataComplex:
-    if source in SIGN_MUTANTS:
-        return StrataComplex.from_json_dict(sign_mutant(source))
-    if source in RELATION_MUTANTS:
-        return StrataComplex.from_json_dict(relation_mutant(source))
-    if source.startswith("random:"):
-        return random_valid_complex(random.Random(int(source[7:])))
-    return scenarios.build(scenarios.parse_spec(source))
-
-
 # the documents hl_suite runs on: every cycle-generated builtin and mutant
 MODULE_SOURCES = [
     *(s.label() for s in scenarios.builtin_specs() if scenarios.build(s).cycle_generated),
@@ -514,7 +557,7 @@ def test_a_slope_pure_stratum_with_odd_cohomology_does_not_validate():
 @pytest.mark.parametrize("source", MODULE_SOURCES)
 def test_every_cell_of_a_checked_module_has_even_b(source):
     # why hl_parity cannot fail: see the module docstring
-    sc = _complex(source)
+    sc = complex_of(source)
     assert sc.validate().ok and sc.cycle_generated
     assert all(m % 2 == 0 for coh in sc.faces.values() for m in coh.degrees())
     e1 = E1Page(sc)
@@ -527,7 +570,7 @@ def test_every_cell_of_a_checked_module_has_even_b(source):
 def test_the_differentials_of_a_checked_module_square_to_zero(source):
     # why hl_d_squared cannot fail: E2Page checks d1 o d1 into every cell of
     # the first page, and the second page's d1 is zero
-    e1 = E1Page(_complex(source))
+    e1 = E1Page(complex_of(source))
     e2 = E2Page(e1)
     assert all((e1.d1(a + 1, b) @ e1.d1(a, b)).is_zero() for (a, b) in e1.support())
     assert all(e2.d1(a, b).is_zero() for (a, b) in e2.support())
@@ -559,7 +602,7 @@ DUALITY_SOURCES += [f"random:{seed}" for seed in range(12)]
 @pytest.mark.parametrize("source", DUALITY_SOURCES)
 def test_a_validated_document_has_a_self_dual_second_page(source):
     # why log_hl_corner_dims cannot fail: see the module docstring
-    sc = _complex(source)
+    sc = complex_of(source)
     assert sc.validate().ok
     n, e1 = sc.n, E1Page(sc)
     for (a, b) in e1.support():
@@ -583,7 +626,7 @@ def _first_page_failures(sc) -> set:
 @pytest.mark.parametrize("source", FIRST_PAGE_SOURCES)
 def test_L_commutes_with_d1_where_the_validator_finds_no_lefschetz_row(source):
     # why hl_commute_Ld cannot fail at V: see the module docstring
-    sc = _complex(source)
+    sc = complex_of(source)
     codes = {v.code for v in sc.validate().violations}
     lefschetz_rows = codes & {"lefschetz-rho", "lefschetz-tau"}
     assert ("L_commutes_d1" in _first_page_failures(sc)) == bool(lefschetz_rows)
@@ -593,14 +636,14 @@ def test_L_commutes_with_d1_where_the_validator_finds_no_lefschetz_row(source):
 def test_N_commutes_with_d1_and_L_on_every_first_page(source):
     # why hl_commute_Nd and hl_commute_NL cannot fail at V, even on the
     # relation mutants, which do not validate
-    assert not _first_page_failures(_complex(source)) & {"N_commutes_d1", "N_commutes_L"}
+    assert not _first_page_failures(complex_of(source)) & {"N_commutes_d1", "N_commutes_L"}
 
 
 @pytest.mark.parametrize("source", MODULE_SOURCES)
 def test_the_induced_N_and_L_compose_as_the_first_page_operators(source):
     # why hl_commute_NL cannot fail at H(V): N L and L N are one map on the
     # first page, and each induces the product of the induced maps
-    e1 = E1Page(_complex(source))
+    e1 = E1Page(complex_of(source))
     e2 = E2Page(e1)
     for (a, b) in e2.support():
         q, there = e2.quotient(a, b), e2.quotient(a + 2, b)
@@ -608,3 +651,51 @@ def test_the_induced_N_and_L_compose_as_the_first_page_operators(source):
         assert nl == e1.lmap(a + 2, b - 2) @ e1.nmap(a, b), (a, b)
         assert induced_map(nl, q, there) == e2.nmap(a, b + 2) @ e2.lmap(a, b), (a, b)
         assert induced_map(nl, q, there) == e2.lmap(a + 2, b - 2) @ e2.nmap(a, b), (a, b)
+
+
+def _adjoint_sides(v, op: str, a: int, b: int):
+    """``<Tx, y>`` and ``<x, Ty>`` for ``T = op`` out of the cell ``(a, b)``
+    of a page or module ``v``, as ``check_hl_axioms`` forms them."""
+    da, db = {"nmap": (2, -2), "lmap": (0, 2), "d1": (1, 0)}[op]
+    t = getattr(v, op)
+    return (
+        t(a, b).transpose() @ v.pairing_at(a + da, b + db),
+        v.pairing_at(a, b) @ t(-a - da, 2 * v.n - b - db),
+    )
+
+
+@pytest.mark.parametrize("source", FIRST_PAGE_SOURCES)
+def test_N_is_self_adjoint_on_every_first_page(source):
+    # why hl_adjoint_N cannot fail at V, even on the relation mutants
+    e1 = E1Page(complex_of(source))
+    for (a, b) in e1.support():
+        lhs, rhs = _adjoint_sides(e1, "nmap", a, b)
+        assert lhs == rhs, (a, b)
+
+
+@pytest.mark.parametrize("source", DUALITY_SOURCES)
+def test_N_L_and_d_are_self_adjoint_on_both_pages(source):
+    # why hl_adjoint_N, hl_adjoint_L and hl_adjoint_d cannot fail on a
+    # validated document, at V and at H(V)
+    sc = complex_of(source)
+    assert sc.validate().ok
+    e1 = E1Page(sc)
+    for v in (e1, E2Page(e1)):
+        for (a, b) in v.support():
+            for op in ("nmap", "lmap", "d1"):
+                lhs, rhs = _adjoint_sides(v, op, a, b)
+                assert lhs == rhs, (op, a, b)
+
+
+def test_a_lefschetz_map_that_is_not_self_adjoint_fails_validation():
+    # why hl_adjoint_L rests on the validator: L of the plane doubled in
+    # degree 0 breaks <Lx, y> = <x, Ly> between degrees 0 and 2, which
+    # fails lefschetz-adjoint and nothing else, and the first-page identity
+    # at the cells that hold those degrees
+    doc = scenarios.build(scenarios.parse_spec("good_reduction_pn:2")).to_json_dict()
+    doc["faces"][0]["lefschetz"]["0"] = [["2"]]
+    sc = StrataComplex.from_json_dict(doc)
+    assert {v.code for v in sc.validate().violations} == {"lefschetz-adjoint"}
+    e1 = E1Page(sc)
+    broken = [(a, b) for (a, b) in e1.support() if len(set(_adjoint_sides(e1, "lmap", a, b))) > 1]
+    assert broken == [(0, 0), (0, 2)]

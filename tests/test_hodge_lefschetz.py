@@ -30,9 +30,34 @@ def one_dim_module(pairing_value=1):
     )
 
 
+def empty_module():
+    return HodgeLefschetzModule(weight=0, dims={})
+
+
 class TestAxiomChecker:
     def test_trivial_module_passes(self):
         assert all(c.ok for c in check_hl_axioms(one_dim_module()))
+
+    def test_empty_module_passes_each_name_once(self):
+        # no cell asks for any name: each passes once at the stage, the
+        # adjoint and positivity names with a vacuous note, and no two
+        # results share a location
+        results = check_hl_axioms(empty_module(), stage="V")
+        assert [(c.name, c.location, c.status, c.note) for c in results] == [
+            (name, {"stage": "V"}, "pass", note)
+            for name, note in [
+                ("hl_parity", ""),
+                ("hl_d_squared", ""),
+                ("hl_commute_NL", ""),
+                ("hl_commute_Nd", ""),
+                ("hl_commute_Ld", ""),
+                ("hl_adjoint_N", "vacuous"),
+                ("hl_adjoint_L", "vacuous"),
+                ("hl_adjoint_d", "vacuous"),
+                ("hl_positivity", "vacuous"),
+            ]
+        ]
+        assert len({id(c.location) for c in results}) == len(results)
 
     def test_null_pairing_fails_duality(self):
         results = check_hl_axioms(one_dim_module(0))
