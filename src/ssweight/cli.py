@@ -142,6 +142,11 @@ def _cmd_check(args):
     def on_page(sc, e2):
         run_h1 = (args.all or args.h1) and sc.n >= 1
         run_ito = (args.all or args.ito) and sc.cycle_generated
+        if run_ito:
+            # hl_suite reads every quotient, so the suites before it read
+            # induced maps between built quotients, not first-page ranks
+            for cell in e2.e1.support():
+                e2.quotient(*cell)
         results = []
         if args.all or args.hl:
             results += check_log_hl_all(e2)

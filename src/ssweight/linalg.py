@@ -15,7 +15,9 @@ that have one, found through a heap of its columns, and divided by its
 content gcd once, when it becomes a pivot row.  So its cost follows the row
 operations, not the shape, and ranks, column spaces and quotients read its
 pivots alone.  The reduced form adds one back-substitution from the last
-pivot row up and keeps the lcm of its pivots as its denominator.
+pivot row up and keeps the lcm of its pivots as its denominator; it is a
+step of its own, which finishes a forward pass in place, so a pass kept
+from a rank is completed later, not run again.
 Signatures clear the same integer rows by the same rule, symmetrically,
 touching only the rows a pivot row meets.  Entries enter in one pass that
 keeps only the nonzeros, and leave as schema strings formatted straight
@@ -181,6 +183,25 @@ def _primitive(row: dict) -> dict:
         for j in row:
             row[j] //= g
     return row
+
+
+def _back_substitute(pivot: dict):
+    """Finish a forward pass (``RatMatrix._forward``) in place: from the last
+    pivot row up, each row is cleared at every pivot column it meets against
+    the rows below it, which are reduced already.  A reduced row brings no
+    pivot column but its own, so each entry is cleared once, and the rows are
+    the reduced row echelon form up to one scalar per row.  Returns
+    ``(rows, pivots)``: the pivot columns in increasing order, and for each
+    its reduced row."""
+    cols = sorted(pivot)
+    for c in reversed(cols):
+        row = pivot[c]
+        meets = [j for j in row if j != c and j in pivot]
+        for j in meets:
+            _clear(row, j, pivot[j])
+        if meets:
+            _primitive(row)
+    return [pivot[c] for c in cols], cols
 
 
 def _submatrix(m: "RatMatrix", rows, cols: range) -> "RatMatrix":
@@ -416,35 +437,28 @@ class RatMatrix:
 
     # -- elimination -------------------------------------------------------
 
-    def _eliminate(self, reduce: bool):
-        """Fraction-free elimination of the integer rows (the common
-        denominator scales every row alike, so it changes no pivot).
+    def _forward(self) -> dict:
+        """The forward pass of a fraction-free elimination of the integer
+        rows (the common denominator scales every row alike, so it changes
+        no pivot): ``{pivot column: the row whose leading entry is there}``.
 
-        Returns ``(rows, pivots)``: the pivot columns in increasing order, and
-        for each the row whose leading entry is there.  The forward pass keeps
-        the rows found so far in a column index, one pivot row per pivot
-        column.  Each entering row is copied once and cleared in place at its
-        leading column against that column's pivot row until it leads in a
-        column that has none; there its content gcd is divided out and it
-        becomes the pivot row (or it vanishes).  Clearing only adds columns
-        right of the cleared one, so a row's leading column only grows, and
-        a heap of its columns finds the next one without a scan of the row
-        (on a cycle one row hops across every pivot column, gaining an entry
-        per hop).  Rows enter in decreasing lexicographic order of their
-        column lists: one that leads further right, or at an equal lead has
-        its next entry further right, enters first, so a row cleared against
-        it jumps furthest.  (Entered as stored, the rows of a stacked pair of
-        bases, each with an entry in column 0 and one further right, would
-        each be cleared at every earlier pivot column.)  Pivots and the
+        The pass keeps the rows found so far in that column index, one pivot
+        row per pivot column.  Each entering row is copied once and cleared
+        in place at its leading column against that column's pivot row until
+        it leads in a column that has none; there its content gcd is divided
+        out and it becomes the pivot row (or it vanishes).  Clearing only
+        adds columns right of the cleared one, so a row's leading column only
+        grows, and a heap of its columns finds the next one without a scan of
+        the row (on a cycle one row hops across every pivot column, gaining
+        an entry per hop).  Rows enter in decreasing lexicographic order of
+        their column lists: one that leads further right, or at an equal lead
+        has its next entry further right, enters first, so a row cleared
+        against it jumps furthest.  (Entered as stored, the rows of a stacked
+        pair of bases, each with an entry in column 0 and one further right,
+        would each be cleared at every earlier pivot column.)  Pivots and the
         reduced form do not depend on the order, nor on when a row's content
-        is divided out.
-
-        With ``reduce``, one back-substitution follows: from the last pivot
-        row up, each row is cleared in place at every pivot column it meets
-        against the rows below it, which are reduced already.  A reduced row
-        brings no pivot column but its own, so each entry is cleared once, and
-        the rows are the reduced row echelon form up to one scalar per row.
-        No row of the matrix is mutated.
+        is divided out.  No row of the matrix is mutated: the pass owns its
+        rows, and ``_back_substitute`` may finish them in place.
         """
         pivot = {}
         for heap, src in sorted(((sorted(r), r) for r in self._data if r), key=itemgetter(0), reverse=True):
@@ -461,16 +475,7 @@ class RatMatrix:
                     if j not in row:
                         heappush(heap, j)
                 _clear(row, c, q)
-        cols = sorted(pivot)
-        if reduce:
-            for c in reversed(cols):
-                row = pivot[c]
-                meets = [j for j in row if j != c and j in pivot]
-                for j in meets:
-                    _clear(row, j, pivot[j])
-                if meets:
-                    _primitive(row)
-        return [pivot[c] for c in cols], cols
+        return pivot
 
     def pivots(self) -> list:
         """Pivot columns of the forward elimination alone: the columns that
@@ -478,7 +483,7 @@ class RatMatrix:
         none, found with no elimination."""
         if not any(self._data):
             return []
-        return self._eliminate(reduce=False)[1]
+        return sorted(self._forward())
 
     def rank(self) -> int:
         """Rank over Q: the number of pivot columns."""
@@ -492,7 +497,7 @@ class RatMatrix:
         back-substituted elimination over its pivot, all over the lcm of the
         absolute pivots.
         """
-        m, pivots = self._eliminate(reduce=True)
+        m, pivots = _back_substitute(self._forward())
         den = lcm(*[abs(row[c]) for row, c in zip(m, pivots)])
         out = [{j: x * (den // row[c]) for j, x in row.items()} for row, c in zip(m, pivots)]
         out.extend({} for _ in range(self.rows - len(pivots)))
@@ -502,14 +507,16 @@ class RatMatrix:
         """Columns form a basis of {v : self @ v = 0}."""
         return self.reduced_kernel()[0]
 
-    def reduced_kernel(self):
+    def reduced_kernel(self, forward: dict | None = None):
         """``(K, free, pivots)`` from one reduced elimination: the columns
         of ``K`` are the kernel basis with ``K[free, :] = I``, one column
         per free column in ``free``, and ``pivots`` are the pivot columns,
-        which also pick a basis of the column span."""
+        which also pick a basis of the column span.  ``forward`` is this
+        matrix's own ``_forward()`` pass, run earlier for its rank and not
+        finished since; it is back-substituted in place, not run again."""
         if not any(self._data):
             return RatMatrix.identity(self.cols), list(range(self.cols)), []
-        rows, pivots = self._eliminate(reduce=True)
+        rows, pivots = _back_substitute(self._forward() if forward is None else forward)
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
         at = {f: k for k, f in enumerate(free)}
@@ -536,7 +543,7 @@ class RatMatrix:
         """
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
-        rows, pivots = self.hstack(rhs)._eliminate(reduce=True)
+        rows, pivots = _back_substitute(self.hstack(rhs)._forward())
         n = self.cols
         # a pivot in the rhs block means inconsistency
         if pivots and pivots[-1] >= n:
@@ -834,7 +841,7 @@ def signature(sym: RatMatrix):
 
     Symmetric elimination of the integer numerators (the matrix times its
     denominator, a positive factor that keeps the inertia) by the rule of
-    ``_eliminate``: each row is cleared in place by ``_clear`` against the
+    the forward pass: each row is cleared in place by ``_clear`` against the
     pivot row, made positive at its pivot, and divided by its content.  So a
     cleared row is only ever multiplied by a positive factor, and the live
     rows are ``D S`` for a positive diagonal ``D`` and the symmetric Schur

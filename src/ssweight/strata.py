@@ -322,8 +322,12 @@ class StrataComplex:
         """Gysin map H^m(level k) -> H^{m+2}(level k-1), adjoint of ``rho``.
 
         Determined by ``<tau x, y>_{k-1} = <x, rho y>_k`` where y runs over
-        the degree complementary to ``m`` on level ``k``; requires perfect
-        pairings on level ``k-1``.
+        the degree complementary to ``m`` on level ``k``: with ``p1`` the
+        pairing of level ``k`` in degree ``m`` and ``p0`` that of level
+        ``k-1`` in degree ``m+2``, it is the one solution of
+        ``p0^T tau = (p1 rho)^T``, one solve.  Requires perfect pairings on
+        level ``k-1``, which validation checks before it reads any ``tau``;
+        a system with no solution raises ``ValueError``.
         """
         cols = self.level_dim(k, m)
         rows = self.level_dim(k - 1, m + 2)
@@ -333,7 +337,10 @@ class StrataComplex:
         a = self.rho(k - 1, mc)
         p1 = self.level_pairing(k, m)
         p0 = self.level_pairing(k - 1, m + 2)
-        return (p1 @ a @ p0.inverse()).transpose()
+        tau = p0.transpose().solve((p1 @ a).transpose())
+        if tau is None:
+            raise ValueError("matrix is singular")
+        return tau
 
     # -- validation ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ from ssweight.scenarios import (
     ngon,
     tetrahedron,
 )
-from ssweight.spectral import build_e1, compute_e2
+from ssweight.spectral import E2Page, build_e1, compute_e2
 from ssweight.checks import (
     CheckResult,
     bijectivity_check,
@@ -184,16 +184,22 @@ class TestH1Suite:
     @pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.label())
     def test_one_quotient_beyond_the_page(self, monkeypatch, spec):
         # ker rho / im rho of H^0 of the double level is the page's quotient
-        # at (1, 0); the suite forms one more, the whole quotient on the
-        # coordinates of wm_h1_iso's source
+        # at (1, 0); the suite builds the page quotients it reads, each once,
+        # and forms one more, the whole quotient on the coordinates of
+        # wm_h1_iso's source
         e2 = page(build(spec))
-        made = []
-        init = QuotientSpace.__init__
+        made, read = [], set()
+        init, quotient = QuotientSpace.__init__, E2Page.quotient
         monkeypatch.setattr(
             QuotientSpace, "__init__", lambda q, *args: made.append(q) or init(q, *args)
         )
+        monkeypatch.setattr(
+            E2Page, "quotient", lambda page, a, b: read.add((a, b)) or quotient(page, a, b)
+        )
         check_h1_suite(e2)
-        assert len(made) == 1
+        cells = read & set(e2.e1.support())
+        assert (0, 0) in cells
+        assert len(made) == len(cells) + 1
 
     def test_dimension_zero_rejected(self):
         zero_dim = graph_curve([], 1)

@@ -41,10 +41,10 @@ class TestRank:
         assert RatMatrix.zeros(3, 4).rank() == 0
 
     def test_zero_has_no_pivots_and_no_elimination(self, monkeypatch):
-        def eliminate(self, reduce):
+        def eliminate(self):
             raise AssertionError("a zero matrix was eliminated")
 
-        monkeypatch.setattr(RatMatrix, "_eliminate", eliminate)
+        monkeypatch.setattr(RatMatrix, "_forward", eliminate)
         # shared zeros, and a zero read from its entries
         for m in (RatMatrix.zeros(3, 4), M([[0, 0], [0, 0]]), RatMatrix.zeros(0, 2)):
             assert m.pivots() == [] and m.rank() == 0
@@ -253,7 +253,7 @@ class TestQuotient:
 
             return call
 
-        for name in ("__matmul__", "solve", "_eliminate"):
+        for name in ("__matmul__", "solve", "_forward"):
             monkeypatch.setattr(RatMatrix, name, counted(getattr(RatMatrix, name)))
         assert induced_map(RatMatrix.zeros(4, 3), src, dst) is RatMatrix.zeros(dst.dim, src.dim)
         assert induced_map(RatMatrix(4, 3, [[0] * 3] * 4), src, dst) is RatMatrix.zeros(2, 2)

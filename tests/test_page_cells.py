@@ -14,11 +14,13 @@ coordinates of the benchmark's basis-changed documents, whose blocks are
 dense multi-digit rationals.  The degree-one suite's ``wm_h1_iso``, a map
 out of the whole of the coordinates of its source, is compared with the same
 lift block out of the model's source.  What building a page costs is counted
-too: eliminations per cell, eliminations and solves of one ``check --all``,
-no independence check of a subspace the engine builds (each such basis is
-ranked by sympy instead), no block read for a first-page map into or out of
-an empty cell, and one product per operator power ``N^r`` or ``L^r`` with
-``r >= 2`` that the suites read.  Last comes the memo that a complex, each
+too: forward passes and back-substitutions per cell, and those and the
+solves of one ``check --all``; no quotient built by a command whose verdicts
+pass on dimensions and ranks alone, and only the quotients that a failing
+map passes through when one fails; no independence check of a subspace the
+engine builds (each such basis is ranked by sympy instead), no block read
+for a first-page map into or out of an empty cell, and one product per
+operator power ``N^r`` or ``L^r`` with ``r >= 2`` that the suites read.  Last comes the memo that a complex, each
 page and a module built by hand keep: one entry per method and arguments,
 per object.
 """
@@ -40,7 +42,7 @@ from helpers import (
     random_valid_complex,
     sign_mutant,
 )
-from ssweight import cli
+from ssweight import cli, linalg
 from ssweight.checks import bijectivity_check, check_h1_suite, check_log_hl_all, check_wm
 from ssweight.errors import InducedPairingIllDefined, NotWellDefined
 from ssweight.hodge_lefschetz import hl_suite
@@ -272,46 +274,152 @@ def _count(monkeypatch, owner, name):
     return calls
 
 
+def _count_back_substitutions(monkeypatch):
+    """Every back-substitution, whichever elimination it finishes."""
+    calls = []
+    original = linalg._back_substitute
+
+    def counted(forward):
+        calls.append("_back_substitute")
+        return original(forward)
+
+    monkeypatch.setattr(linalg, "_back_substitute", counted)
+    return calls
+
+
+def _first_page_maps(spec):
+    e1 = E1Page(build(spec))
+    for (a, b) in e1.support():  # first-page maps are assembled (and tau solved) first
+        e1.d1(a - 1, b), e1.d1(a, b)
+    return e1
+
+
 @pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.label())
 def test_at_most_three_eliminations_per_cell(monkeypatch, spec):
-    e1 = E1Page(build(spec))
-    for (a, b) in e1.support():  # first-page maps are assembled (and tau inverted) first
-        e1.d1(a - 1, b), e1.d1(a, b)
-    eliminations = _count(monkeypatch, RatMatrix, "_eliminate")
+    # a page and every quotient of it: the forward pass of each d1, its
+    # back-substitution, and one small forward pass per cell with boundaries
+    e1 = _first_page_maps(spec)
+    passes = _count(monkeypatch, RatMatrix, "_forward")
+    backs = _count_back_substitutions(monkeypatch)
     checks = _count(monkeypatch, Subspace, "__post_init__")
-    E2Page(e1)
-    assert len(eliminations) <= 3 * len(e1.support())
+    e2 = E2Page(e1)
+    for cell in e1.support():
+        e2.quotient(*cell)
+    assert len(passes) + len(backs) <= 3 * len(e1.support())
     assert checks == []
 
 
-@pytest.mark.parametrize("label, eliminations", [("tetrahedron", 12), ("ngon:20", 4)])
-def test_eliminations_of_a_page(monkeypatch, label, eliminations):
-    # one reduced elimination of each d1 that is not zero (the kernel of a
-    # zero d1 is the identity, read without one) and one small elimination
-    # per cell with boundaries
-    e1 = E1Page(build(parse_spec(label)))
-    for (a, b) in e1.support():
-        e1.d1(a - 1, b), e1.d1(a, b)
-    calls = _count(monkeypatch, RatMatrix, "_eliminate")
-    E2Page(e1)
-    assert len(calls) == eliminations
+@pytest.mark.parametrize(
+    "label, page, quotients", [("tetrahedron", (6, 0), (12, 6)), ("ngon:20", (2, 0), (4, 2))]
+)
+def test_eliminations_of_a_page(monkeypatch, label, page, quotients):
+    # (forward passes, back-substitutions): the page runs the forward pass of
+    # each d1 that is not zero (the kernel of a zero d1 is the identity, read
+    # without one) and no back-substitution; its quotients then finish each
+    # kept pass, and add one small forward pass per cell with boundaries
+    e1 = _first_page_maps(parse_spec(label))
+    passes = _count(monkeypatch, RatMatrix, "_forward")
+    backs = _count_back_substitutions(monkeypatch)
+    e2 = E2Page(e1)
+    assert (len(passes), len(backs)) == page
+    for cell in e1.support():
+        e2.quotient(*cell)
+    assert (len(passes), len(backs)) == quotients
 
 
 @pytest.mark.parametrize(
-    "label, eliminations, solves",
-    [("tetrahedron", 74, 10), ("ngon:20", 43, 4), ("good_reduction_pn:2", 17, 0), ("cellular:1,2,1", 19, 0)],
+    "label, passes, backs, solves",
+    [
+        ("tetrahedron", 71, 33, 10),
+        ("ngon:20", 41, 15, 4),
+        ("good_reduction_pn:2", 16, 5, 0),
+        ("cellular:1,2,1", 18, 7, 0),
+    ],
 )
-def test_eliminations_and_solves_of_check_all(monkeypatch, label, eliminations, solves):
+def test_eliminations_and_solves_of_check_all(monkeypatch, label, passes, backs, solves):
     # no independence rank of a basis independent by construction, no
     # solve into a cell without boundaries, no elimination of a zero matrix
-    # for its pivots, none for wm_h1_iso's source, a whole quotient, and
-    # no solve for a zero operator, which induces the shared zero
-    counted = {name: _count(monkeypatch, RatMatrix, name) for name in ("_eliminate", "solve")}
+    # for its pivots, none for wm_h1_iso's source, a whole quotient, none
+    # for N^0 or L^0, no solve for a zero operator, which induces the
+    # shared zero, and no second forward pass of a page's d1
+    counted = {name: _count(monkeypatch, RatMatrix, name) for name in ("_forward", "solve")}
+    counted["back"] = _count_back_substitutions(monkeypatch)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli.main(["check", "--all", "--scenario", label, "--format", "json"])
     assert json.loads(out.getvalue())["passed"]
-    assert (len(counted["_eliminate"]), len(counted["solve"])) == (eliminations, solves)
+    assert [len(counted[k]) for k in ("_forward", "back", "solve")] == [passes, backs, solves]
+
+
+# every passing builtin and ngon:20, with each command that reads dimensions
+# and isomorphism ranks alone; slopes are undefined on elliptic_stratum
+RANK_ONLY = [
+    (label, command)
+    for label in [*(s.label() for s in builtin_specs()), "ngon:20"]
+    for command in (["e2"], ["slopes"], ["report"], ["check", "--hl"], ["check", "--wm"])
+    if (label, command) != ("elliptic_stratum", ["slopes"])
+]
+
+
+def _run_counted(monkeypatch, argv):
+    """The exit code and JSON output of ``argv``, the quotients it builds,
+    the page cells it reads, its back-substitutions and its solves."""
+    made, read = [], set()
+    init, quotient = QuotientSpace.__init__, E2Page.quotient
+    monkeypatch.setattr(QuotientSpace, "__init__", lambda q, *args: made.append(q) or init(q, *args))
+    monkeypatch.setattr(E2Page, "quotient", lambda page, a, b: read.add((a, b)) or quotient(page, a, b))
+    backs = _count_back_substitutions(monkeypatch)
+    solves = _count(monkeypatch, RatMatrix, "solve")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*argv, "--format", "json"])
+    return code, json.loads(out.getvalue()), made, read, backs, solves
+
+
+@pytest.mark.parametrize("label, command", RANK_ONLY, ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_a_passing_command_builds_no_quotient(monkeypatch, label, command):
+    # every back-substitution is that of a solve for tau, none of a d1
+    code, _, made, _, backs, solves = _run_counted(monkeypatch, [*command, "--scenario", label])
+    assert code == 0
+    assert made == [] and len(backs) == len(solves)
+
+
+@pytest.mark.parametrize("label", ["tetrahedron", "ngon:20", "ngon_x_p1:3"])
+def test_check_all_builds_each_quotient_once(monkeypatch, label):
+    # every cell of the page and of its own second page (the fixpoint
+    # check), and the whole quotient of wm_h1_iso's source
+    code, _, made, _, _, _ = _run_counted(monkeypatch, ["check", "--all", "--scenario", label])
+    e2 = E2Page(E1Page(build(parse_spec(label))))
+    assert code == 0
+    assert len(made) == len(e2.e1.support()) + len(e2.support()) + 1
+
+
+def _cells_through(name: str, location: dict, n: int):
+    """The cells the power of a failing isomorphism check passes through."""
+    r = location["r"]
+    if name == "log_hard_lefschetz":
+        a, b = n - r - location["b"], location["b"]
+        return {(a, b + 2 * s) for s in range(r + 1)}
+    a, b = -r, location["w"] + r
+    return {(a + 2 * s, b - 2 * s) for s in range(r + 1)}
+
+
+@pytest.mark.parametrize("command", [["report"], ["check", "--hl"], ["check", "--wm"]], ids=" ".join)
+@pytest.mark.parametrize("name", SIGN_MUTANTS)
+def test_a_failing_verdict_builds_the_quotients_its_map_passes_through(monkeypatch, tmp_path, name, command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(sign_mutant(name)))
+    sc = StrataComplex.from_json_dict(sign_mutant(name))
+    support = set(E1Page(sc).support())
+    code, doc, made, read, _, _ = _run_counted(monkeypatch, [*command, "--input", str(path)])
+    results = doc["results"] if command == ["report"] else doc["checks"]
+    cells = set()
+    for r in results:
+        if r["status"] == "fail" and "kernel_vector" in r["witness"]:
+            cells |= _cells_through(r["name"], r["location"], sc.n)
+    assert code == (1 if cells else 0)
+    assert read & support == cells & support
+    assert len(made) == len(cells & support)
 
 
 @pytest.mark.parametrize("label", ["tetrahedron", "ngon:20"])
