@@ -10,9 +10,14 @@ pass with a "vacuous" note, matching mathematical convention, and a name
 that no cell of a suite asks for passes once (``default_pass``).
 
 An isomorphism verdict on the second page (``N^r`` in ``check_wm``, ``L^r``
-in ``check_log_hl``) is ``isomorphism_check``: dimensions and one rank
-decide it with no quotient built, and only a rank deficit forms the induced
-power, through the quotients of the cells it passes, for its kernel witness.
+in ``check_log_hl`` and the degree-one suite) is ``isomorphism_check``:
+dimensions and one rank decide it with no quotient built, and only a rank
+deficit forms the induced power, through the quotients of the cells it
+passes, for its kernel witness.  The degree-one suite decides its tau side
+from ranks and page dimensions too, and forms a kernel, image or
+intersection only for the witness of a verdict that fails.  No verdict is
+decided twice: a witness path reads the rank or dimensions its verdict
+found, and a kernel witness that does not verify raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -24,13 +29,14 @@ from .linalg import (
     QuotientSpace,
     RatMatrix,
     Subspace,
+    assemble_blocks,
     image,
     induced_map,
     kernel,
     kernel_witness,
 )
 from .spectral import E2Page, power, power_target
-from .strata import StrataComplex
+from .strata import StrataComplex, memoised
 
 
 @dataclass
@@ -71,59 +77,58 @@ def default_pass(results: list[CheckResult], names, location: dict, note: str = 
 
 def bijectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResult:
     """Pass iff the matrix is square of full rank; witnesses verified."""
-    src, dst = matrix.cols, matrix.rows
+    return _bijective(name, location, matrix.cols, matrix.rows, matrix.rank, lambda: matrix)
+
+
+def _bijective(name: str, location: dict, src: int, dst: int, rank, matrix) -> CheckResult:
+    """The verdict of ``bijectivity_check`` on a map from Q^src to Q^dst:
+    zero or unequal dimensions decide alone, then ``rank()``; only a rank
+    deficit reads ``matrix()``, the map, for its kernel witness."""
     if src == 0 and dst == 0:
         return CheckResult(name, location, "pass", note="vacuous (zero spaces)")
     if src != dst:
-        return CheckResult(
-            name,
-            location,
-            "fail",
-            note="source and target dimensions differ",
-            witness={"source_dim": src, "target_dim": dst},
-        )
-    r = matrix.rank()
+        return CheckResult(name, location, "fail", note="source and target dimensions differ",
+                           witness={"source_dim": src, "target_dim": dst})
+    r = rank()
     if r == src:
         return CheckResult(name, location, "pass", witness={"dim": src, "rank": r})
-    return CheckResult(
-        name,
-        location,
-        "fail",
-        note="map is not injective",
-        witness={"dim": src, "rank": r, "kernel_vector": kernel_witness(matrix),
-                 "witness_verified": True},
-    )
+    return _kernel_failure(name, location, "map is not injective", {"dim": src, "rank": r},
+                           "kernel_vector", matrix())
+
+
+def _kernel_failure(name: str, location: dict, note: str, witness: dict, key: str,
+                    matrix: RatMatrix) -> CheckResult:
+    """A failure certified by a kernel vector of ``matrix``, written under
+    ``key`` after ``witness``; ``kernel_witness`` verifies it, so a verdict
+    that ``matrix`` does not bear out raises ``RuntimeError``."""
+    witness = {**witness, key: kernel_witness(matrix), "witness_verified": True}
+    return CheckResult(name, location, "fail", note=note, witness=witness)
 
 
 def isomorphism_check(name: str, location: dict, e2: E2Page, op: str, a: int, b: int,
                       r: int) -> CheckResult:
-    """``bijectivity_check`` of ``power(e2, op, a, b, r)``, with that power
-    formed only for a witness.  Zero or unequal dimensions decide by shape
-    alone, so the shared zero of that shape stands in for the power;
-    ``N^0`` and ``L^0`` have full rank; any other rank is
-    ``e2.induced_rank``.  A rank deficit gives the check of the power
-    itself, so a failing witness is the same."""
+    """``bijectivity_check`` of ``power(e2, op, a, b, r)`` from dimensions and
+    ``e2.induced_rank``; only a rank deficit forms the power, for its kernel
+    witness, so a failing witness is the same."""
     src, dst = e2.dim(a, b), e2.dim(*power_target(op, a, b, r))
-    if src != dst or not src:
-        return bijectivity_check(name, location, RatMatrix.zeros(dst, src))
-    if r == 0 or e2.induced_rank(op, a, b, r) == src:
-        return CheckResult(name, location, "pass", witness={"dim": src, "rank": src})
-    return bijectivity_check(name, location, power(e2, op, a, b, r))
+    return _bijective(name, location, src, dst, lambda: e2.induced_rank(op, a, b, r),
+                      lambda: power(e2, op, a, b, r))
 
 
 def injectivity_check(name: str, location: dict, matrix: RatMatrix) -> CheckResult:
-    if matrix.cols == 0:
+    return _injective(name, location, matrix.cols, matrix.rank, lambda: matrix)
+
+
+def _injective(name: str, location: dict, src: int, rank, matrix) -> CheckResult:
+    """The verdict of ``injectivity_check`` on a map out of Q^src, from
+    ``rank()``; only a failure reads ``matrix()``, for its kernel witness."""
+    if src == 0:
         return CheckResult(name, location, "pass", note="vacuous (zero source)")
-    r = matrix.rank()
-    if r == matrix.cols:
+    r = rank()
+    if r == src:
         return CheckResult(name, location, "pass", witness={"rank": r})
-    return CheckResult(
-        name,
-        location,
-        "fail",
-        note="map is not injective",
-        witness={"rank": r, "kernel_vector": kernel_witness(matrix), "witness_verified": True},
-    )
+    return _kernel_failure(name, location, "map is not injective", {"rank": r}, "kernel_vector",
+                           matrix())
 
 
 def nondegeneracy_check(name: str, location: dict, gram: RatMatrix) -> CheckResult:
@@ -131,17 +136,17 @@ def nondegeneracy_check(name: str, location: dict, gram: RatMatrix) -> CheckResu
     square by construction: ``B^T G B`` with ``G = _twisted_gram(sc, k, q)``."""
     if gram.rows == 0:
         return CheckResult(name, location, "pass", note="vacuous (zero space)")
-    r = gram.rank()
-    if r == gram.rows:
-        return CheckResult(name, location, "pass", witness={"dim": gram.rows})
-    return CheckResult(
-        name,
-        location,
-        "fail",
-        note="restricted pairing is degenerate",
-        witness={"dim": gram.rows, "rank": r, "null_vector": kernel_witness(gram),
-                 "witness_verified": True},
-    )
+    return _nondegenerate(name, location, gram.rows, gram.rank(), lambda: gram)
+
+
+def _nondegenerate(name: str, location: dict, dim: int, rank: int, gram) -> CheckResult:
+    """The verdict on a pairing of rank ``rank`` on a space of dimension
+    ``dim > 0``; only a failure reads ``gram()``, its Gram matrix on the
+    basis the null vector is written in."""
+    if rank == dim:
+        return CheckResult(name, location, "pass", witness={"dim": dim})
+    return _kernel_failure(name, location, "restricted pairing is degenerate",
+                           {"dim": dim, "rank": rank}, "null_vector", gram())
 
 
 def relation_checks(cx, names: dict, where, everywhere: dict) -> list[CheckResult]:
@@ -249,11 +254,31 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
 
     H^0 of level k is the first-page cell (k-1, 0) alone, with ``d1 = rho``
     into and out of it, so ``ker rho(k, 0)`` and ``im rho(k-1, 0)`` are read
-    from ``e2.quotient(k-1, 0)``, which at k = 2 is ``wm_h1_iso``'s target.
-    Its source stays ``ker tau(2,0) ∩ ker rho(2,0)``: the page's kernel at
-    (-1, 2) has another basis, which would move a failing witness.  No cell
-    holds the tau-side subspaces (E1^{0,2} mixes H^2 of level 1 with H^0 of
-    level 3), so they are formed here."""
+    from ``e2.quotient(k-1, 0)``.  No cell holds the tau side (E1^{0,2}
+    mixes H^2 of level 1 with H^0 of level 3), and its verdicts are read
+    from ranks.  With ``T = tau(2,0)``, ``R = rho(1,0)``, ``A = L^{n-1} T``
+    (``T`` itself at n = 1), the twisted Gram ``G`` on H^2 of level 1 and
+    ``S = T^T G T``, by the rank identities ``rank [A; X] = rank A +
+    rank(X Z)`` and ``rank [[S, A^T], [A, 0]] = rank(Z^T S Z) + 2 rank A``
+    for a basis ``Z`` of ``ker A`` (Marsaglia and Styan, Linear and
+    Multilinear Algebra 2, 1974), whose image under ``T`` spans the meet:
+
+    - ``im T ∩ P^2`` has dimension ``rank T - rank A``, and ``G`` has rank
+      ``rank [[S, A^T], [A, 0]] - 2 rank A`` on it;
+    - the part of ``im T`` that ``G`` pairs to zero with the meet has
+      dimension ``rank T - rank [A^T | S] + rank A``, and holds ``im(TR)``,
+      which lies in ``im T``, iff ``rank [A^T | SR] = rank A``; it is
+      ``im T`` when the meet is zero;
+    - ``ker T ∩ im R`` has dimension ``rank R - rank(TR)``;
+    - ``ker rho(1,2) ∩ im T`` has dimension ``rank T - rank(rho(1,2) T)``,
+      and holds ``im(TR)`` iff ``rho(1,2) T R = 0``.
+
+    ``wm_h1_iso`` is the induced ``N: E2^{-1,2} -> E2^{1,0}``.  E1^{-1,2}
+    is H^0 of level 2, with ``d1 = [T; rho(2,0)]`` out of it and none into
+    it, and ``N`` is the identity of H^0 of level 2, so its kernel is ``ker
+    T ∩ ker rho(2,0) ∩ im R``, which is ``ker T ∩ im R`` as ``rho(2,0) R =
+    0``.  The Lefschetz maps are ``isomorphism_check``s.  Only a verdict
+    that fails forms subspaces, in ``_tau_side``, for its witness."""
     sc = e2.e1.sc
     n = sc.n
     if n < 1:
@@ -271,78 +296,73 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
         for name, space in spaces:
             results.append(nondegeneracy_check(name, {"k": k}, _restricted_gram(gram, space.basis)))
 
+    tau, rho = sc.tau(2, 0), sc.rho(1, 0)
+    tau_rho, rho_tau = tau @ rho, sc.rho(1, 2) @ tau
+    rank_tau, rank_tau_rho = tau.rank(), tau_rho.rank()
+    lower, rank_lower = tau, rank_tau
+    if n > 1:
+        lower = sc.lefschetz_power(1, 2, n - 1) @ tau
+        rank_lower = lower.rank()
+    meet = rank_tau - rank_lower
+
+    def tau_side(*keys):
+        return [_tau_side(e2)[key] for key in keys]
+
     # pairing on im(tau) ∩ primitive H^2 of the component level
-    tau20 = sc.tau(2, 0)
-    ker_tau20 = kernel(tau20)
-    im_tau = image(tau20)
-    primitive = kernel(sc.lefschetz_power(1, 2, n - 1))
-    meet = im_tau.intersection(primitive)
-    complement = im_tau
-    if meet.dim:  # L^{n-1} is the identity on H^2 at n = 1, so here n >= 2
+    if meet:  # L^{n-1} is the identity on H^2 at n = 1, so here n >= 2
         gram2 = _twisted_gram(sc, 1, 2)
-        results.append(nondegeneracy_check(
-            "pairing_on_im_tau_primitive", {"k": 1, "q": 2}, _restricted_gram(gram2, meet.basis)
+        form, across = tau.transpose() @ gram2 @ tau, lower.transpose()
+        sides = [(0, form.rows), (1, lower.rows)]
+        bordered = assemble_blocks(sides, sides, {(0, 0): form, (0, 1): across, (1, 0): lower})
+        results.append(_nondegenerate(
+            "pairing_on_im_tau_primitive", {"k": 1, "q": 2}, meet, bordered.rank() - 2 * rank_lower,
+            lambda: _restricted_gram(gram2, tau_side("meet")[0].basis),
         ))
-        complement = im_tau.annihilated_by(meet.basis.transpose() @ gram2)
+        complement = rank_tau - across.hstack(form).rank() + rank_lower
+        inside = across.hstack(form @ rho).rank() == rank_lower
     else:
         results.append(CheckResult(
             "pairing_on_im_tau_primitive", {"k": 1, "q": 2}, "pass",
             note="vacuous (intersection is zero)",
         ))
+        complement, inside = rank_tau, True
 
     # im(tau rho) is the orthocomplement of im(tau) ∩ P^2 inside im(tau)
-    im_tau_rho = image(tau20 @ sc.rho(1, 0))
-    results.append(_subspace_equality_check(
-        "im_tau_rho_is_orthocomplement", {"k": 1, "q": 2}, im_tau_rho, complement
+    results.append(_equality_check(
+        "im_tau_rho_is_orthocomplement", {"k": 1, "q": 2}, rank_tau_rho, complement, inside,
+        lambda: tau_side("im_tau_rho", "complement"),
     ))
 
     # ker(tau) ∩ im(rho) = 0 in H^0 of the double level, the cell (1, 0)
-    h0_double = e2.quotient(1, 0)
-    meet2 = ker_tau20.intersection(h0_double.denominator)
-    if meet2.dim == 0:
-        results.append(
-            CheckResult("ker_tau_meets_im_rho_trivially", {"k": 2, "q": 0}, "pass")
-        )
+    meet2 = e2.quotient(1, 0).denominator.dim - rank_tau_rho
+    if meet2 == 0:
+        results.append(CheckResult("ker_tau_meets_im_rho_trivially", {"k": 2, "q": 0}, "pass"))
     else:
-        results.append(
-            CheckResult(
-                "ker_tau_meets_im_rho_trivially",
-                {"k": 2, "q": 0},
-                "fail",
-                note="intersection is nonzero",
-                witness={"dim": meet2.dim, "vector": meet2.basis.col(0)},
-            )
-        )
+        witness = {"dim": meet2, "vector": tau_side("ker_tau_im_rho")[0].basis.col(0)}
+        results.append(CheckResult("ker_tau_meets_im_rho_trivially", {"k": 2, "q": 0}, "fail",
+                                   note="intersection is nonzero", witness=witness))
 
     # ker(rho) ∩ im(tau) = im(tau rho) in H^2 of the component level
-    meet3 = kernel(sc.rho(1, 2)).intersection(im_tau)
-    results.append(_subspace_equality_check(
-        "ker_rho_meets_im_tau_in_im_tau_rho", {"k": 1, "q": 2}, meet3, im_tau_rho
+    results.append(_equality_check(
+        "ker_rho_meets_im_tau_in_im_tau_rho", {"k": 1, "q": 2}, rank_tau - rho_tau.rank(),
+        rank_tau_rho, (rho_tau @ rho).is_zero(), lambda: tau_side("ker_rho_im_tau", "im_tau_rho"),
     ))
 
     # weight-monodromy on weight-two degree-one classes: the identity of
-    # H^0(level 2) induces ker(tau)∩ker(rho) ~ ker(rho)/im(rho); on a basis
-    # s of the source it is the map s out of the whole of Q^k
-    s = ker_tau20.intersection(h0_double.numerator).basis
-    k = s.cols
-    whole = QuotientSpace(RatMatrix.identity(k), list(range(k)), RatMatrix.zeros(k, 0))
-    results.append(
-        bijectivity_check("wm_h1_iso", {"r": 1, "w": 1}, induced_map(s, whole, h0_double))
-    )
+    # H^0(level 2) induces ker(tau)∩ker(rho) ~ ker(rho)/im(rho), with
+    # kernel ker(tau) ∩ im(rho)
+    source = e2.dim(-1, 2)
+    results.append(_bijective("wm_h1_iso", {"r": 1, "w": 1}, source, e2.dim(1, 0),
+                              lambda: source - meet2, lambda: tau_side("wm_map")[0]))
 
     # the three Lefschetz-power maps between degree-one and degree-(2n-1) cells
-    ell = [
-        ("log_hl_h1_ell0", 1, 0),
-        ("log_hl_h1_ell1", 0, 1),
-        ("log_hl_h1_ell2", -1, 2),
-    ]
-    for name, a, b in ell:
-        matrix = power(e2, "l", a, b, n - 1)
-        if name == "log_hl_h1_ell2":
-            results.append(
-                injectivity_check("log_hl_h1_ell2_injective", {"a": a, "b": b}, matrix)
-            )
-        results.append(bijectivity_check(name, {"a": a, "b": b}, matrix))
+    for name, a, b in (("log_hl_h1_ell0", 1, 0), ("log_hl_h1_ell1", 0, 1)):
+        results.append(isomorphism_check(name, {"a": a, "b": b}, e2, "l", a, b, n - 1))
+    results.append(_injective(
+        "log_hl_h1_ell2_injective", {"a": -1, "b": 2}, e2.dim(-1, 2),
+        lambda: e2.induced_rank("l", -1, 2, n - 1), lambda: power(e2, "l", -1, 2, n - 1),
+    ))
+    results.append(isomorphism_check("log_hl_h1_ell2", {"a": -1, "b": 2}, e2, "l", -1, 2, n - 1))
 
     # four-corner consistency: both weight-monodromy sides of degree one have
     # the dimensions forced by duality once ell0 is an isomorphism
@@ -352,23 +372,50 @@ def check_h1_suite(e2: E2Page) -> list[CheckResult]:
         f"E2(1,{2*n-2})": e2.dim(1, 2 * n - 2),
         f"E2(-1,{2*n})": e2.dim(-1, 2 * n),
     }
-    distinct = set(dims.values())
-    results.append(
-        CheckResult(
-            "wm_h1_four_corner_dims",
-            {},
-            "pass" if len(distinct) == 1 else "fail",
-            witness=dims,
-        )
-    )
+    status = "pass" if len(set(dims.values())) == 1 else "fail"
+    results.append(CheckResult("wm_h1_four_corner_dims", {}, status, witness=dims))
     return results
 
 
-def _subspace_equality_check(name, location, left: Subspace, right: Subspace) -> CheckResult:
-    if left.dim == right.dim and right.contains(left):
-        note = "vacuous (both zero)" if left.dim == 0 else ""
-        return CheckResult(name, location, "pass", note=note, witness={"dim": left.dim})
-    witness = {"left_dim": left.dim, "right_dim": right.dim}
+@memoised
+def _tau_side(e2: E2Page) -> dict:
+    """The tau-side subspaces of ``check_h1_suite`` in the bases its
+    witnesses are written in, and ``wm_h1_iso``'s map on them, formed only
+    for a verdict that fails: ``im tau ∩ P^2``, the part of ``im tau`` that
+    the twisted pairing puts against it, ``im(tau rho)``, ``ker tau ∩ im
+    rho``, ``ker rho(1,2) ∩ im tau``, and the identity of H^0 of the double
+    level from a basis ``s`` of ``ker tau ∩ ker rho(2,0)``, out of the whole
+    of its coordinates, to the page's cell (1, 0)."""
+    sc = e2.e1.sc
+    tau, h0 = sc.tau(2, 0), e2.quotient(1, 0)
+    ker_tau, im_tau = kernel(tau), image(tau)
+    meet = im_tau.intersection(kernel(sc.lefschetz_power(1, 2, sc.n - 1)))
+    complement = im_tau
+    if meet.dim:
+        complement = im_tau.annihilated_by(meet.basis.transpose() @ _twisted_gram(sc, 1, 2))
+    s = ker_tau.intersection(h0.numerator).basis
+    k = s.cols
+    whole = QuotientSpace(RatMatrix.identity(k), list(range(k)), RatMatrix.zeros(k, 0))
+    return {
+        "meet": meet,
+        "complement": complement,
+        "im_tau_rho": image(tau @ sc.rho(1, 0)),
+        "ker_tau_im_rho": ker_tau.intersection(h0.denominator),
+        "ker_rho_im_tau": kernel(sc.rho(1, 2)).intersection(im_tau),
+        "wm_map": induced_map(s, whole, h0),
+    }
+
+
+def _equality_check(name, location, left_dim: int, right_dim: int, inside: bool,
+                    spaces) -> CheckResult:
+    """Pass iff two subspaces are equal: their dimensions agree and
+    ``inside``, one lies in the other.  Only a failure reads ``spaces()``,
+    the two, for the first basis vector of one outside the other."""
+    if left_dim == right_dim and inside:
+        note = "vacuous (both zero)" if left_dim == 0 else ""
+        return CheckResult(name, location, "pass", note=note, witness={"dim": left_dim})
+    witness = {"left_dim": left_dim, "right_dim": right_dim}
+    left, right = spaces()
     # the first basis vector of one side outside the other: ``contains`` on its line
     for key, a, b in (("vector_in_left_only", left, right), ("vector_in_right_only", right, left)):
         lines = (a.basis.take_columns([j]) for j in range(a.dim))

@@ -225,8 +225,9 @@ class E2Page:
 
     @memoised
     def induced_rank(self, op: str, a: int, b: int, r: int) -> int:
-        """The rank of ``power(self, op, a, b, r)``, ``r >= 1``: ``N^r``
-        (``op`` "n") or ``L^r`` (``op`` "l") out of the cell (a, b).
+        """The rank of ``power(self, op, a, b, r)``: ``N^r`` (``op`` "n") or
+        ``L^r`` (``op`` "l") out of the cell (a, b).  ``N^0`` and ``L^0``
+        are identities, of full rank.
 
         When the quotients of both end cells are built, it is the rank of
         that power.  Otherwise no quotient is built: for the first-page power
@@ -245,6 +246,8 @@ class E2Page:
         of ``M`` first, a chain map homotopic to the identity on the edges
         of a 32 x 32 triangulated torus took the pass over 100 times as long.
         """
+        if r < 1:
+            return self.dim(a, b)
         dst = power_target(op, a, b, r)
         if (a, b) in self._quotients and dst in self._quotients:
             return power(self, op, a, b, r).rank()

@@ -17,6 +17,8 @@
 * ``swap_face``: break one face of a builtin whose faces share strata.
 * ``quotient_of``: a ``QuotientSpace`` from any numerator basis, and
   ``GeneralQuotient``, the reference model of a quotient by a second rule.
+* ``h1_suite_model``: the degree-one suite with every tau-side subspace
+  formed, the reference model of its rank verdicts and witnesses.
 * ``document_model``: the document of a complex built entry by entry, the
   reference model of ``StrataComplex.dumps``.
 * ``bench_inputs``: the benchmark's input module, loaded read-only, and
@@ -31,16 +33,17 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
-from ssweight import scenarios
+from ssweight import checks, scenarios
 from ssweight.checks import CheckResult, relation_checks
 from ssweight.errors import NotWellDefined
-from ssweight.linalg import QuotientSpace, RatMatrix, Subspace
+from ssweight.linalg import QuotientSpace, RatMatrix, Subspace, image, induced_map, kernel
 from ssweight.scenarios import (
     cellular_cohomology,
     elliptic_curve_cohomology,
     point_cohomology,
     projective_space_cohomology,
 )
+from ssweight.spectral import power
 from ssweight.strata import StrataComplex, StratumCohomology
 
 
@@ -116,6 +119,100 @@ class GeneralQuotient:
         self.lift = numerator.basis.take_columns(p - d for p in pivots[d:])
         self.basis = denominator.basis.hstack(self.lift)
         self.dim = self.lift.cols
+
+
+def h1_suite_model(e2) -> list[CheckResult]:
+    """``checks.check_h1_suite`` as every subspace of its tau side was once
+    formed: kernels, images and intersections decide each verdict, and
+    ``wm_h1_iso`` maps the whole of the coordinates of a basis of ``ker
+    tau(2,0) ∩ ker rho(2,0)`` into the page's cell (1, 0).  The reference
+    model of the suite's rank verdicts and of the witnesses they keep; it
+    reads ``checks._twisted_gram`` and ``StrataComplex.lefschetz_power``
+    through their owners, so a test that patches them patches both."""
+    sc = e2.e1.sc
+    n = sc.n
+    results = []
+    for k in range(1, sc.max_level + 1):
+        if sc.level_dim(k, 0) == 0:
+            continue
+        gram = checks._twisted_gram(sc, k, 0)
+        h0 = e2.quotient(k - 1, 0)
+        spaces = [("h0_pairing_on_im_rho", h0.denominator)] if k >= 2 else []
+        spaces.append(("h0_pairing_on_ker_rho", h0.numerator))
+        for name, space in spaces:
+            results.append(checks.nondegeneracy_check(
+                name, {"k": k}, checks._restricted_gram(gram, space.basis)
+            ))
+
+    tau20 = sc.tau(2, 0)
+    ker_tau20, im_tau = kernel(tau20), image(tau20)
+    meet = im_tau.intersection(kernel(sc.lefschetz_power(1, 2, n - 1)))
+    complement = im_tau
+    if meet.dim:
+        gram2 = checks._twisted_gram(sc, 1, 2)
+        results.append(checks.nondegeneracy_check(
+            "pairing_on_im_tau_primitive", {"k": 1, "q": 2},
+            checks._restricted_gram(gram2, meet.basis),
+        ))
+        complement = im_tau.annihilated_by(meet.basis.transpose() @ gram2)
+    else:
+        results.append(CheckResult(
+            "pairing_on_im_tau_primitive", {"k": 1, "q": 2}, "pass",
+            note="vacuous (intersection is zero)",
+        ))
+    im_tau_rho = image(tau20 @ sc.rho(1, 0))
+    results.append(_subspace_equality_model(
+        "im_tau_rho_is_orthocomplement", {"k": 1, "q": 2}, im_tau_rho, complement
+    ))
+    h0_double = e2.quotient(1, 0)
+    meet2 = ker_tau20.intersection(h0_double.denominator)
+    if meet2.dim == 0:
+        results.append(CheckResult("ker_tau_meets_im_rho_trivially", {"k": 2, "q": 0}, "pass"))
+    else:
+        results.append(CheckResult(
+            "ker_tau_meets_im_rho_trivially", {"k": 2, "q": 0}, "fail",
+            note="intersection is nonzero",
+            witness={"dim": meet2.dim, "vector": meet2.basis.col(0)},
+        ))
+    meet3 = kernel(sc.rho(1, 2)).intersection(im_tau)
+    results.append(_subspace_equality_model(
+        "ker_rho_meets_im_tau_in_im_tau_rho", {"k": 1, "q": 2}, meet3, im_tau_rho
+    ))
+    s = ker_tau20.intersection(h0_double.numerator).basis
+    k = s.cols
+    whole = QuotientSpace(RatMatrix.identity(k), list(range(k)), RatMatrix.zeros(k, 0))
+    results.append(checks.bijectivity_check(
+        "wm_h1_iso", {"r": 1, "w": 1}, induced_map(s, whole, h0_double)
+    ))
+    for name, a, b in (("log_hl_h1_ell0", 1, 0), ("log_hl_h1_ell1", 0, 1), ("log_hl_h1_ell2", -1, 2)):
+        matrix = power(e2, "l", a, b, n - 1)
+        if name == "log_hl_h1_ell2":
+            results.append(checks.injectivity_check("log_hl_h1_ell2_injective", {"a": a, "b": b}, matrix))
+        results.append(checks.bijectivity_check(name, {"a": a, "b": b}, matrix))
+    dims = {
+        "E2(1,0)": e2.dim(1, 0),
+        "E2(-1,2)": e2.dim(-1, 2),
+        f"E2(1,{2*n-2})": e2.dim(1, 2 * n - 2),
+        f"E2(-1,{2*n})": e2.dim(-1, 2 * n),
+    }
+    results.append(CheckResult(
+        "wm_h1_four_corner_dims", {}, "pass" if len(set(dims.values())) == 1 else "fail", witness=dims
+    ))
+    return results
+
+
+def _subspace_equality_model(name, location, left: Subspace, right: Subspace) -> CheckResult:
+    if left.dim == right.dim and right.contains(left):
+        note = "vacuous (both zero)" if left.dim == 0 else ""
+        return CheckResult(name, location, "pass", note=note, witness={"dim": left.dim})
+    witness = {"left_dim": left.dim, "right_dim": right.dim}
+    for key, a, b in (("vector_in_left_only", left, right), ("vector_in_right_only", right, left)):
+        lines = (a.basis.take_columns([j]) for j in range(a.dim))
+        v = next((c for c in lines if not b.contains(Subspace._trusted(a.ambient_dim, c))), None)
+        if v is not None:
+            witness[key] = v.col(0)
+            break
+    return CheckResult(name, location, "fail", note="subspaces differ", witness=witness)
 
 
 def document_model(sc: StrataComplex) -> dict:

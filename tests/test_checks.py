@@ -182,12 +182,13 @@ class TestH1Suite:
         assert (gram @ vec).is_zero()
 
     @pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.label())
-    def test_one_quotient_beyond_the_page(self, monkeypatch, spec):
-        # ker rho / im rho of H^0 of the double level is the page's quotient
-        # at (1, 0); the suite builds the page quotients it reads, each once,
-        # and forms one more, the whole quotient on the coordinates of
-        # wm_h1_iso's source
+    def test_no_quotient_beyond_the_page(self, monkeypatch, spec):
+        # ker rho / im rho of H^0 of level k is the page's quotient at
+        # (k - 1, 0); a passing suite builds those that its H^0 pairing
+        # checks read, each once, and no other: its tau side, wm_h1_iso and
+        # the Lefschetz maps are decided from ranks
         e2 = page(build(spec))
+        sc = e2.e1.sc
         made, read = [], set()
         init, quotient = QuotientSpace.__init__, E2Page.quotient
         monkeypatch.setattr(
@@ -196,10 +197,11 @@ class TestH1Suite:
         monkeypatch.setattr(
             E2Page, "quotient", lambda page, a, b: read.add((a, b)) or quotient(page, a, b)
         )
-        check_h1_suite(e2)
-        cells = read & set(e2.e1.support())
-        assert (0, 0) in cells
-        assert len(made) == len(cells) + 1
+        assert all(r.ok for r in check_h1_suite(e2))
+        h0 = {(k - 1, 0) for k in range(1, sc.max_level + 1) if sc.level_dim(k, 0)}
+        assert (0, 0) in h0
+        assert read & set(e2.e1.support()) == h0
+        assert len(made) == len(h0)
 
     def test_dimension_zero_rejected(self):
         zero_dim = graph_curve([], 1)

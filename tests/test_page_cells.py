@@ -16,8 +16,9 @@ out of the whole of the coordinates of its source, is compared with the same
 lift block out of the model's source.  What building a page costs is counted
 too: forward passes and back-substitutions per cell, and those and the
 solves of one ``check --all``; no quotient built by a command whose verdicts
-pass on dimensions and ranks alone, and only the quotients that a failing
-map passes through when one fails; no independence check of a subspace the
+pass on dimensions and ranks alone, only the quotients of H^0 that its
+pairings read by a passing ``check --h1``, and only the quotients that a
+failing map passes through when one fails; no independence check of a subspace the
 engine builds (each such basis is ranked by sympy instead), no block read
 for a first-page map into or out of an empty cell, and one product per
 operator power ``N^r`` or ``L^r`` with ``r >= 2`` that the suites read.  Last comes the memo that a complex, each
@@ -330,18 +331,19 @@ def test_eliminations_of_a_page(monkeypatch, label, page, quotients):
 @pytest.mark.parametrize(
     "label, passes, backs, solves",
     [
-        ("tetrahedron", 71, 33, 10),
-        ("ngon:20", 41, 15, 4),
-        ("good_reduction_pn:2", 16, 5, 0),
-        ("cellular:1,2,1", 18, 7, 0),
+        ("tetrahedron", 66, 26, 9),
+        ("ngon:20", 29, 9, 3),
+        ("good_reduction_pn:2", 15, 4, 0),
+        ("cellular:1,2,1", 17, 6, 0),
     ],
 )
 def test_eliminations_and_solves_of_check_all(monkeypatch, label, passes, backs, solves):
     # no independence rank of a basis independent by construction, no
     # solve into a cell without boundaries, no elimination of a zero matrix
-    # for its pivots, none for wm_h1_iso's source, a whole quotient, none
-    # for N^0 or L^0, no solve for a zero operator, which induces the
-    # shared zero, and no second forward pass of a page's d1
+    # for its pivots, no kernel, image or intersection for a degree-one
+    # verdict that passes, none for N^0 or L^0, no solve for a zero
+    # operator, which induces the shared zero, and no second forward pass
+    # of a page's d1
     counted = {name: _count(monkeypatch, RatMatrix, name) for name in ("_forward", "solve")}
     counted["back"] = _count_back_substitutions(monkeypatch)
     out = io.StringIO()
@@ -387,11 +389,23 @@ def test_a_passing_command_builds_no_quotient(monkeypatch, label, command):
 @pytest.mark.parametrize("label", ["tetrahedron", "ngon:20", "ngon_x_p1:3"])
 def test_check_all_builds_each_quotient_once(monkeypatch, label):
     # every cell of the page and of its own second page (the fixpoint
-    # check), and the whole quotient of wm_h1_iso's source
+    # check), and no other
     code, _, made, _, _, _ = _run_counted(monkeypatch, ["check", "--all", "--scenario", label])
     e2 = E2Page(E1Page(build(parse_spec(label))))
     assert code == 0
-    assert len(made) == len(e2.e1.support()) + len(e2.support()) + 1
+    assert len(made) == len(e2.e1.support()) + len(e2.support())
+
+
+@pytest.mark.parametrize("label, quotients", [("tetrahedron", 3), ("ngon:20", 2), ("ngon_x_p1:5", 2)])
+def test_check_h1_builds_only_the_quotients_of_h0(monkeypatch, label, quotients):
+    # the cells (k - 1, 0), H^0 of level k, that the H^0 pairing checks
+    # read; every other verdict passes on dimensions and ranks
+    code, _, made, read, _, _ = _run_counted(monkeypatch, ["check", "--h1", "--scenario", label])
+    sc = build(parse_spec(label))
+    h0 = {(k - 1, 0) for k in range(1, sc.max_level + 1) if sc.level_dim(k, 0)}
+    assert code == 0
+    assert read & set(E1Page(sc).support()) == h0
+    assert len(made) == len(h0) == quotients
 
 
 def _cells_through(name: str, location: dict, n: int):
